@@ -54,7 +54,8 @@ bool spin_accuracy(bench::BenchReport& report, bool quick) {
   system.run_until(stop + units::seconds(2));
   const double sim_wall = timer.elapsed_s();
 
-  const telemetry::SpinRttEngine& engine = *system.program().spin_rtt_engine();
+  const telemetry::SpinRttEngine& engine =
+      *system.program().engines_of<telemetry::SpinRttEngine>().at(0);
   const double median = engine.quantile_ns(0.5);
   const double truth = static_cast<double>(flow.sender().rtt().srtt());
   const double err = truth == 0.0 ? 1.0 : std::abs(median - truth) / truth;
@@ -122,7 +123,9 @@ void spin_throughput(bench::BenchReport& report, std::size_t packets) {
   std::printf("spin engine: %.3gM events/s over %zu packets, %llu edges\n",
               rate / 1e6, packets,
               static_cast<unsigned long long>(
-                  program.spin_rtt_engine()->edges()));
+                  program.engines_of<telemetry::SpinRttEngine>()
+                      .at(0)
+                      ->edges()));
 }
 
 // ---- Part C: NIDS feature engine under an elephant/mice mix -----------
@@ -161,7 +164,8 @@ void nids_throughput(bench::BenchReport& report, std::size_t packets) {
   }
   const double rate = static_cast<double>(packets) / timer.elapsed_s();
 
-  telemetry::NidsFeatureEngine& engine = *program.nids_engine();
+  telemetry::NidsFeatureEngine& engine =
+      *program.engines_of<telemetry::NidsFeatureEngine>().at(0);
   bench::WallTimer drain_timer;
   const auto docs = engine.drain_digests(sim.now());
   const double drain_s = drain_timer.elapsed_s();

@@ -196,7 +196,8 @@ bool pipeline_fidelity(bench::BenchReport& report, std::size_t pairs) {
   const double copies_per_sec =
       2.0 * static_cast<double>(pairs) / timer.elapsed_s();
 
-  const auto& engine = *program.histogram_engines().front();
+  const auto& engine =
+      *program.engines_of<telemetry::HistogramEngine>().at(0);
   bool ok = engine.samples() == pairs;
   if (!ok) {
     std::fprintf(stderr, "sketch_scale: pipeline matched %llu of %zu pairs\n",

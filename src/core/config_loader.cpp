@@ -1,61 +1,85 @@
 #include "core/config_loader.hpp"
 
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "mpl/compiler.hpp"
+#include "util/json_path.hpp"
 
 namespace p4s::core {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::invalid_argument("config: " + what);
+using util::JsonPathReader;
+
+// The loader's wording puts a colon between a key's path and the reason
+// a name lookup failed ("'switches[0].tap': unknown tap point: x").
+const JsonPathReader reader("config", ": ");
+
+/// Walk an object's keys, dispatching each (with its full path) to
+/// `apply`; unknown keys fail.
+template <typename Apply>
+void walk(const util::Json& obj, const std::string& section, Apply&& apply) {
+  if (!obj.is_object()) reader.fail(section, "must be an object");
+  for (const auto& [key, value] : obj.as_object()) {
+    const std::string path = JsonPathReader::child(section, key);
+    if (!apply(key, value, path)) reader.fail("unknown key '" + path + "'");
+  }
 }
 
-double require_number(const util::Json& v, const std::string& key) {
-  if (!v.is_number()) fail("'" + key + "' must be a number");
-  return v.as_double();
+/// Fail at load time, not at MonitoringSystem construction: the
+/// topology's host names are a fixed set.
+std::string topology_host(const std::string& name) {
+  for (const char* host : {"dtn_int", "psonar_int", "ext0", "ext1", "ext2",
+                           "psonar_ext0", "psonar_ext1", "psonar_ext2"}) {
+    if (name == host) return name;
+  }
+  throw std::invalid_argument(
+      "unknown host '" + name +
+      "' (dtn_int, psonar_int, ext0..2, psonar_ext0..2)");
 }
 
-bool require_bool(const util::Json& v, const std::string& key) {
-  if (!v.is_bool()) fail("'" + key + "' must be a boolean");
-  return v.as_bool();
+std::vector<std::string> string_list(const util::Json& v,
+                                     const std::string& path) {
+  std::vector<std::string> out;
+  for (const auto& entry : reader.array(v, path)) {
+    if (!entry.is_string()) reader.fail(path, "entries must be strings");
+    out.push_back(entry.as_string());
+  }
+  return out;
 }
 
 net::FaultInjector::ScheduledFault parse_fault(const util::Json& entry,
-                                               std::size_t index) {
-  const std::string where =
-      "transport.faults[" + std::to_string(index) + "]";
-  if (!entry.is_object()) fail("'" + where + "' must be an object");
+                                               const std::string& where) {
   net::FaultInjector::ScheduledFault fault;
   bool has_at = false;
-  for (const auto& [k, v] : entry.as_object()) {
+  walk(entry, where, [&](const std::string& k, const util::Json& v,
+                         const std::string& path) {
     if (k == "at_s") {
-      fault.at = units::seconds_f(require_number(v, where + ".at_s"));
+      fault.at = units::seconds_f(reader.number(v, path));
       has_at = true;
     } else if (k == "kind") {
-      if (!v.is_string()) fail("'" + where + ".kind' must be a string");
-      const std::string& kind = v.as_string();
+      const std::string& kind = reader.string(v, path);
       if (kind == "reset") {
         fault.kind = net::FaultInjector::FaultKind::kReset;
       } else if (kind == "stall") {
         fault.kind = net::FaultInjector::FaultKind::kStall;
       } else {
-        fail("'" + where + ".kind' must be 'reset' or 'stall'");
+        reader.fail(path, "must be 'reset' or 'stall'");
       }
     } else if (k == "duration_s") {
-      fault.duration =
-          units::seconds_f(require_number(v, where + ".duration_s"));
+      fault.duration = units::seconds_f(reader.number(v, path));
     } else {
-      fail("unknown key '" + where + "." + k + "'");
+      return false;
     }
-  }
-  if (!has_at) fail("'" + where + "' needs 'at_s'");
+    return true;
+  });
+  if (!has_at) reader.fail(where, "needs 'at_s'");
   if (fault.kind == net::FaultInjector::FaultKind::kStall &&
       fault.duration == 0) {
-    fail("'" + where + "' stall needs a 'duration_s' > 0");
+    reader.fail(where, "stall needs a 'duration_s' > 0");
   }
   return fault;
 }
@@ -66,138 +90,122 @@ net::FaultInjector::ScheduledFault parse_fault(const util::Json& entry,
 /// offending key ("switches[1].programs[0].ops[2].field").
 std::vector<mpl::Program> parse_programs(const util::Json& v,
                                          const std::string& where) {
-  if (!v.is_array()) fail("'" + where + "' must be an array");
   std::vector<mpl::Program> programs;
-  const auto& entries = v.as_array();
+  const auto& entries = reader.array(v, where);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     try {
       programs.push_back(mpl::compile_program(
-          entries[i], where + "[" + std::to_string(i) + "]"));
+          entries[i], JsonPathReader::element(where, i)));
     } catch (const std::invalid_argument& e) {
-      fail(e.what());
+      reader.fail(e.what());
     }
   }
   return programs;
-}
-
-/// Walk an object's keys, dispatching each to `apply`; unknown keys fail.
-template <typename Apply>
-void walk(const util::Json& obj, const std::string& section, Apply&& apply) {
-  if (!obj.is_object()) fail("'" + section + "' must be an object");
-  for (const auto& [key, value] : obj.as_object()) {
-    if (!apply(key, value)) {
-      fail("unknown key '" + section + "." + key + "'");
-    }
-  }
 }
 
 }  // namespace
 
 MonitoringSystemConfig config_from_json(const util::Json& doc) {
   MonitoringSystemConfig config;
-  if (!doc.is_object()) fail("document must be an object");
+  if (!doc.is_object()) reader.fail("document must be an object");
 
   for (const auto& [key, value] : doc.as_object()) {
     if (key == "seed") {
-      config.seed = static_cast<std::uint64_t>(
-          require_number(value, key));
+      config.seed = static_cast<std::uint64_t>(reader.number(value, key));
     } else if (key == "tap_latency_us") {
-      config.tap_latency = units::seconds_f(
-          require_number(value, key) / 1e6);
+      config.tap_latency = units::seconds_f(reader.number(value, key) / 1e6);
     } else if (key == "topology") {
-      walk(value, "topology", [&](const std::string& k,
-                                  const util::Json& v) {
+      walk(value, "topology", [&](const std::string& k, const util::Json& v,
+                                  const std::string& path) {
         if (k == "bottleneck_mbps") {
-          config.topology.bottleneck_bps = static_cast<std::uint64_t>(
-              require_number(v, "topology." + k) * 1e6);
+          config.topology.bottleneck_bps =
+              static_cast<std::uint64_t>(reader.number(v, path) * 1e6);
         } else if (k == "access_mbps") {
-          config.topology.access_bps = static_cast<std::uint64_t>(
-              require_number(v, "topology." + k) * 1e6);
+          config.topology.access_bps =
+              static_cast<std::uint64_t>(reader.number(v, path) * 1e6);
         } else if (k == "rtt_ms") {
           if (!v.is_array() || v.size() != 3) {
-            fail("'topology.rtt_ms' must be an array of 3 numbers");
+            reader.fail(path, "must be an array of 3 numbers");
           }
           for (std::size_t i = 0; i < 3; ++i) {
             config.topology.rtt[i] = units::seconds_f(
-                require_number(v.as_array()[i],
-                               "topology.rtt_ms[" + std::to_string(i) +
-                                   "]") /
+                reader.number(v.as_array()[i],
+                              JsonPathReader::element(path, i)) /
                 1e3);
           }
         } else if (k == "core_buffer_bytes") {
           config.topology.core_buffer_bytes =
-              static_cast<std::uint64_t>(require_number(v, "topology." + k));
+              static_cast<std::uint64_t>(reader.number(v, path));
         } else if (k == "core_buffer_bdp_of_rtt_ms") {
           // JsonObject iterates keys alphabetically, so
           // "bottleneck_mbps" has already been applied when this
           // resolves ('b' < 'c').
           config.topology.core_buffer_bytes = units::bdp_bytes(
               config.topology.bottleneck_bps,
-              units::seconds_f(require_number(v, "topology." + k) / 1e3));
+              units::seconds_f(reader.number(v, path) / 1e3));
         } else {
           return false;
         }
         return true;
       });
     } else if (key == "program") {
-      walk(value, "program", [&](const std::string& k,
-                                 const util::Json& v) {
+      walk(value, "program", [&](const std::string& k, const util::Json& v,
+                                 const std::string& path) {
         if (k == "promotion_kb") {
-          config.program.tracker.promotion_bytes = static_cast<std::uint64_t>(
-              require_number(v, "program." + k) * 1024);
+          config.program.tracker.promotion_bytes =
+              static_cast<std::uint64_t>(reader.number(v, path) * 1024);
         } else if (k == "burst_threshold_us") {
-          config.program.queue.burst_threshold_ns = units::seconds_f(
-              require_number(v, "program." + k) / 1e6);
+          config.program.queue.burst_threshold_ns =
+              units::seconds_f(reader.number(v, path) / 1e6);
           config.program.queue.burst_exit_ns =
               config.program.queue.burst_threshold_ns / 2;
         } else if (k == "int_sample_every") {
-          const auto n =
-              static_cast<std::uint32_t>(require_number(v, "program." + k));
+          const auto n = static_cast<std::uint32_t>(reader.number(v, path));
           config.program.int_export.enabled = n > 0;
           if (n > 0) config.program.int_export.sample_every = n;
         } else if (k == "iat_min_gap_ms") {
-          config.program.iat.min_gap_ns = units::seconds_f(
-              require_number(v, "program." + k) / 1e3);
+          config.program.iat.min_gap_ns =
+              units::seconds_f(reader.number(v, path) / 1e3);
         } else {
           return false;
         }
         return true;
       });
     } else if (key == "transport") {
-      walk(value, "transport", [&](const std::string& k,
-                                   const util::Json& v) {
+      walk(value, "transport", [&](const std::string& k, const util::Json& v,
+                                   const std::string& path) {
         auto& t = config.transport;
         if (k == "resilient") {
-          t.resilient = require_bool(v, "transport." + k);
+          t.resilient = reader.boolean(v, path);
         } else if (k == "latency_us") {
-          t.channel.latency = units::seconds_f(require_number(v, "transport." + k) / 1e6);
+          t.channel.latency = units::seconds_f(reader.number(v, path) / 1e6);
         } else if (k == "send_buffer_kb") {
           t.channel.send_buffer_bytes =
-              static_cast<std::uint64_t>(require_number(v, "transport." + k) * 1024);
+              static_cast<std::uint64_t>(reader.number(v, path) * 1024);
         } else if (k == "drain_kbps") {
           t.channel.drain_bps =
-              static_cast<std::uint64_t>(require_number(v, "transport." + k) * 1000);
+              static_cast<std::uint64_t>(reader.number(v, path) * 1000);
         } else if (k == "max_chunk_bytes") {
           t.channel.max_chunk_bytes =
-              static_cast<std::uint64_t>(require_number(v, "transport." + k));
+              static_cast<std::uint64_t>(reader.number(v, path));
         } else if (k == "random_chunking") {
-          t.channel.random_chunking = require_bool(v, "transport." + k);
+          t.channel.random_chunking = reader.boolean(v, path);
         } else if (k == "queue_capacity") {
           t.sink.queue_capacity =
-              static_cast<std::size_t>(require_number(v, "transport." + k));
+              static_cast<std::size_t>(reader.number(v, path));
         } else if (k == "ack_timeout_ms") {
-          t.sink.ack_timeout = units::seconds_f(require_number(v, "transport." + k) / 1e3);
+          t.sink.ack_timeout = units::seconds_f(reader.number(v, path) / 1e3);
         } else if (k == "retry_base_ms") {
-          t.sink.backoff.base = units::seconds_f(require_number(v, "transport." + k) / 1e3);
+          t.sink.backoff.base = units::seconds_f(reader.number(v, path) / 1e3);
         } else if (k == "retry_max_ms") {
-          t.sink.backoff.max = units::seconds_f(require_number(v, "transport." + k) / 1e3);
+          t.sink.backoff.max = units::seconds_f(reader.number(v, path) / 1e3);
         } else if (k == "health_interval_s") {
-          t.sink.health_interval = units::seconds_f(require_number(v, "transport." + k));
+          t.sink.health_interval = units::seconds_f(reader.number(v, path));
         } else if (k == "faults") {
-          if (!v.is_array()) fail("'transport.faults' must be an array");
-          const auto& entries = v.as_array();
+          const auto& entries = reader.array(v, path);
           for (std::size_t i = 0; i < entries.size(); ++i) {
-            t.faults.push_back(parse_fault(entries[i], i));
+            t.faults.push_back(
+                parse_fault(entries[i], JsonPathReader::element(path, i)));
           }
         } else {
           return false;
@@ -205,154 +213,122 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
         return true;
       });
       if (!config.transport.faults.empty() && !config.transport.resilient) {
-        fail("'transport.faults' requires 'transport.resilient': true "
-             "(the legacy direct wire has no fault surface)");
+        reader.fail("'transport.faults' requires 'transport.resilient': true "
+                    "(the legacy direct wire has no fault surface)");
       }
     } else if (key == "trace") {
-      walk(value, "trace", [&](const std::string& k, const util::Json& v) {
+      walk(value, "trace", [&](const std::string& k, const util::Json& v,
+                               const std::string& path) {
         if (k == "capture") {
-          config.trace.capture = require_bool(v, "trace." + k);
+          config.trace.capture = reader.boolean(v, path);
         } else if (k == "path_base") {
-          if (!v.is_string()) fail("'trace.path_base' must be a string");
-          config.trace.path_base = v.as_string();
+          config.trace.path_base = reader.string(v, path);
         } else if (k == "snaplen") {
           config.trace.snaplen =
-              static_cast<std::uint32_t>(require_number(v, "trace." + k));
+              static_cast<std::uint32_t>(reader.number(v, path));
         } else {
           return false;
         }
         return true;
       });
     } else if (key == "archive") {
-      walk(value, "archive", [&](const std::string& k,
-                                 const util::Json& v) {
+      walk(value, "archive", [&](const std::string& k, const util::Json& v,
+                                 const std::string& path) {
         auto& a = config.archive;
         if (k == "backend") {
-          if (!v.is_string()) fail("'archive.backend' must be a string");
-          const std::string& backend = v.as_string();
+          const std::string& backend = reader.string(v, path);
           if (backend == "store") {
             a.durable = true;
           } else if (backend == "memory") {
             a.durable = false;
           } else {
-            fail("'archive.backend' must be 'memory' or 'store'");
+            reader.fail(path, "must be 'memory' or 'store'");
           }
         } else if (k == "dir") {
-          if (!v.is_string()) fail("'archive.dir' must be a string");
-          a.dir = v.as_string();
+          a.dir = reader.string(v, path);
         } else if (k == "time_field") {
-          if (!v.is_string()) fail("'archive.time_field' must be a string");
-          a.store.time_field = v.as_string();
+          a.store.time_field = reader.string(v, path);
         } else if (k == "hot_fields") {
-          if (!v.is_array()) fail("'archive.hot_fields' must be an array");
-          a.store.hot_fields.clear();
-          for (const auto& f : v.as_array()) {
-            if (!f.is_string()) {
-              fail("'archive.hot_fields' entries must be strings");
-            }
-            a.store.hot_fields.push_back(f.as_string());
-          }
+          a.store.hot_fields = string_list(v, path);
         } else if (k == "wal_batch_docs") {
           a.store.wal_batch_docs =
-              static_cast<std::size_t>(require_number(v, "archive." + k));
+              static_cast<std::size_t>(reader.number(v, path));
         } else if (k == "seal_min_docs") {
           a.store.seal_min_docs =
-              static_cast<std::size_t>(require_number(v, "archive." + k));
+              static_cast<std::size_t>(reader.number(v, path));
         } else if (k == "compact_fanin") {
           a.store.compact_fanin =
-              static_cast<std::size_t>(require_number(v, "archive." + k));
+              static_cast<std::size_t>(reader.number(v, path));
         } else if (k == "rollup_bucket_s") {
-          a.store.rollup_bucket_ns = static_cast<std::uint64_t>(
-              require_number(v, "archive." + k) * 1e9);
+          a.store.rollup_bucket_ns =
+              static_cast<std::uint64_t>(reader.number(v, path) * 1e9);
         } else if (k == "rollup_fields") {
-          if (!v.is_array()) {
-            fail("'archive.rollup_fields' must be an array");
-          }
-          for (const auto& f : v.as_array()) {
-            if (!f.is_string()) {
-              fail("'archive.rollup_fields' entries must be strings");
-            }
-            a.store.rollup_fields.push_back(f.as_string());
-          }
+          a.store.rollup_fields = string_list(v, path);
         } else if (k == "maintenance_interval_s") {
-          a.maintenance_interval =
-              units::seconds_f(require_number(v, "archive." + k));
+          a.maintenance_interval = units::seconds_f(reader.number(v, path));
         } else {
           return false;
         }
         return true;
       });
       if (config.archive.durable && config.archive.dir.empty()) {
-        fail("'archive.backend': 'store' requires 'archive.dir'");
+        reader.fail("'archive.backend': 'store' requires 'archive.dir'");
       }
     } else if (key == "serving") {
-      walk(value, "serving", [&](const std::string& k,
-                                 const util::Json& v) {
+      walk(value, "serving", [&](const std::string& k, const util::Json& v,
+                                 const std::string& path) {
         auto& s = config.serving;
         if (k == "enabled") {
-          s.enabled = require_bool(v, "serving." + k);
+          s.enabled = reader.boolean(v, path);
         } else if (k == "cache_bytes") {
-          s.cache_bytes = static_cast<std::size_t>(require_number(v, "serving." + k));
+          s.cache_bytes = static_cast<std::size_t>(reader.number(v, path));
         } else if (k == "cache_shards") {
-          s.cache_shards = static_cast<std::size_t>(require_number(v, "serving." + k));
-          if (s.cache_shards == 0) {
-            fail("'serving.cache_shards' must be at least 1");
-          }
+          s.cache_shards = static_cast<std::size_t>(reader.number(v, path));
+          if (s.cache_shards == 0) reader.fail(path, "must be at least 1");
         } else if (k == "reader_threads") {
-          s.reader_threads = static_cast<std::size_t>(require_number(v, "serving." + k));
+          s.reader_threads = static_cast<std::size_t>(reader.number(v, path));
         } else {
           return false;
         }
         return true;
       });
       if (config.serving.enabled && !config.archive.durable) {
-        fail("'serving.enabled' requires 'archive.backend': 'store'");
+        reader.fail("'serving.enabled' requires 'archive.backend': 'store'");
       }
     } else if (key == "switches") {
       // Two accepted shapes: the legacy bare array of site entries, or
       // an object {"parallel": N, "sites": [...]} that also selects the
       // sharded parallel runtime (N workers; 1 = serial).
       auto parse_sites = [&](const util::Json& sites) {
-        if (!sites.is_array()) fail("'switches' sites must be an array");
+        if (!sites.is_array()) reader.fail("'switches' sites must be an array");
         const auto& entries = sites.as_array();
         for (std::size_t i = 0; i < entries.size(); ++i) {
-          const std::string where = "switches[" + std::to_string(i) + "]";
           MonitoredSwitchConfig sw;
-          walk(entries[i], where, [&](const std::string& k,
-                                      const util::Json& v) {
-            if (k == "id") {
-              if (!v.is_string()) fail("'" + where + ".id' must be a string");
-              sw.id = v.as_string();
-            } else if (k == "tap") {
-              if (!v.is_string()) {
-                fail("'" + where + ".tap' must be a string");
-              }
-              try {
-                sw.tap = tap_point_from_name(v.as_string());
-              } catch (const std::invalid_argument& e) {
-                fail("'" + where + ".tap': " + e.what());
-              }
-            } else if (k == "programs") {
-              sw.programs = parse_programs(v, where + ".programs");
-            } else {
-              return false;
-            }
-            return true;
-          });
+          walk(entries[i], JsonPathReader::element("switches", i),
+               [&](const std::string& k, const util::Json& v,
+                   const std::string& path) {
+                 if (k == "id") {
+                   sw.id = reader.string(v, path);
+                 } else if (k == "tap") {
+                   sw.tap = reader.name(v, path, tap_point_from_name);
+                 } else if (k == "programs") {
+                   sw.programs = parse_programs(v, path);
+                 } else {
+                   return false;
+                 }
+                 return true;
+               });
           config.switches.push_back(std::move(sw));
         }
       };
       if (value.is_array()) {
         parse_sites(value);
       } else if (value.is_object()) {
-        walk(value, "switches", [&](const std::string& k,
-                                    const util::Json& v) {
+        walk(value, "switches", [&](const std::string& k, const util::Json& v,
+                                    const std::string& path) {
           if (k == "parallel") {
-            const double n = require_number(v, "switches." + k);
-            if (n < 1 || n != static_cast<std::size_t>(n)) {
-              fail("'switches.parallel' must be a positive integer");
-            }
-            config.parallel = static_cast<std::size_t>(n);
+            config.parallel =
+                static_cast<std::size_t>(reader.positive_int(v, path));
           } else if (k == "sites") {
             parse_sites(v);
           } else {
@@ -361,7 +337,7 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
           return true;
         });
       } else {
-        fail("'switches' must be an array or an object with 'sites'");
+        reader.fail(key, "must be an array or an object with 'sites'");
       }
     } else if (key == "telemetry") {
       // Flow-table selection and switch-wide histogram engines. The keys
@@ -375,81 +351,53 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
         bool has_alpha = false;
       };
       std::vector<HistEntry> hist_entries;
-      walk(value, "telemetry", [&](const std::string& k,
-                                   const util::Json& v) {
+      walk(value, "telemetry", [&](const std::string& k, const util::Json& v,
+                                   const std::string& path) {
         auto& tracker = config.program.tracker;
         if (k == "flow_table") {
-          if (!v.is_string()) {
-            fail("'telemetry.flow_table' must be a string");
-          }
-          try {
-            tracker.flow_table = telemetry::flow_table_from_name(
-                v.as_string());
-          } catch (const std::invalid_argument& e) {
-            fail("'telemetry.flow_table': " + std::string(e.what()));
-          }
+          tracker.flow_table =
+              reader.name(v, path, telemetry::flow_table_from_name);
         } else if (k == "cuckoo") {
           saw_cuckoo = true;
-          walk(v, "telemetry.cuckoo", [&](const std::string& ck,
-                                          const util::Json& cv) {
+          walk(v, path, [&](const std::string& ck, const util::Json& cv,
+                            const std::string& cpath) {
             if (ck == "ways") {
-              const double n = require_number(cv, "telemetry.cuckoo." + ck);
-              if (n < 2 || n > 8 || n != static_cast<std::size_t>(n)) {
-                fail("'telemetry.cuckoo.ways' must be an integer in 2..8");
+              const double n = reader.number(cv, cpath);
+              if (n < 2 || n > 8 || n != std::floor(n)) {
+                reader.fail(cpath, "must be an integer in 2..8");
               }
               tracker.cuckoo.ways = static_cast<std::size_t>(n);
             } else if (ck == "max_kicks") {
-              const double n = require_number(cv, "telemetry.cuckoo." + ck);
-              if (n < 1 || n != static_cast<std::size_t>(n)) {
-                fail("'telemetry.cuckoo.max_kicks' must be a positive "
-                     "integer");
-              }
-              tracker.cuckoo.max_kicks = static_cast<std::size_t>(n);
+              tracker.cuckoo.max_kicks =
+                  static_cast<std::size_t>(reader.positive_int(cv, cpath));
             } else if (ck == "idle_age_s") {
-              tracker.cuckoo.idle_age = units::seconds_f(
-                  require_number(cv, "telemetry.cuckoo." + ck));
+              tracker.cuckoo.idle_age =
+                  units::seconds_f(reader.number(cv, cpath));
             } else {
               return false;
             }
             return true;
           });
         } else if (k == "sketch_alpha") {
-          const double a = require_number(v, "telemetry." + k);
-          if (!(a > 0.0 && a < 1.0)) {
-            fail("'telemetry.sketch_alpha' must be in (0, 1)");
-          }
-          sketch_alpha = a;
+          sketch_alpha = reader.fraction(v, path);
         } else if (k == "spin_rtt") {
           // Enabling the section (even empty) builds the spin-bit RTT
           // engine with defaults.
           auto& sc = config.program.spin_rtt.emplace();
-          walk(v, "telemetry.spin_rtt", [&](const std::string& sk,
-                                            const util::Json& sv) {
+          walk(v, path, [&](const std::string& sk, const util::Json& sv,
+                            const std::string& spath) {
             if (sk == "slots") {
-              const double n =
-                  require_number(sv, "telemetry.spin_rtt." + sk);
-              if (n < 1 || n != static_cast<std::size_t>(n)) {
-                fail("'telemetry.spin_rtt.slots' must be a positive "
-                     "integer");
-              }
-              sc.slots = static_cast<std::size_t>(n);
+              sc.slots =
+                  static_cast<std::size_t>(reader.positive_int(sv, spath));
             } else if (sk == "rtt_floor_us") {
-              sc.rtt_floor_ns = units::seconds_f(
-                  require_number(sv, "telemetry.spin_rtt." + sk) / 1e6);
+              sc.rtt_floor_ns =
+                  units::seconds_f(reader.number(sv, spath) / 1e6);
             } else if (sk == "outlier_factor") {
-              const double f =
-                  require_number(sv, "telemetry.spin_rtt." + sk);
-              if (!(f > 1.0)) {
-                fail("'telemetry.spin_rtt.outlier_factor' must be > 1");
-              }
+              const double f = reader.number(sv, spath);
+              if (!(f > 1.0)) reader.fail(spath, "must be > 1");
               sc.outlier_factor = f;
             } else if (sk == "alpha") {
-              const double a =
-                  require_number(sv, "telemetry.spin_rtt." + sk);
-              if (!(a > 0.0 && a < 1.0)) {
-                fail("'telemetry.spin_rtt.alpha' must be in (0, 1)");
-              }
-              sc.sketch_alpha = a;
+              sc.sketch_alpha = reader.fraction(sv, spath);
             } else {
               return false;
             }
@@ -457,105 +405,69 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
           });
         } else if (k == "nids") {
           auto& nc = config.program.nids.emplace();
-          walk(v, "telemetry.nids", [&](const std::string& nk,
-                                        const util::Json& nv) {
-            auto positive = [&]() {
-              const double n =
-                  require_number(nv, "telemetry.nids." + nk);
-              if (n < 1 || n != static_cast<std::uint64_t>(n)) {
-                fail("'telemetry.nids." + nk +
-                     "' must be a positive integer");
-              }
-              return n;
-            };
+          walk(v, path, [&](const std::string& nk, const util::Json& nv,
+                            const std::string& npath) {
             if (nk == "max_flows") {
-              nc.max_flows = static_cast<std::size_t>(positive());
+              nc.max_flows =
+                  static_cast<std::size_t>(reader.positive_int(nv, npath));
             } else if (nk == "syn_flood_syns") {
-              nc.syn_flood_syns = static_cast<std::uint64_t>(positive());
+              nc.syn_flood_syns = reader.positive_int(nv, npath);
             } else if (nk == "syn_flood_ratio") {
-              const double r = require_number(nv, "telemetry.nids." + nk);
-              if (!(r >= 1.0)) {
-                fail("'telemetry.nids.syn_flood_ratio' must be >= 1");
-              }
+              const double r = reader.number(nv, npath);
+              if (!(r >= 1.0)) reader.fail(npath, "must be >= 1");
               nc.syn_flood_ratio = r;
             } else if (nk == "port_scan_ports") {
-              nc.port_scan_ports = static_cast<std::size_t>(positive());
+              nc.port_scan_ports =
+                  static_cast<std::size_t>(reader.positive_int(nv, npath));
             } else if (nk == "min_window_packets") {
-              nc.min_window_packets =
-                  static_cast<std::uint64_t>(positive());
+              nc.min_window_packets = reader.positive_int(nv, npath);
             } else if (nk == "window_ms") {
               nc.window = static_cast<SimTime>(
-                  positive() * 1e6);  // ms -> ns
+                  static_cast<double>(reader.positive_int(nv, npath)) *
+                  1e6);  // ms -> ns
             } else {
               return false;
             }
             return true;
           });
         } else if (k == "histograms") {
-          if (!v.is_array()) {
-            fail("'telemetry.histograms' must be an array");
-          }
-          const auto& entries = v.as_array();
+          const auto& entries = reader.array(v, path);
           for (std::size_t i = 0; i < entries.size(); ++i) {
-            const std::string where =
-                "telemetry.histograms[" + std::to_string(i) + "]";
+            const std::string where = JsonPathReader::element(path, i);
             HistEntry entry;
             bool has_metric = false;
             walk(entries[i], where, [&](const std::string& hk,
-                                        const util::Json& hv) {
+                                        const util::Json& hv,
+                                        const std::string& hpath) {
               auto& hc = entry.hc;
               if (hk == "metric") {
-                if (!hv.is_string()) {
-                  fail("'" + where + ".metric' must be a string");
-                }
-                try {
-                  hc.metric =
-                      telemetry::histogram_metric_from_name(hv.as_string());
-                } catch (const std::invalid_argument& e) {
-                  fail("'" + where + ".metric': " + std::string(e.what()));
-                }
+                hc.metric = reader.name(
+                    hv, hpath, telemetry::histogram_metric_from_name);
                 has_metric = true;
               } else if (hk == "id") {
-                if (!hv.is_string()) {
-                  fail("'" + where + ".id' must be a string");
-                }
-                hc.id = hv.as_string();
+                hc.id = reader.string(hv, hpath);
               } else if (hk == "scale") {
-                if (!hv.is_string()) {
-                  fail("'" + where + ".scale' must be a string");
-                }
-                try {
-                  hc.histogram.scale =
-                      sketch::histogram_scale_from_name(hv.as_string());
-                } catch (const std::invalid_argument& e) {
-                  fail("'" + where + ".scale': " + std::string(e.what()));
-                }
+                hc.histogram.scale =
+                    reader.name(hv, hpath, sketch::histogram_scale_from_name);
               } else if (hk == "min_us") {
-                hc.histogram.min = require_number(hv, where + "." + hk) * 1e3;  // -> ns
+                hc.histogram.min = reader.number(hv, hpath) * 1e3;  // -> ns
               } else if (hk == "max_ms") {
-                hc.histogram.max = require_number(hv, where + "." + hk) * 1e6;  // -> ns
+                hc.histogram.max = reader.number(hv, hpath) * 1e6;  // -> ns
               } else if (hk == "bins") {
-                const double n = require_number(hv, where + "." + hk);
-                if (n < 1 || n != static_cast<std::size_t>(n)) {
-                  fail("'" + where + ".bins' must be a positive integer");
-                }
-                hc.histogram.bins = static_cast<std::size_t>(n);
+                hc.histogram.bins =
+                    static_cast<std::size_t>(reader.positive_int(hv, hpath));
               } else if (hk == "alpha") {
-                const double a = require_number(hv, where + "." + hk);
-                if (!(a > 0.0 && a < 1.0)) {
-                  fail("'" + where + ".alpha' must be in (0, 1)");
-                }
-                hc.sketch_alpha = a;
+                hc.sketch_alpha = reader.fraction(hv, hpath);
                 entry.has_alpha = true;
               } else {
                 return false;
               }
               return true;
             });
-            if (!has_metric) fail("'" + where + "' needs 'metric'");
+            if (!has_metric) reader.fail(where, "needs 'metric'");
             if (!(entry.hc.histogram.min > 0.0 &&
                   entry.hc.histogram.min < entry.hc.histogram.max)) {
-              fail("'" + where + "' bin range must satisfy 0 < min < max");
+              reader.fail(where, "bin range must satisfy 0 < min < max");
             }
             hist_entries.push_back(std::move(entry));
           }
@@ -566,8 +478,8 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
       });
       if (saw_cuckoo && config.program.tracker.flow_table !=
                             telemetry::FlowTableKind::kCuckoo) {
-        fail("'telemetry.cuckoo' requires 'telemetry.flow_table': "
-             "'cuckoo'");
+        reader.fail("'telemetry.cuckoo' requires 'telemetry.flow_table': "
+                    "'cuckoo'");
       }
       for (auto& entry : hist_entries) {
         if (!entry.has_alpha && sketch_alpha.has_value()) {
@@ -581,92 +493,68 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
     } else if (key == "workloads") {
       // Declarative traffic generators (workload/generators): resolved
       // against topology host names when the MonitoringSystem is built.
-      if (!value.is_array()) fail("'workloads' must be an array");
-      const auto& entries = value.as_array();
+      const auto& entries = reader.array(value, key);
       for (std::size_t i = 0; i < entries.size(); ++i) {
-        const std::string where = "workloads[" + std::to_string(i) + "]";
+        const std::string where = JsonPathReader::element(key, i);
         workload::WorkloadSpec spec;
         bool has_kind = false;
-        walk(entries[i], where, [&](const std::string& k,
-                                    const util::Json& v) {
+        walk(entries[i], where, [&](const std::string& k, const util::Json& v,
+                                    const std::string& path) {
           if (k == "kind") {
-            if (!v.is_string()) fail("'" + where + ".kind' must be a string");
-            try {
-              spec.kind = workload::workload_kind_from_name(v.as_string());
-            } catch (const std::invalid_argument& e) {
-              fail("'" + where + ".kind': " + std::string(e.what()));
-            }
+            spec.kind = reader.name(v, path, workload::workload_kind_from_name);
             has_kind = true;
           } else if (k == "src" || k == "dst") {
-            if (!v.is_string()) {
-              fail("'" + where + "." + k + "' must be a string");
-            }
-            // Fail at load time, not at MonitoringSystem construction:
-            // the topology's host names are a fixed set.
-            static constexpr const char* kHosts[] = {
-                "dtn_int",     "psonar_int",  "ext0",
-                "ext1",        "ext2",        "psonar_ext0",
-                "psonar_ext1", "psonar_ext2"};
-            const std::string name = v.as_string();
-            bool known = false;
-            for (const char* h : kHosts) known = known || name == h;
-            if (!known) {
-              fail("'" + where + "." + k + "': unknown host '" + name +
-                   "' (dtn_int, psonar_int, ext0..2, psonar_ext0..2)");
-            }
-            (k == "src" ? spec.src : spec.dst) = name;
+            (k == "src" ? spec.src : spec.dst) =
+                reader.name(v, path, topology_host);
           } else if (k == "start_s") {
-            spec.start = units::seconds_f(require_number(v, where + "." + k));
+            spec.start = units::seconds_f(reader.number(v, path));
           } else if (k == "duration_s") {
-            spec.duration =
-                units::seconds_f(require_number(v, where + "." + k));
+            spec.duration = units::seconds_f(reader.number(v, path));
           } else if (k == "pps") {
-            spec.pps = require_number(v, where + "." + k);
+            spec.pps = reader.number(v, path);
           } else if (k == "port") {
-            spec.port = static_cast<std::uint16_t>(
-                require_number(v, where + "." + k));
+            spec.port = static_cast<std::uint16_t>(reader.number(v, path));
           } else if (k == "port_count") {
-            spec.port_count = static_cast<std::uint32_t>(
-                require_number(v, where + "." + k));
+            spec.port_count =
+                static_cast<std::uint32_t>(reader.number(v, path));
           } else if (k == "spoof_count") {
-            const double n = require_number(v, where + "." + k);
-            if (n < 1) fail("'" + where + ".spoof_count' must be >= 1");
+            const double n = reader.number(v, path);
+            if (n < 1) reader.fail(path, "must be >= 1");
             spec.spoof_count = static_cast<std::uint32_t>(n);
           } else if (k == "elephants") {
-            spec.elephants = static_cast<std::size_t>(
-                require_number(v, where + "." + k));
+            spec.elephants = static_cast<std::size_t>(reader.number(v, path));
           } else if (k == "elephant_mb") {
-            spec.elephant_bytes = static_cast<std::uint64_t>(
-                require_number(v, where + "." + k) * 1e6);
+            spec.elephant_bytes =
+                static_cast<std::uint64_t>(reader.number(v, path) * 1e6);
           } else if (k == "mice_per_second") {
-            spec.mice_per_second = require_number(v, where + "." + k);
+            spec.mice_per_second = reader.number(v, path);
           } else if (k == "mice_kb") {
-            spec.mice_bytes = static_cast<std::uint64_t>(
-                require_number(v, where + "." + k) * 1024);
+            spec.mice_bytes =
+                static_cast<std::uint64_t>(reader.number(v, path) * 1024);
           } else {
             return false;
           }
           return true;
         });
-        if (!has_kind) fail("'" + where + "' needs 'kind'");
+        if (!has_kind) reader.fail(where, "needs 'kind'");
         config.workloads.push_back(std::move(spec));
       }
     } else if (key == "control") {
-      walk(value, "control", [&](const std::string& k,
-                                 const util::Json& v) {
+      walk(value, "control", [&](const std::string& k, const util::Json& v,
+                                 const std::string& path) {
         if (k == "flow_idle_timeout_s") {
-          config.control.flow_idle_timeout = units::seconds_f(
-              require_number(v, "control." + k));
+          config.control.flow_idle_timeout =
+              units::seconds_f(reader.number(v, path));
         } else if (k == "digest_poll_ms") {
-          config.control.digest_poll_interval = units::seconds_f(
-              require_number(v, "control." + k) / 1e3);
+          config.control.digest_poll_interval =
+              units::seconds_f(reader.number(v, path) / 1e3);
         } else {
           return false;
         }
         return true;
       });
     } else {
-      fail("unknown key '" + key + "'");
+      reader.fail("unknown key '" + key + "'");
     }
   }
   return config;

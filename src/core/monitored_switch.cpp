@@ -1,9 +1,7 @@
 #include "core/monitored_switch.hpp"
 
 #include <stdexcept>
-
-#include "controlplane/histogram_extractor.hpp"
-#include "controlplane/quic_rtt_extractor.hpp"
+#include <utility>
 
 namespace p4s::core {
 
@@ -51,8 +49,26 @@ TapTarget resolve_tap(net::PaperTopology& topology, TapPoint tap) {
   throw std::invalid_argument("unknown tap point");
 }
 
+/// Fill control-plane knowledge of the monitored switch from the tapped
+/// port unless the caller overrode it.
+cp::ControlPlaneConfig site_control_config(net::PaperTopology& topology,
+                                           const MonitoredSwitchConfig& site,
+                                           cp::ControlPlaneConfig config) {
+  const TapTarget target = resolve_tap(topology, site.tap);
+  if (config.core_buffer_bytes == 0) {
+    config.core_buffer_bytes = target.port->queue().capacity_bytes();
+  }
+  if (config.bottleneck_bps == 0) config.bottleneck_bps = target.rate_bps;
+  config.switch_id = site.id;
+  return config;
+}
+
 }  // namespace
 
+// The mirror pipeline's components read their timestamps (P4 ingress_ts,
+// pcap records) from the pipeline clock: the main timeline when serial,
+// the shard-advanced pipeline clock when parallel — both sit at the
+// frame's delivery time at delivery, so outputs are identical.
 MonitoredSwitch::MonitoredSwitch(
     sim::Simulation& sim, net::PaperTopology& topology,
     const MonitoredSwitchConfig& config,
@@ -61,31 +77,18 @@ MonitoredSwitch::MonitoredSwitch(
     const TraceCaptureConfig& trace_config,
     const std::vector<mpl::Program>& fabric_programs, SimTime tap_latency,
     std::size_t index, sim::Simulation* pipeline_sim)
-    : config_(config) {
-  const TapTarget target = resolve_tap(topology, config_.tap);
-
-  // The mirror pipeline's components read their timestamps (P4
-  // ingress_ts, pcap records) from this clock: the main timeline when
-  // serial, the shard-advanced pipeline clock when parallel — both sit
-  // at the frame's delivery time at delivery, so outputs are identical.
-  sim::Simulation& pipe_sim = pipeline_sim != nullptr ? *pipeline_sim : sim;
-
-  program_ = std::make_unique<telemetry::DataPlaneProgram>(program_config);
-  // Every site carries a measurement-program VM behind the engine
-  // registry; with nothing installed it is a no-op on the packet path
-  // and the report stream is untouched.
-  vm_ = std::make_unique<mpl::ProgramVm>();
-  program_->register_packet_engine(*vm_);
-  const std::string name =
-      config_.id.empty() ? "tofino-monitor" : "tofino-" + config_.id;
-  p4_switch_ = std::make_unique<p4::P4Switch>(pipe_sim, name);
-  p4_switch_->load_program(*program_);
-
+    : trace::SitePipeline(
+          sim, pipeline_sim != nullptr ? *pipeline_sim : sim,
+          config.id.empty() ? "tofino-monitor" : "tofino-" + config.id,
+          program_config,
+          site_control_config(topology, config, std::move(control_config)),
+          fabric_programs, config.programs),
+      config_(config) {
   // With capture enabled the TAPs feed a pcap-writing tee that forwards
   // every mirrored frame to the P4 switch unchanged. Switch 0 keeps the
   // configured path_base (so existing captures stay byte-identical);
   // further switches get a per-site suffix.
-  net::MirrorSink* mirror_sink = p4_switch_.get();
+  entry_sink_ = &p4_switch();
   if (trace_config.capture) {
     std::string path_base = trace_config.path_base;
     if (index > 0) {
@@ -93,41 +96,15 @@ MonitoredSwitch::MonitoredSwitch(
           "." + (config_.id.empty() ? std::to_string(index) : config_.id);
     }
     trace_capture_ = std::make_unique<trace::TraceCapture>(
-        pipe_sim, *p4_switch_, path_base,
+        pipeline_sim != nullptr ? *pipeline_sim : sim, p4_switch(), path_base,
         trace::TraceCapture::Config{trace_config.snaplen});
-    mirror_sink = trace_capture_.get();
+    entry_sink_ = trace_capture_.get();
   }
-  entry_sink_ = mirror_sink;
 
-  taps_ = std::make_unique<net::OpticalTapPair>(sim, *mirror_sink,
+  const TapTarget target = resolve_tap(topology, config_.tap);
+  taps_ = std::make_unique<net::OpticalTapPair>(sim, *entry_sink_,
                                                 tap_latency);
   taps_->attach(*target.sw, *target.port);
-
-  // Fill control-plane knowledge of the monitored switch from the tapped
-  // port unless the caller overrode it.
-  if (control_config.core_buffer_bytes == 0) {
-    control_config.core_buffer_bytes = target.port->queue().capacity_bytes();
-  }
-  if (control_config.bottleneck_bps == 0) {
-    control_config.bottleneck_bps = target.rate_bps;
-  }
-  control_config.switch_id = config_.id;
-  control_plane_ = std::make_unique<cp::ControlPlane>(
-      sim, *program_, std::move(control_config));
-  // One extraction timer per configured histogram engine (none by
-  // default — the default control plane is untouched).
-  cp::register_histogram_extractors(*control_plane_, *program_);
-  // Encrypted-traffic engines (both no-ops unless the program config
-  // enabled them): the spin-bit RTT engine gets its own extraction
-  // timer; the NIDS feature engine exports through the digest poll.
-  cp::register_quic_rtt_extractor(*control_plane_, *program_);
-  cp::register_nids_digest_source(*control_plane_, *program_);
-  // Bind the VM (its export extractors and digest source hang off this
-  // control plane), then install fabric-wide and site programs — site
-  // entries replace same-named fabric-wide ones.
-  vm_->bind(*control_plane_);
-  for (const mpl::Program& program : fabric_programs) vm_->install(program);
-  for (const mpl::Program& program : config_.programs) vm_->install(program);
 }
 
 }  // namespace p4s::core

@@ -1,7 +1,8 @@
-// MonitoredSwitch — one monitored site of the fabric: a passive TAP pair
-// on a chosen switch/port of the shared topology, the P4 switch running
-// the telemetry data-plane program, its control plane, and (optionally)
-// a pcap capture tee. MonitoringSystem owns N of these over one
+// MonitoredSwitch — one monitored site of the fabric: the site's
+// measurement stack (a trace::SitePipeline: the P4 switch running the
+// telemetry data-plane program, its VM and its control plane) fed by a
+// passive TAP pair on a chosen switch/port of the shared topology,
+// optionally through a pcap capture tee. MonitoringSystem owns N of these over one
 // simulation and one report transport; the paper's single-switch
 // deployment (Figures 3-5) is the N=1 case.
 #pragma once
@@ -10,13 +11,9 @@
 #include <memory>
 #include <string>
 
-#include "controlplane/control_plane.hpp"
-#include "mpl/vm.hpp"
 #include "net/tap.hpp"
 #include "net/topology.hpp"
-#include "p4/p4_switch.hpp"
-#include "sim/simulation.hpp"
-#include "telemetry/dataplane_program.hpp"
+#include "trace/site_pipeline.hpp"
 #include "trace/trace_capture.hpp"
 
 namespace p4s::core {
@@ -56,7 +53,7 @@ struct MonitoredSwitchConfig {
   std::vector<mpl::Program> programs;
 };
 
-class MonitoredSwitch {
+class MonitoredSwitch : public trace::SitePipeline {
  public:
   /// `control_config`'s core_buffer_bytes / bottleneck_bps are filled
   /// from the tapped port when left 0; its switch_id is taken from
@@ -86,14 +83,7 @@ class MonitoredSwitch {
 
   const std::string& id() const { return config_.id; }
   TapPoint tap_point() const { return config_.tap; }
-
-  telemetry::DataPlaneProgram& program() { return *program_; }
-  /// The site's measurement-program VM (always present; empty unless
-  /// programs were configured or installed via config-P4).
-  mpl::ProgramVm& program_vm() { return *vm_; }
-  p4::P4Switch& p4_switch() { return *p4_switch_; }
   net::OpticalTapPair& taps() { return *taps_; }
-  cp::ControlPlane& control_plane() { return *control_plane_; }
 
   bool capturing() const { return trace_capture_ != nullptr; }
   trace::TraceCapture& trace_capture() { return *trace_capture_; }
@@ -105,12 +95,8 @@ class MonitoredSwitch {
  private:
   MonitoredSwitchConfig config_;
   net::MirrorSink* entry_sink_ = nullptr;
-  std::unique_ptr<telemetry::DataPlaneProgram> program_;
-  std::unique_ptr<mpl::ProgramVm> vm_;
-  std::unique_ptr<p4::P4Switch> p4_switch_;
   std::unique_ptr<trace::TraceCapture> trace_capture_;
   std::unique_ptr<net::OpticalTapPair> taps_;
-  std::unique_ptr<cp::ControlPlane> control_plane_;
 };
 
 }  // namespace p4s::core

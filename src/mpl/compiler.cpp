@@ -3,177 +3,143 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/json_path.hpp"
+
 namespace p4s::mpl {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& where, const std::string& what) {
-  throw std::invalid_argument(
-      "program: '" + where + "' " + what);
+const util::JsonPathReader reader("program");
+
+std::string child(const std::string& parent, const std::string& key) {
+  return util::JsonPathReader::child(parent, key);
 }
 
-std::string join(const std::string& prefix, const std::string& key) {
-  if (prefix.empty()) return key;
-  return prefix + "." + key;
-}
-
-double require_number(const util::Json& v, const std::string& where) {
-  if (!v.is_number()) fail(where, "must be a number");
-  return v.as_double();
-}
-
-std::uint64_t require_uint(const util::Json& v, const std::string& where) {
-  const double n = require_number(v, where);
-  if (n < 0 || n != std::floor(n)) {
-    fail(where, "must be a non-negative integer");
+std::uint8_t register_index(const util::Json& v, const std::string& path) {
+  const std::uint64_t reg = reader.unsigned_int(v, path);
+  if (reg >= kMaxRegisters) {
+    reader.fail(path,
+                "must be a register index < " + std::to_string(kMaxRegisters));
   }
-  return static_cast<std::uint64_t>(n);
+  return static_cast<std::uint8_t>(reg);
 }
 
-const std::string& require_string(const util::Json& v,
-                                  const std::string& where) {
-  if (!v.is_string()) fail(where, "must be a string");
-  return v.as_string();
+const util::JsonObject& object(const util::Json& v, const std::string& path) {
+  if (!v.is_object()) reader.fail(path, "must be an object");
+  return v.as_object();
 }
 
 Condition parse_condition(const util::Json& entry,
                           const std::string& where) {
-  if (!entry.is_object()) fail(where, "must be an object");
   Condition cond;
   bool has_field = false;
   bool has_value = false;
-  for (const auto& [k, v] : entry.as_object()) {
-    const std::string path = join(where, k);
+  for (const auto& [k, v] : object(entry, where)) {
+    const std::string path = child(where, k);
     if (k == "field") {
-      try {
-        cond.field = telemetry::field_from_name(require_string(v, path));
-      } catch (const std::invalid_argument& e) {
-        fail(path, e.what());
-      }
+      cond.field = reader.name(v, path, telemetry::field_from_name);
       has_field = true;
     } else if (k == "cmp") {
-      try {
-        cond.cmp = cmp_from_name(require_string(v, path));
-      } catch (const std::invalid_argument& e) {
-        fail(path, e.what());
-      }
+      cond.cmp = reader.name(v, path, cmp_from_name);
     } else if (k == "value") {
-      cond.value = require_uint(v, path);
+      cond.value = reader.unsigned_int(v, path);
       has_value = true;
     } else {
-      fail(path, "is not a known match key");
+      reader.fail(path, "is not a known match key");
     }
   }
-  if (!has_field) fail(where, "needs 'field'");
-  if (!has_value) fail(where, "needs 'value'");
+  if (!has_field) reader.fail(where, "needs 'field'");
+  if (!has_value) reader.fail(where, "needs 'value'");
   return cond;
 }
 
 Op parse_op(const util::Json& entry, const std::string& where) {
-  if (!entry.is_object()) fail(where, "must be an object");
   Op op;
   bool has_kind = false;
   bool has_dst = false;
   bool has_src = false;
   bool has_weight = false;
-  for (const auto& [k, v] : entry.as_object()) {
-    const std::string path = join(where, k);
+  for (const auto& [k, v] : object(entry, where)) {
+    const std::string path = child(where, k);
     if (k == "op") {
-      try {
-        op.kind = op_from_name(require_string(v, path));
-      } catch (const std::invalid_argument& e) {
-        fail(path, e.what());
-      }
+      op.kind = reader.name(v, path, op_from_name);
       has_kind = true;
     } else if (k == "dst") {
-      const std::uint64_t dst = require_uint(v, path);
-      if (dst >= kMaxRegisters) {
-        fail(path, "must be a register index < " +
-                       std::to_string(kMaxRegisters));
-      }
-      op.dst = static_cast<std::uint8_t>(dst);
+      op.dst = register_index(v, path);
       has_dst = true;
     } else if (k == "field") {
-      if (has_src) fail(path, "conflicts with 'imm' (pick one source)");
-      try {
-        op.src.field = telemetry::field_from_name(require_string(v, path));
-      } catch (const std::invalid_argument& e) {
-        fail(path, e.what());
-      }
+      if (has_src) reader.fail(path, "conflicts with 'imm' (pick one source)");
+      op.src.field = reader.name(v, path, telemetry::field_from_name);
       op.src.is_field = true;
       has_src = true;
     } else if (k == "imm") {
-      if (has_src) fail(path, "conflicts with 'field' (pick one source)");
-      op.src.imm = require_uint(v, path);
+      if (has_src) {
+        reader.fail(path, "conflicts with 'field' (pick one source)");
+      }
+      op.src.imm = reader.unsigned_int(v, path);
       op.src.is_field = false;
       has_src = true;
     } else if (k == "weight") {
-      const std::uint64_t w = require_uint(v, path);
-      if (w < 2 || w > 1024) fail(path, "must be an integer in 2..1024");
+      const std::uint64_t w = reader.unsigned_int(v, path);
+      if (w < 2 || w > 1024) reader.fail(path, "must be an integer in 2..1024");
       op.ewma_weight = static_cast<std::uint32_t>(w);
       has_weight = true;
     } else {
-      fail(path, "is not a known op key");
+      reader.fail(path, "is not a known op key");
     }
   }
-  if (!has_kind) fail(where, "needs 'op'");
+  if (!has_kind) reader.fail(where, "needs 'op'");
   const bool needs_src =
       op.kind != OpKind::kCount;  // count has an implicit +1 source
   if (needs_src && !has_src) {
-    fail(where, "needs a 'field' or 'imm' source for op '" +
-                    std::string(to_string(op.kind)) + "'");
+    reader.fail(where, "needs a 'field' or 'imm' source for op '" +
+                           std::string(to_string(op.kind)) + "'");
   }
   const bool needs_dst = op.kind != OpKind::kHistogramBin;
-  if (needs_dst && !has_dst) fail(where, "needs 'dst'");
+  if (needs_dst && !has_dst) reader.fail(where, "needs 'dst'");
   if (has_weight && op.kind != OpKind::kEwma) {
-    fail(join(where, "weight"), "only applies to op 'ewma'");
+    reader.fail(child(where, "weight"), "only applies to op 'ewma'");
   }
   return op;
 }
 
 sketch::HistogramConfig parse_histogram(const util::Json& obj,
                                         const std::string& where) {
-  if (!obj.is_object()) fail(where, "must be an object");
   sketch::HistogramConfig hc;
-  for (const auto& [k, v] : obj.as_object()) {
-    const std::string path = join(where, k);
+  for (const auto& [k, v] : object(obj, where)) {
+    const std::string path = child(where, k);
     if (k == "scale") {
-      try {
-        hc.scale = sketch::histogram_scale_from_name(require_string(v, path));
-      } catch (const std::invalid_argument& e) {
-        fail(path, e.what());
-      }
+      hc.scale = reader.name(v, path, sketch::histogram_scale_from_name);
     } else if (k == "min") {
-      hc.min = require_number(v, path);
+      hc.min = reader.number(v, path);
     } else if (k == "max") {
-      hc.max = require_number(v, path);
+      hc.max = reader.number(v, path);
     } else if (k == "bins") {
-      const std::uint64_t bins = require_uint(v, path);
-      if (bins == 0) fail(path, "must be a positive integer");
+      const std::uint64_t bins = reader.unsigned_int(v, path);
+      if (bins == 0) reader.fail(path, "must be a positive integer");
       hc.bins = static_cast<std::size_t>(bins);
     } else {
-      fail(path, "is not a known histogram key");
+      reader.fail(path, "is not a known histogram key");
     }
   }
   if (!(hc.min > 0.0 && hc.min < hc.max)) {
-    fail(where, "bin range must satisfy 0 < min < max");
+    reader.fail(where, "bin range must satisfy 0 < min < max");
   }
   return hc;
 }
 
 ExportSpec parse_export(const util::Json& obj, const std::string& where) {
-  if (!obj.is_object()) fail(where, "must be an object");
   ExportSpec spec;
-  for (const auto& [k, v] : obj.as_object()) {
-    const std::string path = join(where, k);
+  for (const auto& [k, v] : object(obj, where)) {
+    const std::string path = child(where, k);
     if (k == "metric") {
-      spec.metric = require_string(v, path);
-      if (spec.metric.empty()) fail(path, "must not be empty");
+      spec.metric = reader.string(v, path);
+      if (spec.metric.empty()) reader.fail(path, "must not be empty");
     } else if (k == "value_key") {
-      spec.value_key = require_string(v, path);
-      if (spec.value_key.empty()) fail(path, "must not be empty");
+      spec.value_key = reader.string(v, path);
+      if (spec.value_key.empty()) reader.fail(path, "must not be empty");
     } else if (k == "value") {
-      const std::string& kind = require_string(v, path);
+      const std::string& kind = reader.string(v, path);
       if (kind == "register") {
         spec.value.kind = ExportValue::Kind::kRegister;
       } else if (kind == "rate_per_s") {
@@ -183,55 +149,43 @@ ExportSpec parse_export(const util::Json& obj, const std::string& where) {
       } else if (kind == "quantile") {
         spec.value.kind = ExportValue::Kind::kQuantile;
       } else {
-        fail(path,
-             "must be 'register', 'rate_per_s', 'rate_bps' or 'quantile'");
+        reader.fail(path,
+                    "must be 'register', 'rate_per_s', 'rate_bps' or "
+                    "'quantile'");
       }
     } else if (k == "register") {
-      const std::uint64_t reg = require_uint(v, path);
-      if (reg >= kMaxRegisters) {
-        fail(path, "must be a register index < " +
-                       std::to_string(kMaxRegisters));
-      }
-      spec.value.reg = static_cast<std::uint8_t>(reg);
+      spec.value.reg = register_index(v, path);
     } else if (k == "quantile") {
-      const double q = require_number(v, path);
-      if (!(q > 0.0 && q < 1.0)) fail(path, "must be in (0, 1)");
-      spec.value.quantile = q;
+      spec.value.quantile = reader.fraction(v, path);
     } else if (k == "samples_per_second") {
-      const double sps = require_number(v, path);
+      const double sps = reader.number(v, path);
       if (!std::isfinite(sps) || sps <= 0.0) {
-        fail(path, "must be a finite value > 0");
+        reader.fail(path, "must be a finite value > 0");
       }
       spec.samples_per_second = sps;
     } else {
-      fail(path, "is not a known export key");
+      reader.fail(path, "is not a known export key");
     }
   }
-  if (spec.metric.empty()) fail(where, "needs 'metric'");
+  if (spec.metric.empty()) reader.fail(where, "needs 'metric'");
   return spec;
 }
 
 DigestSpec parse_digest(const util::Json& obj, const std::string& where) {
-  if (!obj.is_object()) fail(where, "must be an object");
   DigestSpec spec;
-  for (const auto& [k, v] : obj.as_object()) {
-    const std::string path = join(where, k);
+  for (const auto& [k, v] : object(obj, where)) {
+    const std::string path = child(where, k);
     if (k == "every") {
-      const std::uint64_t every = require_uint(v, path);
-      if (every == 0) fail(path, "must be a positive integer");
+      const std::uint64_t every = reader.unsigned_int(v, path);
+      if (every == 0) reader.fail(path, "must be a positive integer");
       spec.every = static_cast<std::uint32_t>(every);
     } else if (k == "register") {
-      const std::uint64_t reg = require_uint(v, path);
-      if (reg >= kMaxRegisters) {
-        fail(path, "must be a register index < " +
-                       std::to_string(kMaxRegisters));
-      }
-      spec.reg = static_cast<std::uint8_t>(reg);
+      spec.reg = register_index(v, path);
     } else {
-      fail(path, "is not a known digest key");
+      reader.fail(path, "is not a known digest key");
     }
   }
-  if (spec.every == 0) fail(where, "needs 'every'");
+  if (spec.every == 0) reader.fail(where, "needs 'every'");
   return spec;
 }
 
@@ -290,60 +244,50 @@ Scope scope_from_name(const std::string& name) {
 }
 
 Program compile_program(const util::Json& doc, const std::string& path) {
-  if (!doc.is_object()) {
-    fail(path.empty() ? "program" : path, "must be an object");
-  }
+  const std::string where = path.empty() ? "program" : path;
   Program program;
   bool has_histogram = false;
-  for (const auto& [k, v] : doc.as_object()) {
-    const std::string where = join(path, k);
+  for (const auto& [k, v] : object(doc, where)) {
+    const std::string key_path = child(path, k);
     if (k == "name") {
-      program.name = require_string(v, where);
-      if (program.name.empty()) fail(where, "must not be empty");
+      program.name = reader.string(v, key_path);
+      if (program.name.empty()) reader.fail(key_path, "must not be empty");
     } else if (k == "scope") {
-      try {
-        program.scope = scope_from_name(require_string(v, where));
-      } catch (const std::invalid_argument& e) {
-        fail(where, e.what());
-      }
+      program.scope = reader.name(v, key_path, scope_from_name);
     } else if (k == "match") {
-      if (!v.is_array()) fail(where, "must be an array");
-      const auto& entries = v.as_array();
+      const auto& entries = reader.array(v, key_path);
       if (entries.size() > kMaxMatch) {
-        fail(where,
-             "has too many conditions (max " + std::to_string(kMaxMatch) +
-                 ")");
+        reader.fail(key_path, "has too many conditions (max " +
+                                  std::to_string(kMaxMatch) + ")");
       }
       for (std::size_t i = 0; i < entries.size(); ++i) {
         program.match.push_back(parse_condition(
-            entries[i], where + "[" + std::to_string(i) + "]"));
+            entries[i], util::JsonPathReader::element(key_path, i)));
       }
     } else if (k == "ops") {
-      if (!v.is_array()) fail(where, "must be an array");
-      const auto& entries = v.as_array();
+      const auto& entries = reader.array(v, key_path);
       if (entries.size() > kMaxOps) {
-        fail(where,
-             "has too many ops (max " + std::to_string(kMaxOps) + ")");
+        reader.fail(key_path,
+                    "has too many ops (max " + std::to_string(kMaxOps) + ")");
       }
       for (std::size_t i = 0; i < entries.size(); ++i) {
-        program.ops.push_back(
-            parse_op(entries[i], where + "[" + std::to_string(i) + "]"));
+        program.ops.push_back(parse_op(
+            entries[i], util::JsonPathReader::element(key_path, i)));
       }
     } else if (k == "histogram") {
-      program.histogram = parse_histogram(v, where);
+      program.histogram = parse_histogram(v, key_path);
       has_histogram = true;
     } else if (k == "export") {
-      program.export_spec = parse_export(v, where);
+      program.export_spec = parse_export(v, key_path);
     } else if (k == "digest") {
-      program.digest = parse_digest(v, where);
+      program.digest = parse_digest(v, key_path);
     } else {
-      fail(where, "is not a known program key");
+      reader.fail(key_path, "is not a known program key");
     }
   }
 
-  const std::string where = path.empty() ? "program" : path;
-  if (program.name.empty()) fail(where, "needs 'name'");
-  if (program.ops.empty()) fail(where, "needs at least one op");
+  if (program.name.empty()) reader.fail(where, "needs 'name'");
+  if (program.ops.empty()) reader.fail(where, "needs at least one op");
 
   // Register-file sizing: highest dst (and export source) + 1.
   std::uint8_t registers = 0;
@@ -359,13 +303,16 @@ Program compile_program(const util::Json& doc, const std::string& path) {
   program.registers = registers;
 
   if (uses_histogram && !has_histogram) {
-    fail(where, "uses op 'histogram_bin' but has no 'histogram' section");
+    reader.fail(where,
+                "uses op 'histogram_bin' but has no 'histogram' section");
   }
   if (!uses_histogram && has_histogram) {
-    fail(join(path, "histogram"), "is present but no op is 'histogram_bin'");
+    reader.fail(child(path, "histogram"),
+                "is present but no op is 'histogram_bin'");
   }
   if (uses_histogram && program.scope != Scope::kSwitch) {
-    fail(where, "op 'histogram_bin' requires scope 'switch' (the histogram "
+    reader.fail(where,
+                "op 'histogram_bin' requires scope 'switch' (the histogram "
                 "summarizes the link, not one flow slot)");
   }
 
@@ -373,22 +320,23 @@ Program compile_program(const util::Json& doc, const std::string& path) {
     const ExportSpec& spec = *program.export_spec;
     if (spec.value.kind == ExportValue::Kind::kQuantile) {
       if (!uses_histogram) {
-        fail(join(path, "export"),
-             "exports a quantile but the program has no histogram");
+        reader.fail(child(path, "export"),
+                    "exports a quantile but the program has no histogram");
       }
     } else if (spec.value.reg >= program.registers) {
-      fail(join(path, "export.register"),
-           "names register " + std::to_string(spec.value.reg) +
-               " but the program only writes registers 0.." +
-               std::to_string(program.registers - 1));
+      reader.fail(child(path, "export.register"),
+                  "names register " + std::to_string(spec.value.reg) +
+                      " but the program only writes registers 0.." +
+                      std::to_string(program.registers - 1));
     }
   }
   if (program.digest.every > 0 && program.digest.reg >= program.registers) {
-    fail(join(path, "digest.register"),
-         "names register " + std::to_string(program.digest.reg) +
-             " but the program only writes registers 0.." +
-             (program.registers > 0 ? std::to_string(program.registers - 1)
-                                    : std::string("none")));
+    reader.fail(child(path, "digest.register"),
+                "names register " + std::to_string(program.digest.reg) +
+                    " but the program only writes registers 0.." +
+                    (program.registers > 0
+                         ? std::to_string(program.registers - 1)
+                         : std::string("none")));
   }
   return program;
 }

@@ -78,9 +78,14 @@ void ShardPool::barrier(std::size_t shard, SimTime grant) {
   std::unique_lock<std::mutex> lock(main_mu_);
   main_waiting_.store(true, std::memory_order_seq_cst);
   wake_worker(s.worker);  // in case it parked between publish and here
+  // The watermark load is seq_cst, pairing with pump_one's seq_cst
+  // store: storing main_waiting_ then loading the watermark here, and
+  // storing the watermark then loading main_waiting_ there, is a
+  // store-buffering pattern in which weaker orders let both sides miss —
+  // main would sleep with nobody left to wake it.
   main_cv_.wait(lock, [&]() {
     return failed_.load(std::memory_order_acquire) ||
-           s.watermark.load(std::memory_order_acquire) >= grant;
+           s.watermark.load(std::memory_order_seq_cst) >= grant;
   });
   main_waiting_.store(false, std::memory_order_seq_cst);
   lock.unlock();
@@ -127,7 +132,7 @@ bool ShardPool::pump_one(ShardState& s) {
   if (!behind && !s.shard->has_boundary_backlog()) return false;
   s.shard->advance_to(grant);
   if (behind) {
-    s.watermark.store(grant, std::memory_order_release);
+    s.watermark.store(grant, std::memory_order_seq_cst);
     notify_main();
   }
   return true;

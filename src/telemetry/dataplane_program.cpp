@@ -6,15 +6,49 @@
 
 namespace p4s::telemetry {
 
+namespace {
+
+/// The optional engines Config names, in dispatch and export order:
+/// histograms in config order, then the spin-bit engine, then NIDS.
+std::vector<std::unique_ptr<PacketEngine>> make_optional_engines(
+    const DataPlaneProgram::Config& config) {
+  std::vector<std::unique_ptr<PacketEngine>> engines;
+  for (const HistogramEngineConfig& hc : config.histograms) {
+    switch (hc.metric) {
+      case HistogramEngineConfig::Metric::kRtt:
+        engines.push_back(std::make_unique<RttHistogramEngine>(hc));
+        break;
+      case HistogramEngineConfig::Metric::kIat:
+        engines.push_back(std::make_unique<IatHistogramEngine>(hc));
+        break;
+      case HistogramEngineConfig::Metric::kQueueDelay:
+        engines.push_back(std::make_unique<QueueDelayHistogramEngine>(hc));
+        break;
+    }
+  }
+  if (config.spin_rtt.has_value()) {
+    engines.push_back(std::make_unique<SpinRttEngine>(*config.spin_rtt));
+  }
+  if (config.nids.has_value()) {
+    engines.push_back(std::make_unique<NidsFeatureEngine>(*config.nids));
+  }
+  return engines;
+}
+
+}  // namespace
+
 DataPlaneProgram::DataPlaneProgram(Config config)
     : tracker_(config.tracker),
       rtt_loss_(config.eack_slots),
       queue_(config.queue),
       limit_(config.limit),
       iat_(config.iat),
-      int_(config.int_export) {
-  // Registration order matches the historical release order; release_slot
-  // and the invariant checks iterate this list.
+      int_(config.int_export),
+      optional_engines_(make_optional_engines(config)) {
+  // The seven Algorithm-1 stages stay hard-wired in ingress() (they share
+  // the tracker's slot lookup); registration order matches the
+  // historical release order, and release_slot and the invariant checks
+  // iterate this list.
   register_engine(tracker_);
   register_engine(rtt_loss_);
   register_engine(queue_);
@@ -22,34 +56,8 @@ DataPlaneProgram::DataPlaneProgram(Config config)
   register_engine(iat_);
   register_engine(int_);
   register_engine(counters_);
-
-  for (const HistogramEngineConfig& hc : config.histograms) {
-    hist_engines_.push_back(make_histogram_engine(hc));
-    HistogramEngine* engine = hist_engines_.back().get();
-    register_engine(*engine);
-    switch (engine->metric()) {
-      case HistogramEngineConfig::Metric::kRtt:
-        rtt_hists_.push_back(static_cast<RttHistogramEngine*>(engine));
-        break;
-      case HistogramEngineConfig::Metric::kIat:
-        iat_hists_.push_back(static_cast<IatHistogramEngine*>(engine));
-        break;
-      case HistogramEngineConfig::Metric::kQueueDelay:
-        queue_hists_.push_back(
-            static_cast<QueueDelayHistogramEngine*>(engine));
-        break;
-    }
-  }
-
-  // Optional engines observing the per-packet stream (absent in the
-  // default pipeline, so the golden traces never see them).
-  if (config.spin_rtt.has_value()) {
-    spin_rtt_ = std::make_unique<SpinRttEngine>(*config.spin_rtt);
-    register_packet_engine(*spin_rtt_);
-  }
-  if (config.nids.has_value()) {
-    nids_ = std::make_unique<NidsFeatureEngine>(*config.nids);
-    register_packet_engine(*nids_);
+  for (const auto& engine : optional_engines_) {
+    register_packet_engine(*engine);
   }
 }
 
@@ -93,10 +101,7 @@ std::uint32_t DataPlaneProgram::packet_signature(
 
 const p4::FlowKey& DataPlaneProgram::flow_key_for(
     const net::FiveTuple& tuple) {
-  if (memo_valid_ && memo_.tuple == tuple) {
-    ++memo_hits_;
-    return memo_;
-  }
+  if (memo_valid_ && memo_.tuple == tuple) return memo_;
   memo_ = p4::FlowKey::from(tuple);
   memo_valid_ = true;
   return memo_;
@@ -110,47 +115,38 @@ void DataPlaneProgram::ingress(p4::PacketContext& ctx) {
   const bool egress_copy =
       ctx.meta.ingress_port != p4::P4Switch::kIngressTapPort;
 
-  // One field derivation per copy, shared by the hand-written engines
-  // below and every registered packet engine (the VM): the accessor
-  // table is THE definition of each field's arithmetic.
+  // One field derivation per copy, shared by the Algorithm-1 stages
+  // below and every registered packet engine: the accessor table is THE
+  // definition of each field's arithmetic.
   FieldView view(ctx, fk, egress_copy);
 
   if (!egress_copy) {
     ++ingress_copies_;
     queue_.on_ingress_copy(pkt_sig, now);
     process_measurement_path(view);
-    for (PacketEngine* engine : packet_engines_) engine->on_packet(view);
-    return;
-  }
-
-  // Egress-TAP copy: close the TAP pair, attribute the delay to the flow
-  // if it is tracked, and feed the classifier's queuing signal. The IAT
-  // monitor also runs here: departures on the monitored link are the
-  // signal that collapses instantly under an LOS blockage (§5.4.3),
-  // whereas arrivals keep flowing until TCP itself stalls.
-  ++egress_copies_;
-  const std::uint32_t payload = view.payload_bytes();
-  const std::uint32_t flow_id = fk.flow_id;
-  std::optional<std::uint16_t> slot = tracker_.dp_slot_of(flow_id);
-  const std::optional<SimTime> delay =
-      queue_.on_egress_copy(pkt_sig, slot, now);
-  if (delay.has_value()) view.set_queue_delay(*delay);
-  // The switch-wide histograms observe every packet on the link, tracked
-  // or not — that is their whole point.
-  if (delay.has_value()) {
-    for (QueueDelayHistogramEngine* h : queue_hists_) h->on_delay(*delay);
-  }
-  if (payload > 0) {
-    for (IatHistogramEngine* h : iat_hists_) h->on_data(flow_id, now);
-  }
-  if (slot.has_value()) {
-    if (delay.has_value()) limit_.on_queue_delay(*slot, *delay);
-    if (payload > 0) {
-      iat_.on_data(*slot, now);
-      int_.on_egress(*slot, flow_id, view.tcp_seq(), delay.value_or(0),
-                     now);
+  } else {
+    // Egress-TAP copy: close the TAP pair, attribute the delay to the
+    // flow if it is tracked, and feed the classifier's queuing signal.
+    // The IAT monitor also runs here: departures on the monitored link
+    // are the signal that collapses instantly under an LOS blockage
+    // (§5.4.3), whereas arrivals keep flowing until TCP itself stalls.
+    ++egress_copies_;
+    const std::uint32_t flow_id = fk.flow_id;
+    const std::optional<std::uint16_t> slot = tracker_.dp_slot_of(flow_id);
+    const std::optional<SimTime> delay =
+        queue_.on_egress_copy(pkt_sig, slot, now);
+    if (delay.has_value()) view.set_queue_delay(*delay);
+    if (slot.has_value()) {
+      if (delay.has_value()) limit_.on_queue_delay(*slot, *delay);
+      if (view.payload_bytes() > 0) {
+        iat_.on_data(*slot, now);
+        int_.on_egress(*slot, flow_id, view.tcp_seq(), delay.value_or(0),
+                       now);
+      }
     }
   }
+  // The packet engines see the copy after the built-in stages, so the
+  // egress view already carries the matched queue delay.
   for (PacketEngine* engine : packet_engines_) engine->on_packet(view);
 }
 
@@ -167,10 +163,6 @@ void DataPlaneProgram::process_measurement_path(const FieldView& view) {
     // direction; hash of its reversed tuple is the data flow's ID.
     const std::uint32_t ack_flow_id = fk.flow_id;
     const std::uint32_t data_flow_id = fk.rev_flow_id;
-    // Switch-wide RTT histograms match every ACK, tracked flow or not.
-    for (RttHistogramEngine* h : rtt_hists_) {
-      h->on_ack(ack_flow_id, ctx.hdr.tcp.ack, now);
-    }
     if (auto slot = tracker_.dp_slot_of(data_flow_id)) {
       rtt_loss_.on_ack_packet(
           RttLossEngine::AckPacketView{ack_flow_id, *slot,
@@ -182,14 +174,6 @@ void DataPlaneProgram::process_measurement_path(const FieldView& view) {
   }
 
   if (payload == 0 && !fin) return;  // SYN/SYN-ACK/etc: no measurements
-
-  // Park the expected-ACK signature before the slot gate so untracked
-  // flows still contribute RTT samples.
-  if (is_tcp && payload > 0) {
-    for (RttHistogramEngine* h : rtt_hists_) {
-      h->on_data(fk.rev_flow_id, ctx.hdr.tcp.seq, payload, now);
-    }
-  }
 
   const auto slot = tracker_.on_data_packet(fk, payload, now);
   if (!slot.has_value()) return;

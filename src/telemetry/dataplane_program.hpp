@@ -6,7 +6,10 @@
 //   classification, IAT monitoring, FIN digests, eACK parking for the
 //   queue monitor;
 //   egress-TAP copies: TAP-pair matching -> per-packet queuing delay ->
-//   per-flow queue registers + microburst state machine.
+//   per-flow queue registers + microburst state machine;
+//   both: every registered PacketEngine (the optional switch-wide
+//   histograms, spin-bit RTT and NIDS engines, and the measurement-
+//   program VM), in registration order.
 //
 // The control plane talks to this object through the register-read,
 // digest-drain and slot-release methods — nothing else, mirroring the
@@ -97,27 +100,25 @@ class DataPlaneProgram : public p4::P4Program {
 
   p4::DigestQueue<FlowFinDigest>& fin_digests() { return fin_digests_; }
 
-  /// Configured switch-wide histogram engines (owning list, in config
-  /// order). Empty unless Config::histograms named any.
-  const std::vector<std::unique_ptr<HistogramEngine>>& histogram_engines()
-      const {
-    return hist_engines_;
-  }
-
-  /// Configured spin-bit RTT engine, or nullptr when not configured.
-  SpinRttEngine* spin_rtt_engine() { return spin_rtt_.get(); }
-  const SpinRttEngine* spin_rtt_engine() const { return spin_rtt_.get(); }
-
-  /// Configured NIDS feature engine, or nullptr when not configured.
-  NidsFeatureEngine* nids_engine() { return nids_.get(); }
-  const NidsFeatureEngine* nids_engine() const { return nids_.get(); }
-
   // ---- Engine registry ------------------------------------------------
   // The registry is the program's definition of "every engine": the
   // built-in stages register themselves in the constructor (in release
-  // order) and slot recycling iterates the list, so an engine added here
-  // — or registered externally by an extension — cannot be missed.
+  // order), then the optional engines Config names, and slot recycling
+  // iterates the list, so an engine added here — or registered
+  // externally by an extension — cannot be missed.
   const std::vector<MetricEngine*>& engines() const { return engines_; }
+
+  /// Registered engines of type E in registration order — e.g. the
+  /// configured histograms (engines_of<HistogramEngine>(), config
+  /// order) or the spin-bit engine (empty unless configured).
+  template <typename E>
+  std::vector<E*> engines_of() const {
+    std::vector<E*> found;
+    for (MetricEngine* engine : engines_) {
+      if (auto* typed = dynamic_cast<E*>(engine)) found.push_back(typed);
+    }
+    return found;
+  }
 
   /// Register an additional engine. The program does not own it; the
   /// caller must keep it alive for the program's lifetime.
@@ -129,10 +130,6 @@ class DataPlaneProgram : public p4::P4Program {
   void register_packet_engine(PacketEngine& engine) {
     register_engine(engine);
     packet_engines_.push_back(&engine);
-  }
-
-  const std::vector<PacketEngine*>& packet_engines() const {
-    return packet_engines_;
   }
 
   /// True when every registered engine reports `slot` cleared — the
@@ -147,11 +144,6 @@ class DataPlaneProgram : public p4::P4Program {
 
   std::uint64_t ingress_copies() const { return ingress_copies_; }
   std::uint64_t egress_copies() const { return egress_copies_; }
-
-  /// Packets whose 5-tuple hash inputs were served from the one-entry
-  /// memo instead of recomputed (the egress-TAP copy of a packet always
-  /// follows its ingress copy through the pipeline).
-  std::uint64_t flow_key_memo_hits() const { return memo_hits_; }
 
  private:
   void process_measurement_path(const FieldView& view);
@@ -173,15 +165,8 @@ class DataPlaneProgram : public p4::P4Program {
   IatMonitor iat_;
   IntExporter int_;
   FlowCounters counters_;
-
-  // Histogram engines by metric, for the per-packet dispatch: raw views
-  // into hist_engines_ (all empty in the default configuration).
-  std::vector<std::unique_ptr<HistogramEngine>> hist_engines_;
-  std::vector<RttHistogramEngine*> rtt_hists_;
-  std::vector<IatHistogramEngine*> iat_hists_;
-  std::vector<QueueDelayHistogramEngine*> queue_hists_;
-  std::unique_ptr<SpinRttEngine> spin_rtt_;
-  std::unique_ptr<NidsFeatureEngine> nids_;
+  // The optional engines Config names (none by default).
+  std::vector<std::unique_ptr<PacketEngine>> optional_engines_;
 
   std::vector<MetricEngine*> engines_;
   std::vector<PacketEngine*> packet_engines_;
@@ -189,7 +174,6 @@ class DataPlaneProgram : public p4::P4Program {
 
   p4::FlowKey memo_{};
   bool memo_valid_ = false;
-  std::uint64_t memo_hits_ = 0;
 
   std::uint64_t ingress_copies_ = 0;
   std::uint64_t egress_copies_ = 0;

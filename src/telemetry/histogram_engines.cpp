@@ -51,8 +51,7 @@ HistogramEngineConfig::Metric histogram_metric_from_name(
 }
 
 HistogramEngine::HistogramEngine(const HistogramEngineConfig& config)
-    : config_(config),
-      name_(std::string(to_string(config.metric)) + "_histogram" +
+    : name_(std::string(to_string(config.metric)) + "_histogram" +
             (config.id.empty() ? "" : "_" + config.id)),
       hist_(config.histogram),
       sketch_(sketch::DdSketchConfig{config.sketch_alpha,
@@ -71,6 +70,16 @@ RttHistogramEngine::RttHistogramEngine(const HistogramEngineConfig& config)
       mask_(static_cast<std::uint32_t>(config.signature_slots - 1)) {
   assert(config.signature_slots > 0 &&
          (config.signature_slots & (config.signature_slots - 1)) == 0);
+}
+
+void RttHistogramEngine::on_packet(const FieldView& view) {
+  if (view.egress_copy()) return;
+  if (view.pure_ack()) {
+    on_ack(view.flow_id(), view.tcp_ack(), view.ingress_ts());
+  } else if (view.is_tcp() && view.payload_bytes() > 0) {
+    on_data(view.rev_flow_id(), view.tcp_seq(), view.payload_bytes(),
+            view.ingress_ts());
+  }
 }
 
 void RttHistogramEngine::on_data(std::uint32_t rev_flow_id,
@@ -115,7 +124,10 @@ IatHistogramEngine::IatHistogramEngine(const HistogramEngineConfig& config)
          (config.signature_slots & (config.signature_slots - 1)) == 0);
 }
 
-void IatHistogramEngine::on_data(std::uint32_t flow_id, SimTime now) {
+void IatHistogramEngine::on_packet(const FieldView& view) {
+  if (!view.egress_copy() || view.payload_bytes() == 0) return;
+  const std::uint32_t flow_id = view.flow_id();
+  const SimTime now = view.ingress_ts();
   const std::uint32_t idx = flow_id & mask_;
   std::optional<SimTime> gap;
   table_.execute(idx, [&](Entry& e) {
@@ -129,19 +141,6 @@ void IatHistogramEngine::on_data(std::uint32_t flow_id, SimTime now) {
     return 0;
   });
   if (gap.has_value()) observe(*gap);
-}
-
-std::unique_ptr<HistogramEngine> make_histogram_engine(
-    const HistogramEngineConfig& config) {
-  switch (config.metric) {
-    case HistogramEngineConfig::Metric::kRtt:
-      return std::make_unique<RttHistogramEngine>(config);
-    case HistogramEngineConfig::Metric::kIat:
-      return std::make_unique<IatHistogramEngine>(config);
-    case HistogramEngineConfig::Metric::kQueueDelay:
-      return std::make_unique<QueueDelayHistogramEngine>(config);
-  }
-  throw std::invalid_argument("unknown histogram metric");
 }
 
 }  // namespace p4s::telemetry

@@ -7,9 +7,10 @@
 // concurrent — because their state is a fixed-bin histogram plus a
 // DDSketch quantile sketch, updated per packet, plus (for RTT and IAT)
 // a small signature-indexed table holding one in-flight timestamp per
-// hash index. They are deliberately slot-free: registered through the
-// MetricEngine registry for digest/invariant accounting, but
-// clear_slot() is a no-op because there is no per-slot state to clear.
+// hash index. They are PacketEngines: each one picks the copies it
+// measures out of the per-packet FieldView stream itself. They are
+// deliberately slot-free: clear_slot() is a no-op because there is no
+// per-slot state to clear.
 //
 // Each engine instance covers one configured bin range, so several
 // engines over the same metric give per-range histograms (the P4TG
@@ -17,13 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "p4/register.hpp"
 #include "sketch/ddsketch.hpp"
 #include "sketch/histogram.hpp"
-#include "telemetry/metric_engine.hpp"
+#include "telemetry/packet_engine.hpp"
 #include "telemetry/types.hpp"
 
 namespace p4s::telemetry {
@@ -50,18 +50,14 @@ const char* to_string(HistogramEngineConfig::Metric metric);
 HistogramEngineConfig::Metric histogram_metric_from_name(
     const std::string& name);
 
-class HistogramEngine : public MetricEngine {
+class HistogramEngine : public PacketEngine {
  public:
   explicit HistogramEngine(const HistogramEngineConfig& config);
-
-  HistogramEngineConfig::Metric metric() const { return config_.metric; }
-  const HistogramEngineConfig& config() const { return config_; }
 
   /// Record one observed sample (nanoseconds) into histogram + sketch.
   void observe(SimTime value_ns);
 
   const sketch::Histogram& histogram() const { return hist_; }
-  const sketch::DdSketch& quantile_sketch() const { return sketch_; }
   double quantile_ns(double q) const { return sketch_.quantile(q); }
   std::uint64_t samples() const { return samples_; }
 
@@ -73,7 +69,6 @@ class HistogramEngine : public MetricEngine {
   bool slot_cleared(std::uint16_t) const override { return true; }
 
  private:
-  HistogramEngineConfig config_;
   std::string name_;
   sketch::Histogram hist_;
   sketch::DdSketch sketch_;
@@ -85,22 +80,25 @@ class HistogramEngine : public MetricEngine {
 /// payload) -> timestamp) in a hash-indexed table; a pure ACK whose
 /// (flow_id, ack) signature matches yields one RTT sample. Collisions
 /// overwrite (latest wins) and are counted, like the per-flow eACK
-/// table — but here no slot lookup gates the measurement.
+/// table — but here no slot lookup gates the measurement. Observes
+/// ingress-TAP copies only.
 class RttHistogramEngine final : public HistogramEngine {
  public:
   explicit RttHistogramEngine(const HistogramEngineConfig& config);
 
-  /// Data-direction TCP packet with payload (any flow, tracked or not).
-  void on_data(std::uint32_t rev_flow_id, std::uint32_t seq,
-               std::uint32_t payload_bytes, SimTime now);
-  /// Pure ACK (reverse direction).
-  void on_ack(std::uint32_t flow_id, std::uint32_t ack, SimTime now);
+  void on_packet(const FieldView& view) override;
 
   std::uint64_t matches() const { return matches_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }
 
  private:
+  /// Data-direction TCP packet with payload (any flow, tracked or not).
+  void on_data(std::uint32_t rev_flow_id, std::uint32_t seq,
+               std::uint32_t payload_bytes, SimTime now);
+  /// Pure ACK (reverse direction).
+  void on_ack(std::uint32_t flow_id, std::uint32_t ack, SimTime now);
+
   struct Entry {
     std::uint32_t check = 0;
     SimTime ts = 0;
@@ -115,13 +113,13 @@ class RttHistogramEngine final : public HistogramEngine {
 
 /// Slot-free IAT histogram: one last-departure timestamp per hash index,
 /// keyed by flow ID with a check word (a colliding flow resets the cell
-/// rather than producing a bogus cross-flow gap).
+/// rather than producing a bogus cross-flow gap). Observes egress-TAP
+/// copies with payload: departures from the monitored link.
 class IatHistogramEngine final : public HistogramEngine {
  public:
   explicit IatHistogramEngine(const HistogramEngineConfig& config);
 
-  /// Data-direction packet with payload departing the monitored link.
-  void on_data(std::uint32_t flow_id, SimTime now);
+  void on_packet(const FieldView& view) override;
 
   std::uint64_t collisions() const { return collisions_; }
 
@@ -143,11 +141,9 @@ class QueueDelayHistogramEngine final : public HistogramEngine {
   explicit QueueDelayHistogramEngine(const HistogramEngineConfig& config)
       : HistogramEngine(config) {}
 
-  void on_delay(SimTime delay_ns) { observe(delay_ns); }
+  void on_packet(const FieldView& view) override {
+    if (view.queue_delay_valid()) observe(view.queue_delay_ns());
+  }
 };
-
-/// Factory keyed on config.metric.
-std::unique_ptr<HistogramEngine> make_histogram_engine(
-    const HistogramEngineConfig& config);
 
 }  // namespace p4s::telemetry

@@ -1,13 +1,16 @@
 // PacketEngine — a MetricEngine that additionally observes the per-packet
 // stream through the shared FieldView accessor table.
 //
-// The built-in engines are hard-wired into DataPlaneProgram::ingress
-// with typed calls; an engine loaded at run time (the measurement-program
-// VM) cannot be. This interface is the seam: DataPlaneProgram builds one
-// FieldView per parsed copy and hands it to every registered packet
-// engine — once for the copy itself (on_packet) and, on the measurement
-// path, once more with the tracked flow's slot (on_tracked_data), the
-// exact point where the byte/packet counters update. Registration also
+// Only the seven Algorithm-1 stages are hard-wired into
+// DataPlaneProgram::ingress with typed calls (they share the tracker's
+// slot lookup). Every other engine — the optional histogram, spin-bit
+// RTT and NIDS engines, and the measurement-program VM loaded at run
+// time — is a PacketEngine: DataPlaneProgram builds one FieldView per
+// parsed copy and hands it to every registered packet engine, in
+// registration order — once for the copy itself (on_packet, where each
+// engine picks the copies it measures) and, on the measurement path,
+// once more with the tracked flow's slot (on_tracked_data), the exact
+// point where the byte/packet counters update. Registration also
 // enrolls the engine in the MetricEngine registry, so slot release and
 // digest accounting cover it like any built-in stage.
 #pragma once

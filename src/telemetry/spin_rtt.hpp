@@ -55,7 +55,6 @@ class SpinRttEngine final : public PacketEngine {
   void on_packet(const FieldView& view) override;
 
   double quantile_ns(double q) const { return sketch_.quantile(q); }
-  const sketch::DdSketch& sketch() const { return sketch_; }
 
   std::uint64_t samples() const { return samples_; }
   std::uint64_t edges() const { return edges_; }

@@ -121,7 +121,8 @@ void list_histogram_metrics(const TraceReplayer& trace, std::ostream& out) {
   trace.replay_now(pipeline.simulation(), pipeline.p4_switch(),
                    /*advance_clock=*/true);
   out << "available histogram metrics in this capture:\n";
-  for (const auto& engine : pipeline.program().histogram_engines()) {
+  for (const telemetry::HistogramEngine* engine :
+       pipeline.program().engines_of<telemetry::HistogramEngine>()) {
     out << "  " << engine->name() << ": " << engine->samples()
         << " samples\n";
   }
@@ -162,7 +163,7 @@ int render_histogram(const TraceReplayer& trace, const util::CliArgs& args,
                    /*advance_clock=*/true);
 
   const telemetry::HistogramEngine& engine =
-      *pipeline.program().histogram_engines().front();
+      *pipeline.program().engines_of<telemetry::HistogramEngine>().at(0);
   const sketch::Histogram& hist = engine.histogram();
   out << engine.name() << ": " << engine.samples() << " samples\n";
   if (hist.underflow() > 0) {

@@ -182,14 +182,9 @@ void TraceReplayer::replay_now(sim::Simulation& sim, net::MirrorSink& sink,
 
 ReplayPipeline::ReplayPipeline(Config config)
     : sim_(config.seed),
-      program_(config.program),
-      p4_switch_(sim_, "replay-p4"),
-      control_plane_(sim_, program_, config.control) {
-  p4_switch_.load_program(program_);
-  control_plane_.set_sink(this);
-  program_.register_packet_engine(vm_);
-  vm_.bind(control_plane_);
-  for (const mpl::Program& p : config.programs) vm_.install(p);
+      site_(sim_, sim_, "replay-p4", config.program, std::move(config.control),
+            {}, config.programs) {
+  site_.control_plane().set_sink(this);
 }
 
 void ReplayPipeline::on_report(const util::Json& report) {
@@ -197,8 +192,8 @@ void ReplayPipeline::on_report(const util::Json& report) {
 }
 
 void ReplayPipeline::run(const TraceReplayer& trace, SimTime until) {
-  control_plane_.start();
-  trace.schedule(sim_, p4_switch_);
+  site_.control_plane().start();
+  trace.schedule(sim_, site_.p4_switch());
   sim_.run_until(until);
 }
 

@@ -25,13 +25,9 @@
 #include <string>
 #include <vector>
 
-#include "controlplane/control_plane.hpp"
-#include "mpl/vm.hpp"
 #include "net/tap.hpp"
-#include "p4/p4_switch.hpp"
-#include "sim/simulation.hpp"
-#include "telemetry/dataplane_program.hpp"
 #include "trace/pcap.hpp"
+#include "trace/site_pipeline.hpp"
 
 namespace p4s::trace {
 
@@ -113,9 +109,9 @@ class TraceReplayer {
 };
 
 /// ReplayPipeline — the monitoring stack without the network: a fresh
-/// simulation, the telemetry data-plane program loaded into a P4 switch,
-/// and a control plane whose Report_v1 documents are collected as dumped
-/// JSON lines (in emission order, so two runs compare byte for byte).
+/// simulation driving one SitePipeline (assembled exactly like a live
+/// site), whose Report_v1 documents are collected as dumped JSON lines
+/// (in emission order, so two runs compare byte for byte).
 class ReplayPipeline : public cp::ReportSink {
  public:
   struct Config {
@@ -133,10 +129,9 @@ class ReplayPipeline : public cp::ReportSink {
   ReplayPipeline& operator=(const ReplayPipeline&) = delete;
 
   sim::Simulation& simulation() { return sim_; }
-  telemetry::DataPlaneProgram& program() { return program_; }
-  p4::P4Switch& p4_switch() { return p4_switch_; }
-  cp::ControlPlane& control_plane() { return control_plane_; }
-  mpl::ProgramVm& program_vm() { return vm_; }
+  telemetry::DataPlaneProgram& program() { return site_.program(); }
+  p4::P4Switch& p4_switch() { return site_.p4_switch(); }
+  cp::ControlPlane& control_plane() { return site_.control_plane(); }
 
   /// Report_v1 documents in emission order, one dumped JSON line each.
   const std::vector<std::string>& report_lines() const { return reports_; }
@@ -151,10 +146,7 @@ class ReplayPipeline : public cp::ReportSink {
 
  private:
   sim::Simulation sim_;
-  telemetry::DataPlaneProgram program_;
-  p4::P4Switch p4_switch_;
-  cp::ControlPlane control_plane_;
-  mpl::ProgramVm vm_;
+  SitePipeline site_;
   std::vector<std::string> reports_;
 };
 

@@ -3,6 +3,8 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/config_loader.hpp"
 #include "util/cli.hpp"
@@ -663,6 +665,134 @@ TEST(ConfigLoader, WorkloadUnknownHostNameFailsAtLoadTime) {
   spec.dst = "dtn_int";
   config.workloads.push_back(spec);
   EXPECT_THROW(core::MonitoringSystem{config}, std::invalid_argument);
+}
+
+TEST(ConfigLoader, DiagnosticTextIsPinned) {
+  // The exact text of every diagnostic shape the loader produces: JSON
+  // path, quoting and wording are part of the CLI's contract.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"([])", "config: document must be an object"},
+      {R"({"bogus": 1})", "config: unknown key 'bogus'"},
+      {R"({"seed": "x"})", "config: 'seed' must be a number"},
+      {R"({"topology": 3})", "config: 'topology' must be an object"},
+      {R"({"topology": {"rtt_ms": [1, 2]}})",
+       "config: 'topology.rtt_ms' must be an array of 3 numbers"},
+      {R"({"topology": {"rtt_ms": [1, 2, "x"]}})",
+       "config: 'topology.rtt_ms[2]' must be a number"},
+      {R"({"topology": {"warp": 1}})", "config: unknown key 'topology.warp'"},
+      {R"({"program": {"promotion_kb": true}})",
+       "config: 'program.promotion_kb' must be a number"},
+      {R"({"transport": {"resilient": 1}})",
+       "config: 'transport.resilient' must be a boolean"},
+      {R"({"transport": {"faults": 3}})",
+       "config: 'transport.faults' must be an array"},
+      {R"({"transport": {"resilient": true, "faults": [3]}})",
+       "config: 'transport.faults[0]' must be an object"},
+      {R"({"transport": {"resilient": true, "faults": [{"at_s": 1, "kind": "melt"}]}})",
+       "config: 'transport.faults[0].kind' must be 'reset' or 'stall'"},
+      {R"({"transport": {"resilient": true, "faults": [{"at_s": 1, "kind": 2}]}})",
+       "config: 'transport.faults[0].kind' must be a string"},
+      {R"({"transport": {"resilient": true, "faults": [{"duration_s": 1}]}})",
+       "config: 'transport.faults[0]' needs 'at_s'"},
+      {R"({"transport": {"resilient": true, "faults": [{"at_s": 1, "kind": "stall"}]}})",
+       "config: 'transport.faults[0]' stall needs a 'duration_s' > 0"},
+      {R"({"transport": {"resilient": true, "faults": [{"at_s": 1, "x": 0}]}})",
+       "config: unknown key 'transport.faults[0].x'"},
+      {R"({"transport": {"faults": [{"at_s": 1}]}})",
+       "config: 'transport.faults' requires 'transport.resilient': true "
+       "(the legacy direct wire has no fault surface)"},
+      {R"({"trace": {"path_base": 3}})",
+       "config: 'trace.path_base' must be a string"},
+      {R"({"archive": {"backend": "tape"}})",
+       "config: 'archive.backend' must be 'memory' or 'store'"},
+      {R"({"archive": {"hot_fields": 1}})",
+       "config: 'archive.hot_fields' must be an array"},
+      {R"({"archive": {"hot_fields": [1]}})",
+       "config: 'archive.hot_fields' entries must be strings"},
+      {R"({"archive": {"rollup_fields": ["a", 2]}})",
+       "config: 'archive.rollup_fields' entries must be strings"},
+      {R"({"archive": {"backend": "store"}})",
+       "config: 'archive.backend': 'store' requires 'archive.dir'"},
+      {R"({"serving": {"cache_shards": 0}})",
+       "config: 'serving.cache_shards' must be at least 1"},
+      {R"({"serving": {"enabled": true}})",
+       "config: 'serving.enabled' requires 'archive.backend': 'store'"},
+      {R"({"switches": 3})",
+       "config: 'switches' must be an array or an object with 'sites'"},
+      {R"({"switches": {"sites": 3}})",
+       "config: 'switches' sites must be an array"},
+      {R"({"switches": {"parallel": 0}})",
+       "config: 'switches.parallel' must be a positive integer"},
+      {R"({"switches": {"parallel": 1.5}})",
+       "config: 'switches.parallel' must be a positive integer"},
+      {R"({"switches": [{"id": 3}]})",
+       "config: 'switches[0].id' must be a string"},
+      {R"({"switches": [{"tap": "nowhere"}]})",
+       "config: 'switches[0].tap': unknown tap point: nowhere"},
+      {R"({"switches": [3]})", "config: 'switches[0]' must be an object"},
+      {R"({"telemetry": {"flow_table": "hash"}})",
+       "config: 'telemetry.flow_table': unknown flow_table kind: hash"},
+      {R"({"telemetry": {"flow_table": "cuckoo", "cuckoo": {"ways": 9}}})",
+       "config: 'telemetry.cuckoo.ways' must be an integer in 2..8"},
+      {R"({"telemetry": {"cuckoo": {"max_kicks": 0}}})",
+       "config: 'telemetry.cuckoo.max_kicks' must be a positive integer"},
+      {R"({"telemetry": {"cuckoo": {}}})",
+       "config: 'telemetry.cuckoo' requires 'telemetry.flow_table': "
+       "'cuckoo'"},
+      {R"({"telemetry": {"sketch_alpha": 1.5}})",
+       "config: 'telemetry.sketch_alpha' must be in (0, 1)"},
+      {R"({"telemetry": {"spin_rtt": {"slots": -1}}})",
+       "config: 'telemetry.spin_rtt.slots' must be a positive integer"},
+      {R"({"telemetry": {"spin_rtt": {"outlier_factor": 1}}})",
+       "config: 'telemetry.spin_rtt.outlier_factor' must be > 1"},
+      {R"({"telemetry": {"spin_rtt": {"alpha": 0}}})",
+       "config: 'telemetry.spin_rtt.alpha' must be in (0, 1)"},
+      {R"({"telemetry": {"nids": {"max_flows": 0.5}}})",
+       "config: 'telemetry.nids.max_flows' must be a positive integer"},
+      {R"({"telemetry": {"nids": {"syn_flood_ratio": 0.5}}})",
+       "config: 'telemetry.nids.syn_flood_ratio' must be >= 1"},
+      {R"({"telemetry": {"nids": {"window_ms": "x"}}})",
+       "config: 'telemetry.nids.window_ms' must be a number"},
+      {R"({"telemetry": {"histograms": 3}})",
+       "config: 'telemetry.histograms' must be an array"},
+      {R"({"telemetry": {"histograms": [{"metric": 3}]}})",
+       "config: 'telemetry.histograms[0].metric' must be a string"},
+      {R"({"telemetry": {"histograms": [{"metric": "jitter"}]}})",
+       "config: 'telemetry.histograms[0].metric': unknown histogram "
+       "metric: jitter"},
+      {R"({"telemetry": {"histograms": [{"metric": "rtt", "scale": "cubic"}]}})",
+       "config: 'telemetry.histograms[0].scale': unknown histogram scale: "
+       "cubic"},
+      {R"({"telemetry": {"histograms": [{"metric": "rtt", "bins": 0}]}})",
+       "config: 'telemetry.histograms[0].bins' must be a positive integer"},
+      {R"({"telemetry": {"histograms": [{"metric": "rtt", "alpha": 0}]}})",
+       "config: 'telemetry.histograms[0].alpha' must be in (0, 1)"},
+      {R"({"telemetry": {"histograms": [{"bins": 4}]}})",
+       "config: 'telemetry.histograms[0]' needs 'metric'"},
+      {R"({"telemetry": {"histograms": [{"metric": "rtt", "min_us": 10, "max_ms": 0.001}]}})",
+       "config: 'telemetry.histograms[0]' bin range must satisfy 0 < min < "
+       "max"},
+      {R"({"workloads": 3})", "config: 'workloads' must be an array"},
+      {R"({"workloads": [{"kind": "ddos"}]})",
+       "config: 'workloads[0].kind': unknown workload kind: ddos"},
+      {R"({"workloads": [{"kind": "syn_flood", "src": "mars"}]})",
+       "config: 'workloads[0].src': unknown host 'mars' (dtn_int, "
+       "psonar_int, ext0..2, psonar_ext0..2)"},
+      {R"({"workloads": [{"kind": "syn_flood", "dst": 4}]})",
+       "config: 'workloads[0].dst' must be a string"},
+      {R"({"workloads": [{"kind": "syn_flood", "spoof_count": 0}]})",
+       "config: 'workloads[0].spoof_count' must be >= 1"},
+      {R"({"workloads": [{"src": "ext0"}]})",
+       "config: 'workloads[0]' needs 'kind'"},
+      {R"({"programs": 7})", "config: 'programs' must be an array"},
+      {R"({"programs": [{"name": "x", "ops": [{"op": "warp"}]}]})",
+       "config: program: 'programs[0].ops[0].op' unknown op: warp"},
+      {R"({"control": {"digest_poll_ms": []}})",
+       "config: 'control.digest_poll_ms' must be a number"},
+  };
+  for (const auto& [text, expected] : cases) {
+    EXPECT_EQ(config_error(text), expected) << text;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "controlplane/control_plane.hpp"
 #include "mpl/compiler.hpp"
@@ -499,6 +501,109 @@ TEST_F(PsConfigVmFixture, SwitchWithoutVmRejectsProgramActions) {
       cfg.execute("psconfig config-P4 --install-program " + file);
   EXPECT_FALSE(result.ok);
   EXPECT_SUBSTR(result.message, "no measurement-program VM");
+}
+
+TEST(MplCompiler, DiagnosticTextIsPinned) {
+  // The exact text of every diagnostic shape the compiler produces.
+  constexpr const char* kOps = R"("ops": [{"op": "count", "dst": 0}])";
+  auto with_ops = [&](const std::string& keys) {
+    return "{" + keys + ", " + kOps + "}";
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"([])", "program: 'program' must be an object"},
+      {with_ops(R"("name": 3)"), "program: 'name' must be a string"},
+      {with_ops(R"("name": "")"), "program: 'name' must not be empty"},
+      {with_ops(R"("name": "x", "scope": "diag")"),
+       "program: 'scope' unknown scope: diag"},
+      {with_ops(R"("name": "x", "bogus": 1)"),
+       "program: 'bogus' is not a known program key"},
+      {with_ops(R"("name": "x", "match": 3)"),
+       "program: 'match' must be an array"},
+      {with_ops(R"("name": "x", "match": [3])"),
+       "program: 'match[0]' must be an object"},
+      {with_ops(R"("name": "x", "match": [{"field": "flow_id", "cmp": "??", "value": 1}])"),
+       "program: 'match[0].cmp' unknown cmp: ??"},
+      {with_ops(R"("name": "x", "match": [{"field": "flux", "value": 1}])"),
+       "program: 'match[0].field' unknown field: flux"},
+      {with_ops(R"("name": "x", "match": [{"field": "flow_id", "value": -1}])"),
+       "program: 'match[0].value' must be a non-negative integer"},
+      {with_ops(R"("name": "x", "match": [{"field": "flow_id", "value": 1, "x": 2}])"),
+       "program: 'match[0].x' is not a known match key"},
+      {with_ops(R"("name": "x", "match": [{"cmp": "eq", "value": 1}])"),
+       "program: 'match[0]' needs 'field'"},
+      {with_ops(R"("name": "x", "match": [{"field": "flow_id"}])"),
+       "program: 'match[0]' needs 'value'"},
+      {R"({"name": "x"})", "program: 'program' needs at least one op"},
+      {R"({"ops": [{"op": "count", "dst": 0}]})",
+       "program: 'program' needs 'name'"},
+      {R"({"name": "x", "ops": 3})", "program: 'ops' must be an array"},
+      {R"({"name": "x", "ops": [3]})", "program: 'ops[0]' must be an object"},
+      {R"({"name": "x", "ops": [{"op": "warp"}]})",
+       "program: 'ops[0].op' unknown op: warp"},
+      {R"({"name": "x", "ops": [{"op": 1}]})",
+       "program: 'ops[0].op' must be a string"},
+      {R"({"name": "x", "ops": [{"op": "count", "dst": -1}]})",
+       "program: 'ops[0].dst' must be a non-negative integer"},
+      {R"({"name": "x", "ops": [{"op": "count", "dst": 1.5}]})",
+       "program: 'ops[0].dst' must be a non-negative integer"},
+      {R"({"name": "x", "ops": [{"op": "count", "dst": "a"}]})",
+       "program: 'ops[0].dst' must be a number"},
+      {R"({"name": "x", "ops": [{"op": "count", "dst": 99}]})",
+       "program: 'ops[0].dst' must be a register index < 16"},
+      {R"({"name": "x", "ops": [{"op": "add", "dst": 0, "field": "flux"}]})",
+       "program: 'ops[0].field' unknown field: flux"},
+      {R"({"name": "x", "ops": [{"op": "add", "dst": 0, "imm": 1, "field": "flow_id"}]})",
+       "program: 'ops[0].imm' conflicts with 'field' (pick one source)"},
+      {R"({"name": "x", "ops": [{"op": "add", "dst": 0}]})",
+       "program: 'ops[0]' needs a 'field' or 'imm' source for op 'add'"},
+      {R"({"name": "x", "ops": [{"op": "count"}]})",
+       "program: 'ops[0]' needs 'dst'"},
+      {R"({"name": "x", "ops": [{"dst": 0}]})", "program: 'ops[0]' needs 'op'"},
+      {R"({"name": "x", "ops": [{"op": "ewma", "dst": 0, "imm": 1, "weight": 1}]})",
+       "program: 'ops[0].weight' must be an integer in 2..1024"},
+      {R"({"name": "x", "ops": [{"op": "add", "dst": 0, "imm": 1, "weight": 4}]})",
+       "program: 'ops[0].weight' only applies to op 'ewma'"},
+      {R"({"name": "x", "ops": [{"op": "count", "dst": 0, "q": 1}]})",
+       "program: 'ops[0].q' is not a known op key"},
+      {R"({"name": "x", "scope": "switch", "histogram": {"min": 1, "max": 10, "bins": 0}, "ops": [{"op": "histogram_bin", "imm": 1}]})",
+       "program: 'histogram.bins' must be a positive integer"},
+      {R"({"name": "x", "scope": "switch", "histogram": {"min": "a"}, "ops": [{"op": "histogram_bin", "imm": 1}]})",
+       "program: 'histogram.min' must be a number"},
+      {R"({"name": "x", "scope": "switch", "histogram": {"scale": "cubic"}, "ops": [{"op": "histogram_bin", "imm": 1}]})",
+       "program: 'histogram.scale' unknown histogram scale: cubic"},
+      {R"({"name": "x", "scope": "switch", "histogram": {"min": 10, "max": 1}, "ops": [{"op": "histogram_bin", "imm": 1}]})",
+       "program: 'histogram' bin range must satisfy 0 < min < max"},
+      {with_ops(R"("name": "x", "export": {"metric": "m", "quantile": 2})"),
+       "program: 'export.quantile' must be in (0, 1)"},
+      {with_ops(R"("name": "x", "export": {"metric": "m", "samples_per_second": -1})"),
+       "program: 'export.samples_per_second' must be a finite value > 0"},
+      {with_ops(R"("name": "x", "export": {"metric": ""})"),
+       "program: 'export.metric' must not be empty"},
+      {with_ops(R"("name": "x", "export": {"metric": "m", "value": "sideways"})"),
+       "program: 'export.value' must be 'register', 'rate_per_s', "
+       "'rate_bps' or 'quantile'"},
+      {with_ops(R"("name": "x", "export": {"value": "register"})"),
+       "program: 'export' needs 'metric'"},
+      {with_ops(R"("name": "x", "export": {"metric": "m", "register": 3})"),
+       "program: 'export.register' names register 3 but the program only "
+       "writes registers 0..0"},
+      {with_ops(R"("name": "x", "digest": {"every": 0})"),
+       "program: 'digest.every' must be a positive integer"},
+      {with_ops(R"("name": "x", "digest": {"register": 0})"),
+       "program: 'digest' needs 'every'"},
+      {with_ops(R"("name": "x", "digest": {"every": 4, "z": 0})"),
+       "program: 'digest.z' is not a known digest key"},
+  };
+  for (const auto& [text, expected] : cases) {
+    EXPECT_EQ(compile_error(text), expected) << text;
+  }
+  // A caller-supplied path prefixes every key.
+  EXPECT_EQ(compile_error(with_ops(R"("name": "x", "bogus": 1)"),
+                          "switches[1].programs[0]"),
+            "program: 'switches[1].programs[0].bogus' is not a known "
+            "program key");
+  EXPECT_EQ(compile_error(R"({"name": "x"})", "programs[2]"),
+            "program: 'programs[2]' needs at least one op");
 }
 
 }  // namespace

@@ -9,11 +9,15 @@
 //   * Outputs are invariant under randomized worker scheduling (the
 //     ShardPool jitter knob), run under TSan in CI.
 //   * BoundaryQueue SPSC ordering/wraparound and ShardPool
-//     grant/watermark/failure protocol in isolation.
+//     grant/watermark/failure protocol in isolation, including a stress
+//     run of the barrier's blocking path under a hang watchdog.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -352,6 +356,60 @@ TEST(ShardPool, WorkerFailureSurfacesAtBarrier) {
   EXPECT_FALSE(pool.failed());
   EXPECT_THROW(pool.barrier_all(1000), std::runtime_error);
   EXPECT_TRUE(pool.failed());
+  pool.stop();
+}
+
+// Holds grant g until the main thread has given up spinning in its g-th
+// barrier and entered the blocking path (barrier_waits() == g), so the
+// worker publishes its watermark exactly while main arms its wait — the
+// window in which a lost wakeup would hang the barrier forever.
+struct SlowPathShard : sim::ShardPool::Shard {
+  const sim::ShardPool* pool = nullptr;
+  void advance_to(SimTime grant) override {
+    while (pool->barrier_waits() < grant) std::this_thread::yield();
+  }
+  bool has_boundary_backlog() const override { return false; }
+};
+
+TEST(ShardPool, BlockingBarrierPathNeverLosesAWakeup) {
+  constexpr SimTime kBarriers = 100'000;
+  sim::ShardPool pool(sim::ShardPool::Config{1, /*jitter seed=*/7});
+  SlowPathShard shard;
+  shard.pool = &pool;
+  pool.add_shard(shard);
+  pool.start();
+
+  // A lost wakeup parks the main thread for good; fail the test instead
+  // of hanging it once no barrier has completed for ten seconds.
+  std::atomic<SimTime> completed{0};
+  std::atomic<bool> done{false};
+  std::thread watchdog([&] {
+    SimTime seen = 0;
+    auto last_progress = std::chrono::steady_clock::now();
+    while (!done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const SimTime now_completed = completed.load();
+      if (now_completed != seen) {
+        seen = now_completed;
+        last_progress = std::chrono::steady_clock::now();
+      } else if (std::chrono::steady_clock::now() - last_progress >
+                 std::chrono::seconds(10)) {
+        std::fprintf(stderr,
+                     "ShardPool barrier %llu hung: lost watermark wakeup\n",
+                     static_cast<unsigned long long>(seen + 1));
+        std::_Exit(1);
+      }
+    }
+  });
+  for (SimTime grant = 1; grant <= kBarriers; ++grant) {
+    pool.barrier(0, grant);
+    completed.store(grant);
+  }
+  done.store(true);
+  watchdog.join();
+  // Every barrier took the blocking path.
+  EXPECT_EQ(pool.barrier_waits(), kBarriers);
+  EXPECT_EQ(pool.watermark(0), kBarriers);
   pool.stop();
 }
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "controlplane/control_plane.hpp"
-#include "controlplane/histogram_extractor.hpp"
+#include "controlplane/engine_exports.hpp"
 #include "core/config_loader.hpp"
 #include "p4/hash.hpp"
 #include "p4/p4_switch.hpp"
@@ -270,13 +270,13 @@ struct HistogramPipeline {
   }
 
   const telemetry::HistogramEngine& engine(std::size_t i) const {
-    return *program.histogram_engines()[i];
+    return *program.engines_of<telemetry::HistogramEngine>().at(i);
   }
 };
 
 TEST(HistogramEngines, RegisteredInTheEngineRegistry) {
   HistogramPipeline p;
-  ASSERT_EQ(p.program.histogram_engines().size(), 3u);
+  ASSERT_EQ(p.program.engines_of<telemetry::HistogramEngine>().size(), 3u);
   EXPECT_EQ(p.engine(0).name(), "rtt_histogram");
   EXPECT_EQ(p.engine(1).name(), "iat_histogram");
   EXPECT_EQ(p.engine(2).name(), "queue_delay_histogram");
@@ -357,7 +357,7 @@ TEST(HistogramEngines, IatAndQueueDelayObserveEgressPath) {
 
 TEST(HistogramEngines, DefaultPipelineHasNone) {
   DataPlaneProgram program;
-  EXPECT_TRUE(program.histogram_engines().empty());
+  EXPECT_TRUE(program.engines_of<telemetry::HistogramEngine>().empty());
   EXPECT_EQ(program.engines().size(), 7u);
 }
 
@@ -376,11 +376,11 @@ TEST(HistogramExtractor, EmitsSwitchWideReportsWithQuantilesAndBins) {
   p4::P4Switch sw(sim, "dut");
   sw.load_program(program);
   cp::ControlPlane plane(sim, program, cp::ControlPlaneConfig{});
-  cp::register_histogram_extractors(plane, program);
+  cp::register_engine_exports(plane, program);
   EXPECT_EQ(plane.extractor_count(), cp::kMetricCount + 3);
   // The name-based configuration seam covers the new extractors.
   plane.set_samples_per_second("rtt_histogram", 2.0);
-  EXPECT_THROW(cp::register_histogram_extractors(plane, program),
+  EXPECT_THROW(cp::register_engine_exports(plane, program),
                std::invalid_argument);  // duplicates rejected
 
   Collector collector;

@@ -45,7 +45,9 @@ struct SpinFixture : ::testing::Test {
     sw->load_program(*program);
   }
 
-  telemetry::SpinRttEngine& engine() { return *program->spin_rtt_engine(); }
+  telemetry::SpinRttEngine& engine() {
+    return *program->engines_of<telemetry::SpinRttEngine>().at(0);
+  }
 
   void feed_short(SimTime at, std::uint64_t dcid, std::uint32_t pn,
                   bool spin,
@@ -189,7 +191,9 @@ struct NidsFixture : ::testing::Test {
     sim.run_until(milliseconds(1));
   }
 
-  telemetry::NidsFeatureEngine& engine() { return *program->nids_engine(); }
+  telemetry::NidsFeatureEngine& engine() {
+    return *program->engines_of<telemetry::NidsFeatureEngine>().at(0);
+  }
 
   void feed_tcp(net::Ipv4Address src, net::Ipv4Address dst,
                 std::uint16_t sport, std::uint16_t dport,
@@ -288,9 +292,10 @@ TEST(SpinRttSystem, TracksGroundTruthWithinTenPercentUnderLoss) {
   flow.stop_at(seconds(10));
   system.run_until(seconds(12));
 
-  const telemetry::SpinRttEngine* engine =
-      system.program().spin_rtt_engine();
-  ASSERT_NE(engine, nullptr);
+  const auto engines =
+      system.program().engines_of<const telemetry::SpinRttEngine>();
+  ASSERT_EQ(engines.size(), 1u);
+  const telemetry::SpinRttEngine* engine = engines[0];
   ASSERT_GT(engine->samples(), 20u);
   const double median = engine->quantile_ns(0.5);
   const double truth =
@@ -377,8 +382,10 @@ TEST(NidsSystem, ElephantMiceBaselineRaisesNoAlerts) {
       system.psonar().archiver().doc_count("p4sonar-nids_features"), 0u);
   EXPECT_EQ(system.psonar().archiver().doc_count("p4sonar-nids_alert"),
             0u);
-  ASSERT_NE(system.program().nids_engine(), nullptr);
-  EXPECT_EQ(system.program().nids_engine()->alerts_emitted(), 0u);
+  const auto nids =
+      system.program().engines_of<const telemetry::NidsFeatureEngine>();
+  ASSERT_EQ(nids.size(), 1u);
+  EXPECT_EQ(nids[0]->alerts_emitted(), 0u);
 }
 
 // ---------------------------------------------------------------------
