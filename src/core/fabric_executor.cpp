@@ -23,14 +23,15 @@ class FabricExecutor::SwitchShard : public sim::ShardPool::Shard,
     if (inbox_.try_push(frame)) return;
     // Inbox full. Publish the maximal safe grant — every frame mirrored
     // after this one is delivered at or after frame.at, so frame.at - 1
-    // can never be invalidated — and wait for the worker to drain.
-    // Only frames due at exactly frame.at stay ungrantable, and a site
-    // cannot mirror a ring's worth of copies in a single nanosecond, so
-    // space is guaranteed to appear.
+    // can never be invalidated — and wait for the worker to drain. A
+    // larger grant is what wakes a parked worker, and a parked worker
+    // has drained everything up to its watermark, so only frames due at
+    // exactly frame.at stay ungrantable; a site cannot mirror a ring's
+    // worth of copies in a single nanosecond, so space is guaranteed to
+    // appear.
     ++blocked_pushes_;
     fabric_.pool_.publish_grant(id_, frame.at == 0 ? 0 : frame.at - 1);
     while (!inbox_.try_push(frame)) {
-      fabric_.pool_.kick(id_);
       fabric_.pool_.throw_if_failed();
       std::this_thread::yield();
     }
@@ -42,31 +43,15 @@ class FabricExecutor::SwitchShard : public sim::ShardPool::Shard,
   void advance_to(SimTime grant) override {
     while (net::MirrorFrame* frame = inbox_.front()) {
       if (frame->at > grant) break;
-      // Local events first at equal timestamps: run_until executes
-      // everything with time <= frame->at and parks the shard clock
-      // there, reproducing the serial queue's tie rule (a driver tick
-      // was scheduled a full extraction interval before the delivery's
-      // mirror event, so it drew the smaller FIFO seq).
+      // Nothing is scheduled on a pipeline simulation (the switch and
+      // the capture tee only read its clock), so run_until just parks
+      // the shard clock at the frame's delivery time.
       pipeline_sim_.run_until(frame->at);
-      entry_.on_mirrored_bytes(
-          std::span<const std::uint8_t>(frame->bytes.data(), frame->len),
-          frame->point, frame->wire_len);
-      ++delivered_;
+      frame->deliver_to(entry_);
       inbox_.pop();
     }
     if (grant > pipeline_sim_.now()) pipeline_sim_.run_until(grant);
   }
-
-  bool has_boundary_backlog() const override {
-    // Every actionable frame is covered by a published grant before it
-    // is pushed (pump grants main_now - 1; a full-inbox push grants
-    // frame.at - 1), so the watermark test alone schedules all work.
-    // Frames beyond the newest grant must wait for the next one —
-    // reporting them here would spin the worker against a fixed grant.
-    return false;
-  }
-
-  std::uint64_t delivered() const { return delivered_; }
 
  private:
   FabricExecutor& fabric_;
@@ -75,19 +60,13 @@ class FabricExecutor::SwitchShard : public sim::ShardPool::Shard,
   sim::BoundaryQueue<net::MirrorFrame> inbox_;
   std::size_t id_ = 0;
   std::uint64_t blocked_pushes_ = 0;  // main-thread owned
-  std::uint64_t delivered_ = 0;       // worker owned; read under barrier
 };
 
 FabricExecutor::FabricExecutor(sim::Simulation& main_sim, Config config)
     : main_sim_(main_sim),
-      config_(config),
       pool_(sim::ShardPool::Config{
           config.workers == 0 ? 1 : config.workers,
-          config.scheduling_jitter_seed}) {
-  if (config_.grant_period == 0) {
-    throw std::invalid_argument("FabricExecutor: grant_period must be > 0");
-  }
-}
+          config.scheduling_jitter_seed}) {}
 
 FabricExecutor::~FabricExecutor() { stop(); }
 
@@ -113,7 +92,7 @@ void FabricExecutor::start() {
   pool_.start();
   // Grant pump: keep the workers trailing the main clock so pipelines
   // overlap with topology/TCP execution between driver reads.
-  main_sim_.every(config_.grant_period, config_.grant_period, [this]() {
+  main_sim_.every(kGrantPeriod, kGrantPeriod, [this]() {
     const SimTime now = main_sim_.now();
     pool_.publish_grant_all(now == 0 ? 0 : now - 1);
     return true;
@@ -128,10 +107,6 @@ void FabricExecutor::sync(std::size_t shard) {
 }
 
 void FabricExecutor::barrier_all(SimTime t) { pool_.barrier_all(t); }
-
-std::uint64_t FabricExecutor::frames_delivered(std::size_t shard) const {
-  return shards_.at(shard)->delivered();
-}
 
 std::uint64_t FabricExecutor::blocked_pushes() const {
   std::uint64_t total = 0;

@@ -21,24 +21,25 @@
 //   * a recurring *grant pump* on the main timeline publishes lookahead
 //     grants of main_now - 1 — safe because a frame mirrored at main
 //     time T cannot be delivered before T + tap_latency > T - 1;
-//   * the shard drains its inbox up to the grant, advancing its own
-//     clock to each frame's delivery time before feeding the sink (so
-//     P4 ingress timestamps and pcap records match the serial run) and
-//     merging local events first at equal timestamps — the serial
-//     queue's FIFO rule, where a driver tick scheduled a full interval
-//     earlier always precedes a delivery scheduled tap_latency earlier;
+//   * the shard drains its inbox up to the grant in FIFO order,
+//     advancing its own clock to each frame's delivery time before
+//     feeding the sink (so P4 ingress timestamps and pcap records match
+//     the serial run). Nothing else ever runs on a shard: no event is
+//     scheduled on a pipeline simulation;
 //   * a control plane about to read data-plane registers at main time T
 //     calls sync(): a barrier to T - 1, exactly the set of deliveries a
-//     serial run would have executed before a tick at T;
+//     serial run would have executed before a tick at T (the serial
+//     queue's FIFO rule: a driver tick armed a full interval earlier
+//     precedes a delivery at T armed only tap_latency earlier);
 //   * run_until(t) ends with an inclusive barrier_all(t), after which
 //     reading any shard-owned state from the main thread is race-free.
 //
 // A full inbox never deadlocks: push() publishes the maximal safe grant
 // (frame.at - 1 — every later frame is mirrored no earlier than this
-// one, so its delivery is no earlier either), kicks the worker and
-// waits for space; only frames due at exactly the same nanosecond can
-// remain ungrantable, and a site cannot mirror a ring's worth of copies
-// in one instant.
+// one, so its delivery is no earlier either), which wakes the worker,
+// and waits for space; only frames due at exactly the same nanosecond
+// can remain ungrantable, and a site cannot mirror a ring's worth of
+// copies in one instant.
 #pragma once
 
 #include <cstdint>
@@ -56,11 +57,6 @@ class FabricExecutor {
   struct Config {
     /// Worker threads advancing the shards (clamped to the shard count).
     std::size_t workers = 2;
-    /// Period of the grant pump on the main timeline. Smaller = workers
-    /// trail the main clock more closely; larger = fewer main-loop
-    /// events. Purely a throughput knob — correctness and outputs are
-    /// invariant under it.
-    SimTime grant_period = units::microseconds(500);
     /// Test-only: forwarded to ShardPool (randomized worker stalls for
     /// the determinism battery).
     std::uint64_t scheduling_jitter_seed = 0;
@@ -94,12 +90,7 @@ class FabricExecutor {
   /// readable from the calling thread until the pump next fires.
   void barrier_all(SimTime t);
 
-  std::size_t shard_count() const { return shards_.size(); }
   std::size_t worker_count() const { return pool_.worker_count(); }
-  /// Frames delivered into shard `shard`'s sink. Only meaningful after
-  /// a barrier (sync/barrier_all) — the barrier is the happens-before
-  /// edge that makes the read race-free.
-  std::uint64_t frames_delivered(std::size_t shard) const;
   /// Producer-side stalls on a full inbox (main-thread telemetry).
   std::uint64_t blocked_pushes() const;
   /// Barriers that had to block on a trailing worker.
@@ -108,8 +99,13 @@ class FabricExecutor {
  private:
   class SwitchShard;
 
+  /// Period of the grant pump on the main timeline. Smaller = workers
+  /// trail the main clock more closely; larger = fewer main-loop
+  /// events. Purely a throughput constant — correctness and outputs are
+  /// invariant under it.
+  static constexpr SimTime kGrantPeriod = units::microseconds(500);
+
   sim::Simulation& main_sim_;
-  Config config_;
   sim::ShardPool pool_;
   std::vector<std::unique_ptr<SwitchShard>> shards_;
   bool started_ = false;

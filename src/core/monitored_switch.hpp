@@ -2,9 +2,15 @@
 // measurement stack (a trace::SitePipeline: the P4 switch running the
 // telemetry data-plane program, its VM and its control plane) fed by a
 // passive TAP pair on a chosen switch/port of the shared topology,
-// optionally through a pcap capture tee. MonitoringSystem owns N of these over one
-// simulation and one report transport; the paper's single-switch
-// deployment (Figures 3-5) is the N=1 case.
+// optionally through a pcap capture tee. MonitoringSystem owns N of
+// these over one simulation and one report transport; the paper's
+// single-switch deployment (Figures 3-5) is the N=1 case.
+//
+// The mirror path is the same in both execution modes: the TAP pair
+// turns each copy into a net::MirrorFrame and hands it to entry_sink()
+// through MirrorSink's one entry point. Only who delivers the frame
+// differs — the TAP's own ring on the main timeline (serial), or a
+// FabricExecutor shard on the pipeline timeline (parallel).
 #pragma once
 
 #include <cstdint>

@@ -4,17 +4,12 @@
 
 namespace p4s::net {
 
-void MirrorSink::on_mirrored_bytes(std::span<const std::uint8_t> bytes,
-                                   MirrorPoint point, std::uint32_t wire_len) {
-  // Byte-parsing sinks override this; for packet-level sinks synthesize
-  // a Packet that carries only what survives the boundary (the wire
-  // length) and take the usual path.
-  Packet pkt;
-  pkt.ip.total_len =
-      wire_len > kEthernetHeaderBytes
-          ? static_cast<std::uint16_t>(wire_len - kEthernetHeaderBytes)
-          : 0;
-  on_mirrored_wire(pkt, bytes, point);
+void MirrorSink::on_mirrored(const Packet& pkt, MirrorPoint point) {
+  std::array<std::uint8_t, kMaxHeaderBytes> buf{};
+  const std::size_t len = serialize_headers(pkt, buf);
+  on_mirrored_bytes(std::span<const std::uint8_t>(buf.data(), len), point,
+                    static_cast<std::uint32_t>(kEthernetHeaderBytes +
+                                               pkt.ip.total_len));
 }
 
 void OpticalTapPair::attach(LegacySwitch& sw, OutputPort& monitored_port) {
@@ -30,25 +25,22 @@ void OpticalTapPair::attach(LegacySwitch& sw, OutputPort& monitored_port) {
 
 void OpticalTapPair::mirror(const Packet& pkt, MirrorPoint point) {
   ++mirrored_pkts_;
+  MirrorFrame frame;
+  frame.at = sim_.now() + tap_latency_;
+  frame.wire_len =
+      static_cast<std::uint32_t>(kEthernetHeaderBytes + pkt.ip.total_len);
+  frame.point = point;
+  frame.len = serialize_shared(pkt, frame.bytes);
   if (boundary_ != nullptr) {
     // Parallel fabric: the copy crosses to a pipeline shard instead of
     // being scheduled on this timeline. Frames leave in mirror order at
     // a constant latency, so `at` is non-decreasing as BoundaryQueue
     // requires; nothing is scheduled here, which is what keeps the main
     // timeline's event order identical to the serial run.
-    MirrorFrame frame;
-    frame.at = sim_.now() + tap_latency_;
-    frame.seq = boundary_seq_++;
-    frame.wire_len = kEthernetHeaderBytes + pkt.ip.total_len;
-    frame.point = point;
-    frame.len = serialize_shared(pkt, frame.bytes);
     boundary_->push(frame);
     return;
   }
-  PendingMirror& slot = ring_push();
-  slot.pkt = pkt;
-  slot.point = point;
-  slot.len = serialize_shared(pkt, slot.bytes);
+  ring_push() = frame;
   // The delay is the same for every copy, so deliveries pop in FIFO
   // order; the event captures only `this` (fits std::function's inline
   // storage — no per-copy closure allocation).
@@ -57,14 +49,12 @@ void OpticalTapPair::mirror(const Packet& pkt, MirrorPoint point) {
 
 void OpticalTapPair::deliver_front() {
   assert(ring_count_ > 0);
-  PendingMirror& front = ring_[ring_head_];
+  const MirrorFrame& front = ring_[ring_head_];
   ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
   --ring_count_;
   // `front` stays valid during delivery: pushes from inside the sink go
   // to other slots (the ring only grows when full, and we just freed one).
-  sink_.on_mirrored_wire(
-      front.pkt, std::span<const std::uint8_t>(front.bytes.data(), front.len),
-      front.point);
+  front.deliver_to(sink_);
 }
 
 std::uint8_t OpticalTapPair::serialize_shared(
@@ -92,15 +82,15 @@ std::uint8_t OpticalTapPair::serialize_shared(
   return entry.len;
 }
 
-OpticalTapPair::PendingMirror& OpticalTapPair::ring_push() {
+MirrorFrame& OpticalTapPair::ring_push() {
   if (ring_count_ == ring_.size()) ring_grow();
-  PendingMirror& slot = ring_[(ring_head_ + ring_count_) & (ring_.size() - 1)];
+  MirrorFrame& slot = ring_[(ring_head_ + ring_count_) & (ring_.size() - 1)];
   ++ring_count_;
   return slot;
 }
 
 void OpticalTapPair::ring_grow() {
-  std::vector<PendingMirror> bigger(ring_.empty() ? 64 : ring_.size() * 2);
+  std::vector<MirrorFrame> bigger(ring_.empty() ? 64 : ring_.size() * 2);
   for (std::size_t i = 0; i < ring_count_; ++i) {
     bigger[i] = ring_[(ring_head_ + i) & (ring_.size() - 1)];
   }

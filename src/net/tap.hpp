@@ -3,19 +3,21 @@
 // The paper places one TAP on the fiber entering the core switch and one
 // on the fiber leaving it; both mirror every photon to the P4 switch. The
 // model duplicates each packet at the switch's ingress hook and at the
-// monitored port's egress hook, tags the copy with its mirror point, and
-// delivers it to the monitor after a fixed (equal) TAP-to-switch latency —
-// equal latencies are what let the P4 program recover the queuing delay
-// from the two copies' arrival-time difference.
+// monitored port's egress hook and turns the copy into a MirrorFrame —
+// the bytes a monitor port receives, tagged with its mirror point — that
+// reaches the monitor after a fixed (equal) TAP-to-switch latency. Equal
+// latencies are what let the P4 program recover the queuing delay from
+// the two copies' arrival-time difference. The frame is the only thing
+// that travels, on either execution path, and MirrorSink has the one
+// entry point that takes it.
 //
-// Hot-path design: a mirror copy is written into a reusable ring of
-// pending deliveries (no per-copy closure capturing the packet) and the
-// delivery event captures only `this` — the constant TAP latency makes
-// deliveries strictly FIFO. Each packet's wire bytes are serialized once
-// and shared between its ingress and egress copies through a small
-// uid-keyed cache; the copies differ only in the TTL the core switch
-// decremented, which is patched in place with an incremental checksum
-// update instead of re-serializing.
+// Hot-path design: a frame is written into a reusable ring (no per-copy
+// closure capturing the packet) and the delivery event captures only
+// `this` — the constant TAP latency makes deliveries strictly FIFO. Each
+// packet's wire bytes are serialized once and shared between its ingress
+// and egress copies through a small uid-keyed cache; the copies differ
+// only in the TTL the core switch decremented, which is patched in place
+// with an incremental checksum update instead of re-serializing.
 #pragma once
 
 #include <array>
@@ -38,44 +40,37 @@ enum class MirrorPoint : std::uint8_t {
 };
 
 /// Consumer of mirrored traffic (the P4 switch's two monitor ports).
+/// Like a Tofino port cabled to a TAP, a sink sees only the frame: its
+/// serialized header bytes (valid only for the duration of the call),
+/// the mirror point, and the original on-wire frame length (pcap records
+/// preserve it).
 class MirrorSink {
  public:
   virtual ~MirrorSink() = default;
-  virtual void on_mirrored(const Packet& pkt, MirrorPoint point) = 0;
-  /// Wire-level delivery: the packet plus its already-serialized header
-  /// bytes (valid only for the duration of the call). Overridden by sinks
-  /// that parse bytes (the P4 switch) to skip re-serialization; the
-  /// default forwards to the packet-level hook.
-  virtual void on_mirrored_wire(const Packet& pkt,
-                                std::span<const std::uint8_t> bytes,
-                                MirrorPoint point) {
-    (void)bytes;
-    on_mirrored(pkt, point);
-  }
-  /// Boundary-safe delivery: only the serialized bytes plus the original
-  /// on-wire frame length — everything a pipeline shard's sink needs
-  /// without referencing the main timeline's Packet object (which cannot
-  /// cross the shard boundary). The P4 switch and the capture tee
-  /// override this; the default synthesizes a minimal Packet carrying
-  /// the wire length and takes the packet path.
   virtual void on_mirrored_bytes(std::span<const std::uint8_t> bytes,
-                                 MirrorPoint point, std::uint32_t wire_len);
+                                 MirrorPoint point, std::uint32_t wire_len) = 0;
+  /// Packet-level convenience (tests, benches): serialize `pkt` and
+  /// deliver it with its on-wire length, Ethernet + IP total length.
+  void on_mirrored(const Packet& pkt, MirrorPoint point);
 };
 
-/// One mirror copy crossing the main-timeline -> pipeline-shard
-/// boundary: the serialized header bytes, the mirror point, the
-/// original on-wire frame length (pcap records preserve it) and the
-/// delivery timestamp (mirror time + TAP latency — the conservative
-/// lookahead bound). `seq` increases per boundary; together with the
-/// timestamp and the shard id it totally orders boundary events, which
-/// is what keeps the parallel merge deterministic.
+/// One mirror copy as a monitor port receives it: the serialized header
+/// bytes, the mirror point, the original on-wire frame length and the
+/// delivery timestamp (mirror time + TAP latency — on the parallel path
+/// also the conservative lookahead bound). The serial path queues these
+/// on the TAP's own ring; the parallel path pushes them across a shard
+/// boundary, whose FIFO order is the frame order.
 struct MirrorFrame {
   SimTime at = 0;
-  std::uint64_t seq = 0;
   std::uint32_t wire_len = 0;
   std::uint8_t len = 0;
   MirrorPoint point = MirrorPoint::kIngress;
   std::array<std::uint8_t, kMaxHeaderBytes> bytes;
+
+  void deliver_to(MirrorSink& sink) const {
+    sink.on_mirrored_bytes(std::span<const std::uint8_t>(bytes.data(), len),
+                           point, wire_len);
+  }
 };
 
 /// Producer end of a shard boundary. Implemented by the fabric's
@@ -103,8 +98,8 @@ class OpticalTapPair {
   /// Parallel-fabric mode: route mirror copies across `boundary` instead
   /// of scheduling deliveries on this timeline. The shard on the other
   /// side replays each frame at `frame.at` against its own clock and
-  /// feeds the sink through on_mirrored_bytes(). Pass nullptr to return
-  /// to in-timeline delivery (the serial path, bit-for-bit unchanged).
+  /// feeds it to the sink. Pass nullptr to return to in-timeline
+  /// delivery (the serial path, bit-for-bit unchanged).
   void set_boundary(MirrorBoundary* boundary) { boundary_ = boundary; }
 
   std::uint64_t mirrored_pkts() const { return mirrored_pkts_; }
@@ -113,12 +108,6 @@ class OpticalTapPair {
   std::uint64_t serialize_cache_hits() const { return cache_hits_; }
 
  private:
-  struct PendingMirror {
-    Packet pkt;
-    std::array<std::uint8_t, kMaxHeaderBytes> bytes;
-    std::uint8_t len = 0;
-    MirrorPoint point = MirrorPoint::kIngress;
-  };
   struct CacheEntry {
     std::uint64_t uid = 0;  // 0 = empty (real packets have uid > 0)
     std::array<std::uint8_t, kMaxHeaderBytes> bytes;
@@ -134,20 +123,19 @@ class OpticalTapPair {
   std::uint8_t serialize_shared(const Packet& pkt,
                                 std::array<std::uint8_t, kMaxHeaderBytes>& out);
 
-  PendingMirror& ring_push();
+  MirrorFrame& ring_push();
   void ring_grow();
 
   sim::Simulation& sim_;
   MirrorSink& sink_;
   SimTime tap_latency_;
   MirrorBoundary* boundary_ = nullptr;
-  std::uint64_t boundary_seq_ = 0;
   std::uint64_t mirrored_pkts_ = 0;
   std::uint64_t cache_hits_ = 0;
 
-  // Growable power-of-two ring of pending deliveries; slots (and their
-  // byte buffers) are reused, so steady state allocates nothing.
-  std::vector<PendingMirror> ring_;
+  // Growable power-of-two ring of frames awaiting delivery; slots are
+  // reused, so steady state allocates nothing.
+  std::vector<MirrorFrame> ring_;
   std::size_t ring_head_ = 0;
   std::size_t ring_count_ = 0;
 

@@ -1,39 +1,10 @@
 #include "p4/p4_switch.hpp"
 
-#include <array>
-
-#include "net/wire.hpp"
-
 namespace p4s::p4 {
-
-void P4Switch::on_mirrored(const net::Packet& pkt, net::MirrorPoint point) {
-  // Packet-level entry (tests, benches): serialize here, then take the
-  // common byte path.
-  std::array<std::uint8_t, net::kMaxHeaderBytes> buf{};
-  const std::size_t len = net::serialize_headers(pkt, buf);
-  process_wire(std::span<const std::uint8_t>(buf.data(), len), point);
-}
-
-void P4Switch::on_mirrored_wire(const net::Packet& /*pkt*/,
-                                std::span<const std::uint8_t> bytes,
-                                net::MirrorPoint point) {
-  // Wire-level entry (the TAP): the bytes were serialized once at the
-  // mirror point and shared across copies — no re-serialization here.
-  process_wire(bytes, point);
-}
 
 void P4Switch::on_mirrored_bytes(std::span<const std::uint8_t> bytes,
                                  net::MirrorPoint point,
                                  std::uint32_t /*wire_len*/) {
-  // Boundary entry (parallel fabric): identical to the wire path — the
-  // switch only ever looks at the parsed bytes, and `sim_` is the shard
-  // clock, advanced to the frame's delivery time before this call, so
-  // ingress_ts matches the serial run exactly.
-  process_wire(bytes, point);
-}
-
-void P4Switch::process_wire(std::span<const std::uint8_t> bytes,
-                            net::MirrorPoint point) {
   PacketContext ctx;
   ctx.data = bytes;
   ctx.meta.ingress_port = point == net::MirrorPoint::kIngress

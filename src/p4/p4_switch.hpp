@@ -1,9 +1,9 @@
 // The P4 programmable switch target. It receives the two TAP mirror
 // streams on dedicated ports (like the Wedge100BF-32X ports the paper
-// cables the TAPs into), serializes each packet's headers to bytes, runs
-// the programmable parser, and hands the packet context to the loaded
-// program. Port and ingress-timestamp intrinsic metadata are attached by
-// the target, exactly as on Tofino.
+// cables the TAPs into) as frame bytes, runs the programmable parser,
+// and hands the packet context to the loaded program. Port and
+// ingress-timestamp intrinsic metadata are attached by the target,
+// exactly as on Tofino.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +28,10 @@ class P4Switch : public net::MirrorSink {
   /// Load (or swap) the pipeline program. Non-owning.
   void load_program(P4Program& program) { program_ = &program; }
 
-  void on_mirrored(const net::Packet& pkt, net::MirrorPoint point) override;
-  void on_mirrored_wire(const net::Packet& pkt,
-                        std::span<const std::uint8_t> bytes,
-                        net::MirrorPoint point) override;
+  /// `sim_` is the clock the frame is delivered on — the site's
+  /// timeline, or a fabric shard's advanced to the frame's delivery
+  /// time — so ingress_ts is the same on either path. `wire_len` is
+  /// unused: the pipeline only looks at the parsed bytes.
   void on_mirrored_bytes(std::span<const std::uint8_t> bytes,
                          net::MirrorPoint point,
                          std::uint32_t wire_len) override;
@@ -42,9 +42,6 @@ class P4Switch : public net::MirrorSink {
   const std::string& name() const { return name_; }
 
  private:
-  void process_wire(std::span<const std::uint8_t> bytes,
-                    net::MirrorPoint point);
-
   sim::Simulation& sim_;
   std::string name_;
   Parser parser_;

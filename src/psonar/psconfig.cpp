@@ -3,10 +3,12 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "mpl/compiler.hpp"
 #include "mpl/vm.hpp"
+#include "util/json_path.hpp"
 
 namespace p4s::ps {
 
@@ -249,91 +251,113 @@ PsConfig::Result PsConfig::run_config_p4(const std::vector<std::string>& args,
 
 namespace {
 
-/// Typed field access with defaults for mesh task objects.
-double number_or(const util::Json& obj, const std::string& key,
-                 double fallback) {
-  if (auto v = obj.find(key); v.has_value() && v->is_number()) {
-    return v->as_double();
-  }
-  return fallback;
-}
+const util::JsonPathReader mesh_reader("mesh");
+
+// Bounds that keep each task field's conversion defined: seconds become
+// a 64-bit nanosecond SimTime (1e9 s is ~31.7 years), Mb/s a 64-bit b/s
+// rate, and pings and probes are numbered by the 16-bit ICMP sequence
+// and the 8-bit TTL.
+constexpr std::int64_t kMaxSeconds = 1'000'000'000;
+constexpr std::int64_t kMaxRateMbps = 1'000'000;
+constexpr std::int64_t kMaxPings = 65535;
+constexpr std::int64_t kMaxHops = 255;
 
 }  // namespace
 
 PsConfig::Result PsConfig::apply_mesh(
     const util::Json& mesh, PScheduler& scheduler,
     const std::map<std::string, net::Host*>& hosts) {
-  if (!mesh.is_object() || !mesh.contains("tasks") ||
-      !mesh.at("tasks").is_array()) {
-    return {false, "mesh: expected an object with a 'tasks' array"};
-  }
+  using util::JsonPathReader;
+  // Validate and convert every task first: templates apply atomically.
+  std::vector<std::function<void()>> plan;
+  try {
+    if (!mesh.is_object() || !mesh.contains("tasks")) {
+      mesh_reader.fail("expected an object with a 'tasks' array");
+    }
+    const util::JsonArray& tasks = mesh_reader.array(mesh.at("tasks"), "tasks");
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const util::Json& task = tasks[i];
+      const std::string path = JsonPathReader::element("tasks", i);
+      if (!task.is_object()) mesh_reader.fail(path, "must be an object");
+      auto text = [&](const char* key) {
+        if (!task.contains(key)) {
+          mesh_reader.fail(path, std::string("needs '") + key + "'");
+        }
+        return mesh_reader.string(task.at(key),
+                                  JsonPathReader::child(path, key));
+      };
+      auto host = [&](const char* key) {
+        const std::string name = text(key);
+        const auto it = hosts.find(name);
+        if (it == hosts.end()) {
+          mesh_reader.fail(JsonPathReader::child(path, key),
+                           "unknown host '" + name + "'");
+        }
+        return it->second;
+      };
+      // Absent keys keep `fallback`; a present one must be a number in
+      // [min, max] (and whole, for counts).
+      auto number = [&](const char* key, double fallback, std::int64_t min,
+                        std::int64_t max, bool whole = false) {
+        const auto v = task.find(key);
+        if (!v) return fallback;
+        const std::string at = JsonPathReader::child(path, key);
+        const double n = mesh_reader.number_in(*v, at, min, max);
+        if (whole) mesh_reader.positive_int(*v, at);
+        return n;
+      };
+      auto seconds = [&](const char* key, double fallback) {
+        return units::seconds_f(number(key, fallback, 0, kMaxSeconds));
+      };
 
-  // Validate everything first: templates apply atomically.
-  struct Planned {
-    std::string type;
-    net::Host* src;
-    net::Host* dst;
-    util::Json spec;
-  };
-  std::vector<Planned> plan;
-  for (const auto& task : mesh.at("tasks").as_array()) {
-    if (!task.is_object()) return {false, "mesh: task must be an object"};
-    for (const char* key : {"type", "src", "dst"}) {
-      if (!task.contains(key) || !task.at(key).is_string()) {
-        return {false, std::string("mesh: task missing '") + key + "'"};
+      const std::string type = text("type");
+      net::Host* src = host("src");
+      net::Host* dst = host("dst");
+      const SimTime start = seconds("start_s", 1);
+      const SimTime repeat = seconds("repeat_s", 0);
+      if (type == "throughput") {
+        const PScheduler::ThroughputTask t{
+            .start = start,
+            .duration = seconds("duration_s", 10),
+            .repeat_interval = repeat,
+            .sender = {}};
+        plan.push_back([=, &scheduler] {
+          scheduler.schedule_throughput(*src, *dst, t);
+        });
+      } else if (type == "latency") {
+        const PScheduler::LatencyTask t{
+            .start = start,
+            .count = static_cast<int>(number("count", 10, 1, kMaxPings, true)),
+            .repeat_interval = repeat};
+        plan.push_back(
+            [=, &scheduler] { scheduler.schedule_latency(*src, *dst, t); });
+      } else if (type == "trace") {
+        const PScheduler::TracerouteTask t{
+            .start = start,
+            .max_hops =
+                static_cast<int>(number("max_hops", 8, 1, kMaxHops, true)),
+            .repeat_interval = repeat};
+        plan.push_back(
+            [=, &scheduler] { scheduler.schedule_traceroute(*src, *dst, t); });
+      } else if (type == "udp_stream") {
+        const PScheduler::UdpStreamTask t{
+            .start = start,
+            .duration = seconds("duration_s", 5),
+            .rate_bps = static_cast<std::uint64_t>(
+                number("rate_mbps", 10, 0, kMaxRateMbps) * 1e6),
+            .repeat_interval = repeat};
+        plan.push_back(
+            [=, &scheduler] { scheduler.schedule_udp_stream(*src, *dst, t); });
+      } else {
+        mesh_reader.fail(JsonPathReader::child(path, "type"),
+                         "must be throughput, latency, trace or udp_stream");
       }
     }
-    const std::string type = task.at("type").as_string();
-    if (type != "throughput" && type != "latency" && type != "trace" &&
-        type != "udp_stream") {
-      return {false, "mesh: unknown task type '" + type + "'"};
-    }
-    auto find_host = [&](const std::string& name) -> net::Host* {
-      auto it = hosts.find(name);
-      return it == hosts.end() ? nullptr : it->second;
-    };
-    net::Host* src = find_host(task.at("src").as_string());
-    net::Host* dst = find_host(task.at("dst").as_string());
-    if (src == nullptr || dst == nullptr) {
-      return {false, "mesh: unknown host in task (src='" +
-                         task.at("src").as_string() + "', dst='" +
-                         task.at("dst").as_string() + "')"};
-    }
-    plan.push_back(Planned{type, src, dst, task});
+  } catch (const std::invalid_argument& e) {
+    return {false, e.what()};
   }
 
-  for (const auto& p : plan) {
-    const SimTime start = units::seconds_f(number_or(p.spec, "start_s", 1));
-    const SimTime repeat =
-        units::seconds_f(number_or(p.spec, "repeat_s", 0));
-    if (p.type == "throughput") {
-      PScheduler::ThroughputTask t;
-      t.start = start;
-      t.duration = units::seconds_f(number_or(p.spec, "duration_s", 10));
-      t.repeat_interval = repeat;
-      scheduler.schedule_throughput(*p.src, *p.dst, t);
-    } else if (p.type == "latency") {
-      PScheduler::LatencyTask t;
-      t.start = start;
-      t.count = static_cast<int>(number_or(p.spec, "count", 10));
-      t.repeat_interval = repeat;
-      scheduler.schedule_latency(*p.src, *p.dst, t);
-    } else if (p.type == "trace") {
-      PScheduler::TracerouteTask t;
-      t.start = start;
-      t.max_hops = static_cast<int>(number_or(p.spec, "max_hops", 8));
-      t.repeat_interval = repeat;
-      scheduler.schedule_traceroute(*p.src, *p.dst, t);
-    } else {
-      PScheduler::UdpStreamTask t;
-      t.start = start;
-      t.duration = units::seconds_f(number_or(p.spec, "duration_s", 5));
-      t.rate_bps = static_cast<std::uint64_t>(
-          number_or(p.spec, "rate_mbps", 10) * 1e6);
-      t.repeat_interval = repeat;
-      scheduler.schedule_udp_stream(*p.src, *p.dst, t);
-    }
-  }
+  for (const auto& schedule : plan) schedule();
   history_.push_back("apply_mesh(" + std::to_string(plan.size()) +
                      " tasks)");
   return {true, std::to_string(plan.size()) + " tasks scheduled"};

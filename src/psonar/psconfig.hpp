@@ -46,6 +46,11 @@
 //       {"type": "udp_stream",..., "rate_mbps": 10, "duration_s": 5}
 //     ]
 //   }
+//
+// Absent keys keep their defaults (start_s 1, repeat_s 0, duration_s 10
+// or 5 for udp_stream, count 10, max_hops 8, rate_mbps 10). Present
+// values are checked before anything is scheduled, and a bad one is
+// named by its path ("mesh: 'tasks[1].count' must be in [1, 65535]").
 #pragma once
 
 #include <map>

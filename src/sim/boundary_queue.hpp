@@ -9,8 +9,8 @@
 //
 // Messages must be pushed in non-decreasing timestamp order (the
 // producer is itself a discrete-event loop, so this is free); the
-// consumer then sees a totally ordered stream and can merge it against
-// its local event queue by (timestamp, boundary seq) without a barrier.
+// consumer then sees a totally ordered stream — the ring's FIFO order
+// is the delivery order — and can replay it without a barrier.
 //
 // Capacity is fixed at construction (power of two). try_push fails when
 // the ring is full; the producer decides how to make room (the fabric

@@ -61,8 +61,6 @@ void ShardPool::publish_grant_all(SimTime grant) {
   }
 }
 
-void ShardPool::kick(std::size_t shard) { wake_worker(shards_[shard]->worker); }
-
 void ShardPool::barrier(std::size_t shard, SimTime grant) {
   if (!started_) return;
   publish_grant(shard, grant);
@@ -128,13 +126,10 @@ void ShardPool::notify_main() {
 
 bool ShardPool::pump_one(ShardState& s) {
   const SimTime grant = s.grant.load(std::memory_order_seq_cst);
-  const bool behind = s.watermark.load(std::memory_order_relaxed) < grant;
-  if (!behind && !s.shard->has_boundary_backlog()) return false;
+  if (s.watermark.load(std::memory_order_relaxed) >= grant) return false;
   s.shard->advance_to(grant);
-  if (behind) {
-    s.watermark.store(grant, std::memory_order_seq_cst);
-    notify_main();
-  }
+  s.watermark.store(grant, std::memory_order_seq_cst);
+  notify_main();
   return true;
 }
 
@@ -167,10 +162,8 @@ void ShardPool::worker_main(std::size_t index) {
       bool work = stop_.load(std::memory_order_seq_cst);
       for (const std::size_t id : me.owned) {
         const ShardState& s = *shards_[id];
-        work = work ||
-               s.watermark.load(std::memory_order_relaxed) <
-                   s.grant.load(std::memory_order_seq_cst) ||
-               s.shard->has_boundary_backlog();
+        work = work || s.watermark.load(std::memory_order_relaxed) <
+                           s.grant.load(std::memory_order_seq_cst);
       }
       if (!work) me.cv.wait(lock);
       me.parked.store(false, std::memory_order_seq_cst);

@@ -21,9 +21,9 @@
 // edge that lets the main thread read shard-owned state race-free.
 //
 // Determinism: a shard's execution depends only on its boundary stream
-// (ordered by (timestamp, seq) — see BoundaryQueue) and its own queue,
-// never on worker count or scheduling; the `scheduling_jitter_seed`
-// test knob injects random worker delays to prove exactly that.
+// (in the FIFO order of its BoundaryQueue), never on worker count or
+// scheduling; the `scheduling_jitter_seed` test knob injects random
+// worker delays to prove exactly that.
 #pragma once
 
 #include <atomic>
@@ -43,17 +43,15 @@ namespace p4s::sim {
 class ShardPool {
  public:
   /// One shard of the parallel fabric. advance_to() is only ever called
-  /// from the shard's owning worker thread; has_boundary_backlog() may
-  /// be read from any thread (it is a wake-up hint, not a count).
+  /// from the shard's owning worker thread. A worker runs a shard only
+  /// when its grant moves past its watermark: every piece of boundary
+  /// work is covered by a grant published after it was handed over.
   class Shard {
    public:
     virtual ~Shard() = default;
-    /// Drain the boundary inbox and execute every event with timestamp
-    /// <= `grant` (events at exactly `grant` DO run), merging boundary
-    /// deliveries against local events by (timestamp, seq).
+    /// Execute every boundary delivery with timestamp <= `grant`
+    /// (deliveries at exactly `grant` DO run), in boundary order.
     virtual void advance_to(SimTime grant) = 0;
-    /// True while boundary messages are waiting to be drained.
-    virtual bool has_boundary_backlog() const = 0;
   };
 
   struct Config {
@@ -86,22 +84,19 @@ class ShardPool {
   void publish_grant(std::size_t shard, SimTime grant);
   /// Raise every shard's grant.
   void publish_grant_all(SimTime grant);
-  /// Wake a shard's worker after pushing boundary messages for it.
-  void kick(std::size_t shard);
   /// Grant `grant` and block until the shard's watermark reaches it —
   /// after this returns, reading the shard's state from the calling
   /// thread is race-free until the next grant is published.
   void barrier(std::size_t shard, SimTime grant);
   void barrier_all(SimTime grant);
 
-  /// True once a worker died on an exception; barrier()/kick() rethrow
-  /// the stored reason as std::runtime_error at the next call.
+  /// True once a worker died on an exception; barrier() rethrows the
+  /// stored reason as std::runtime_error at the next call.
   bool failed() const { return failed_.load(std::memory_order_acquire); }
   /// Rethrow a worker failure (no-op while healthy) — producers waiting
   /// on a drained inbox call this so a dead worker can't hang them.
   void throw_if_failed() const;
 
-  std::size_t shard_count() const { return shards_.size(); }
   std::size_t worker_count() const { return workers_.size(); }
   SimTime watermark(std::size_t shard) const {
     return shards_[shard]->watermark.load(std::memory_order_acquire);

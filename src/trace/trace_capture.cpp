@@ -1,7 +1,5 @@
 #include "trace/trace_capture.hpp"
 
-#include "net/wire.hpp"
-
 namespace p4s::trace {
 
 TraceCapture::TraceCapture(sim::Simulation& sim, net::MirrorSink& next,
@@ -27,46 +25,16 @@ std::string TraceCapture::port_path(const std::string& base,
                                                      : ".egress.pcap");
 }
 
-void TraceCapture::on_mirrored(const net::Packet& pkt,
-                               net::MirrorPoint point) {
-  // Packet-level entry: serialize here so the record carries real bytes.
-  std::array<std::uint8_t, net::kMaxHeaderBytes> buf{};
-  const std::size_t len = net::serialize_headers(pkt, buf);
-  record(pkt, std::span<const std::uint8_t>(buf.data(), len), point);
-  next_.on_mirrored(pkt, point);
-}
-
-void TraceCapture::on_mirrored_wire(const net::Packet& pkt,
-                                    std::span<const std::uint8_t> bytes,
-                                    net::MirrorPoint point) {
-  record(pkt, bytes, point);
-  next_.on_mirrored_wire(pkt, bytes, point);
-}
-
 void TraceCapture::on_mirrored_bytes(std::span<const std::uint8_t> bytes,
                                      net::MirrorPoint point,
                                      std::uint32_t wire_len) {
-  // Boundary entry (parallel fabric): the frame carried its on-wire
-  // length across, and `sim_` is the shard clock sitting at the frame's
-  // delivery time — the record is byte-identical to the serial path's.
+  // On the wire this frame was `wire_len` bytes; we only captured the
+  // serialized headers (payloads are virtual).
   writer(point).write(sim_.now(), bytes,
                       wire_len >= bytes.size()
                           ? wire_len
                           : static_cast<std::uint32_t>(bytes.size()));
   next_.on_mirrored_bytes(bytes, point, wire_len);
-}
-
-void TraceCapture::record(const net::Packet& pkt,
-                          std::span<const std::uint8_t> bytes,
-                          net::MirrorPoint point) {
-  // On the wire this frame was Ethernet + the IP total length; we only
-  // captured the serialized headers (payloads are virtual).
-  const std::uint32_t orig_len = static_cast<std::uint32_t>(
-      net::kEthernetHeaderBytes + pkt.ip.total_len);
-  writer(point).write(sim_.now(), bytes,
-                      orig_len >= bytes.size()
-                          ? orig_len
-                          : static_cast<std::uint32_t>(bytes.size()));
 }
 
 void TraceCapture::flush() {

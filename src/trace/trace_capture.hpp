@@ -14,7 +14,6 @@
 // external tools display as expected.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <ostream>
@@ -43,10 +42,8 @@ class TraceCapture : public net::MirrorSink {
   TraceCapture(sim::Simulation& sim, net::MirrorSink& next,
                const std::string& path_base, Config config = {});
 
-  void on_mirrored(const net::Packet& pkt, net::MirrorPoint point) override;
-  void on_mirrored_wire(const net::Packet& pkt,
-                        std::span<const std::uint8_t> bytes,
-                        net::MirrorPoint point) override;
+  /// Record the frame at `sim_.now()` — the delivery time on either
+  /// execution path — then forward it unchanged.
   void on_mirrored_bytes(std::span<const std::uint8_t> bytes,
                          net::MirrorPoint point,
                          std::uint32_t wire_len) override;
@@ -70,8 +67,6 @@ class TraceCapture : public net::MirrorSink {
   const PcapWriter& writer(net::MirrorPoint point) const {
     return point == net::MirrorPoint::kIngress ? *ingress_ : *egress_;
   }
-  void record(const net::Packet& pkt, std::span<const std::uint8_t> bytes,
-              net::MirrorPoint point);
 
   sim::Simulation& sim_;
   net::MirrorSink& next_;

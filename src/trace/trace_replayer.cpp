@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/packet.hpp"
 #include "net/wire.hpp"
 
 namespace p4s::trace {
@@ -148,7 +147,7 @@ struct TraceReplayer::Cursor {
 
   static void step(const std::shared_ptr<Cursor>& self) {
     const TraceFrame& f = (*self->frames)[self->next++];
-    self->sink->on_mirrored_wire(net::Packet{}, f.bytes, f.point);
+    self->sink->on_mirrored_bytes(f.bytes, f.point, f.orig_len);
     if (self->next >= self->frames->size()) return;
     const SimTime at =
         std::max((*self->frames)[self->next].ts, self->sim->now());
@@ -174,7 +173,7 @@ void TraceReplayer::replay_now(sim::Simulation& sim, net::MirrorSink& sink,
                                bool advance_clock) const {
   for (const TraceFrame& f : frames_) {
     if (advance_clock && f.ts > sim.now()) sim.run_until(f.ts);
-    sink.on_mirrored_wire(net::Packet{}, f.bytes, f.point);
+    sink.on_mirrored_bytes(f.bytes, f.point, f.orig_len);
   }
 }
 

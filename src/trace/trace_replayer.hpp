@@ -87,10 +87,10 @@ class TraceReplayer {
 
   /// Paced replay: stream the frames through `sim`'s event queue, each
   /// delivered to `sink` at its recorded timestamp (frames whose ts is
-  /// already in the past fire at now()). Delivery uses the wire-level
-  /// mirror hook, so byte-parsing sinks (the P4 switch) are the intended
-  /// target. Returns immediately; run the simulation to execute. The
-  /// replayer must outlive the run (frames are not copied into events).
+  /// already in the past fire at now()) with its recorded bytes and
+  /// orig_len, exactly as the TAP delivered it live. Returns
+  /// immediately; run the simulation to execute. The replayer must
+  /// outlive the run (frames are not copied into events).
   void schedule(sim::Simulation& sim, net::MirrorSink& sink) const;
 
   /// Max-speed replay: deliver every frame back to back. With

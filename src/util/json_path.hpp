@@ -57,6 +57,17 @@ class JsonPathReader {
   std::uint64_t positive_int(const Json& v, const std::string& path) const {
     return whole_number(v, path, 1, "must be a positive integer");
   }
+  /// A number, whole or not, in [`min`, `max`] — the range on which a
+  /// later conversion (seconds to SimTime, a count to int) is defined.
+  double number_in(const Json& v, const std::string& path, std::int64_t min,
+                   std::int64_t max) const {
+    const double n = number(v, path);
+    if (!(n >= static_cast<double>(min) && n <= static_cast<double>(max))) {
+      fail(path, "must be in [" + std::to_string(min) + ", " +
+                     std::to_string(max) + "]");
+    }
+    return n;
+  }
   /// A number strictly between 0 and 1.
   double fraction(const Json& v, const std::string& path) const {
     const double f = number(v, path);

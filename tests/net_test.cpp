@@ -433,7 +433,8 @@ TEST(OpticalTapPair, MirrorsIngressAndEgressWithEqualLatency) {
     std::vector<std::pair<MirrorPoint, SimTime>> events;
     sim::Simulation& sim;
     explicit Mirror(sim::Simulation& s) : sim(s) {}
-    void on_mirrored(const Packet&, MirrorPoint point) override {
+    void on_mirrored_bytes(std::span<const std::uint8_t>, MirrorPoint point,
+                           std::uint32_t) override {
       events.emplace_back(point, sim.now());
     }
   } mirror(sim);
@@ -466,20 +467,28 @@ TEST(OpticalTapPair, MirrorsIngressAndEgressWithEqualLatency) {
 TEST(OpticalTapPair, WireBytesMatchFreshSerializationOfEachCopy) {
   // The TAP serializes each packet once and patches the TTL for the
   // egress copy (the core switch decremented it in between). Every
-  // delivered byte buffer must equal a from-scratch serialization of the
-  // packet as delivered — i.e. the cache + patch path is invisible.
+  // delivered frame must equal a from-scratch serialization of the
+  // packet as the switch's own ingress/egress hooks saw it, with that
+  // packet's on-wire length — i.e. the cache + patch path is invisible.
+  // Deliveries are FIFO at a constant latency, so the k-th frame is the
+  // k-th packet the hooks recorded.
   sim::Simulation sim;
   struct WireMirror : MirrorSink {
+    std::vector<Packet> seen;  // in mirror order, from the switch hooks
     std::size_t wire_deliveries = 0;
-    void on_mirrored(const Packet&, MirrorPoint) override {}
-    void on_mirrored_wire(const Packet& pkt,
-                          std::span<const std::uint8_t> bytes,
-                          MirrorPoint) override {
+    void on_mirrored_bytes(std::span<const std::uint8_t> bytes,
+                           MirrorPoint point,
+                           std::uint32_t wire_len) override {
+      ASSERT_LT(wire_deliveries, seen.size());
+      const Packet& pkt = seen[wire_deliveries];
+      EXPECT_EQ(point, wire_deliveries % 2 == 0 ? MirrorPoint::kIngress
+                                                : MirrorPoint::kEgress);
       ++wire_deliveries;
       std::array<std::uint8_t, kMaxHeaderBytes> fresh{};
       const std::size_t len = serialize_headers(pkt, fresh);
       ASSERT_EQ(bytes.size(), len);
       EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), fresh.begin()));
+      EXPECT_EQ(wire_len, kEthernetHeaderBytes + pkt.ip.total_len);
     }
   } mirror;
 
@@ -493,6 +502,9 @@ TEST(OpticalTapPair, WireBytesMatchFreshSerializationOfEachCopy) {
 
   OpticalTapPair taps(sim, mirror, units::microseconds(3));
   taps.attach(sw, port);
+  sw.add_ingress_hook([&mirror](const Packet& p) { mirror.seen.push_back(p); });
+  port.add_egress_hook(
+      [&mirror](const Packet& p, SimTime) { mirror.seen.push_back(p); });
 
   constexpr int kPackets = 50;
   for (int i = 0; i < kPackets; ++i) {

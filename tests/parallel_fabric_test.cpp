@@ -10,7 +10,8 @@
 //     ShardPool jitter knob), run under TSan in CI.
 //   * BoundaryQueue SPSC ordering/wraparound and ShardPool
 //     grant/watermark/failure protocol in isolation, including a stress
-//     run of the barrier's blocking path under a hang watchdog.
+//     run of the barrier's blocking path under a hang watchdog, and the
+//     FabricExecutor's full-inbox push path under the same watchdog.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,10 +21,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/fabric_executor.hpp"
 #include "core/monitoring_system.hpp"
 #include "sim/boundary_queue.hpp"
 #include "sim/shard_pool.hpp"
@@ -318,7 +322,6 @@ struct CountingShard : sim::ShardPool::Shard {
     ASSERT_GE(grant, executed_to.load(std::memory_order_relaxed));
     executed_to.store(grant, std::memory_order_relaxed);
   }
-  bool has_boundary_backlog() const override { return false; }
 };
 
 TEST(ShardPool, BarrierWaitsForWatermark) {
@@ -344,7 +347,6 @@ struct ThrowingShard : sim::ShardPool::Shard {
   void advance_to(SimTime grant) override {
     if (grant >= 500) throw std::runtime_error("shard exploded");
   }
-  bool has_boundary_backlog() const override { return false; }
 };
 
 TEST(ShardPool, WorkerFailureSurfacesAtBarrier) {
@@ -368,7 +370,47 @@ struct SlowPathShard : sim::ShardPool::Shard {
   void advance_to(SimTime grant) override {
     while (pool->barrier_waits() < grant) std::this_thread::yield();
   }
-  bool has_boundary_backlog() const override { return false; }
+};
+
+// A lost wakeup parks a thread for good; fail the test process instead
+// of hanging it once the guarded loop has made no progress for ten
+// seconds. `what` names the step that hung, e.g. "ShardPool barrier".
+class HangWatchdog {
+ public:
+  explicit HangWatchdog(const char* what)
+      : thread_([this, what] { watch(what); }) {}
+  ~HangWatchdog() {
+    done_.store(true);
+    thread_.join();
+  }
+  HangWatchdog(const HangWatchdog&) = delete;
+  HangWatchdog& operator=(const HangWatchdog&) = delete;
+
+  /// Steps completed so far.
+  void progress(std::uint64_t completed) { completed_.store(completed); }
+
+ private:
+  void watch(const char* what) {
+    std::uint64_t seen = 0;
+    auto last_progress = std::chrono::steady_clock::now();
+    while (!done_.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const std::uint64_t now_completed = completed_.load();
+      if (now_completed != seen) {
+        seen = now_completed;
+        last_progress = std::chrono::steady_clock::now();
+      } else if (std::chrono::steady_clock::now() - last_progress >
+                 std::chrono::seconds(10)) {
+        std::fprintf(stderr, "%s %llu hung: lost wakeup\n", what,
+                     static_cast<unsigned long long>(seen + 1));
+        std::_Exit(1);
+      }
+    }
+  }
+
+  std::atomic<std::uint64_t> completed_{0};
+  std::atomic<bool> done_{false};
+  std::thread thread_;  // last: starts once the flags above exist
 };
 
 TEST(ShardPool, BlockingBarrierPathNeverLosesAWakeup) {
@@ -379,38 +421,69 @@ TEST(ShardPool, BlockingBarrierPathNeverLosesAWakeup) {
   pool.add_shard(shard);
   pool.start();
 
-  // A lost wakeup parks the main thread for good; fail the test instead
-  // of hanging it once no barrier has completed for ten seconds.
-  std::atomic<SimTime> completed{0};
-  std::atomic<bool> done{false};
-  std::thread watchdog([&] {
-    SimTime seen = 0;
-    auto last_progress = std::chrono::steady_clock::now();
-    while (!done.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      const SimTime now_completed = completed.load();
-      if (now_completed != seen) {
-        seen = now_completed;
-        last_progress = std::chrono::steady_clock::now();
-      } else if (std::chrono::steady_clock::now() - last_progress >
-                 std::chrono::seconds(10)) {
-        std::fprintf(stderr,
-                     "ShardPool barrier %llu hung: lost watermark wakeup\n",
-                     static_cast<unsigned long long>(seen + 1));
-        std::_Exit(1);
-      }
+  {
+    HangWatchdog watchdog("ShardPool barrier");
+    for (SimTime grant = 1; grant <= kBarriers; ++grant) {
+      pool.barrier(0, grant);
+      watchdog.progress(grant);
     }
-  });
-  for (SimTime grant = 1; grant <= kBarriers; ++grant) {
-    pool.barrier(0, grant);
-    completed.store(grant);
   }
-  done.store(true);
-  watchdog.join();
   // Every barrier took the blocking path.
   EXPECT_EQ(pool.barrier_waits(), kBarriers);
   EXPECT_EQ(pool.watermark(0), kBarriers);
   pool.stop();
+}
+
+// ---------- Runtime units: FabricExecutor ----------
+
+// Records every delivery and yields after each, so the main thread fills
+// the shard's inbox faster than the worker drains it.
+struct YieldingSink : net::MirrorSink {
+  explicit YieldingSink(sim::Simulation& s) : clock(s) {}
+  void on_mirrored_bytes(std::span<const std::uint8_t>, net::MirrorPoint,
+                         std::uint32_t wire_len) override {
+    seen.emplace_back(wire_len, clock.now());
+    std::this_thread::yield();
+  }
+  sim::Simulation& clock;
+  std::vector<std::pair<std::uint32_t, SimTime>> seen;  // worker owned
+};
+
+TEST(FabricExecutor, FullInboxPushBlocksUntilTheWorkerDrains) {
+  // Nothing runs the main timeline, so no grant pump fires: the only
+  // grants the worker ever sees are the ones a full-inbox push
+  // publishes, and they alone must wake it. Four frames share each
+  // delivery nanosecond.
+  constexpr std::uint32_t kFrames = 3 * 8192 + 5;
+  constexpr SimTime kFirstAt = 1000;
+  auto at = [](std::uint32_t i) { return kFirstAt + i / 4; };
+  sim::Simulation main_sim;
+  sim::Simulation pipeline_sim;
+  YieldingSink sink(pipeline_sim);
+  core::FabricExecutor fabric(main_sim, core::FabricExecutor::Config{1, 0});
+  const std::size_t shard = fabric.add_switch(pipeline_sim, sink);
+  fabric.start();
+
+  {
+    HangWatchdog watchdog("FabricExecutor push");
+    net::MirrorFrame frame{};
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      frame.at = at(i);
+      frame.wire_len = i;  // tags the push order
+      fabric.boundary(shard).push(frame);
+      watchdog.progress(i + 1);
+    }
+    fabric.barrier_all(at(kFrames - 1));
+    watchdog.progress(kFrames + 1);
+  }
+
+  EXPECT_GT(fabric.blocked_pushes(), 0u);
+  ASSERT_EQ(sink.seen.size(), kFrames);
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(sink.seen[i].first, i) << "frame delivered out of order";
+    ASSERT_EQ(sink.seen[i].second, at(i)) << "frame " << i;
+  }
+  fabric.stop();
 }
 
 }  // namespace

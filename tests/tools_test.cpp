@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "net/topology.hpp"
 #include "psonar/archiver.hpp"
@@ -200,6 +203,75 @@ TEST_F(ToolsFixture, MeshRejectsMalformedInput) {
               R"({"tasks":[{"type":"latency","src":"psonar-internal"}]})",
               scheduler, host_map())
           .ok);
+}
+
+TEST_F(ToolsFixture, MeshDiagnosticsNameTheValueAndScheduleNothing) {
+  // Each template pairs a valid first task with a bad second one: the
+  // diagnostic names the bad value by its JSON path, and — because
+  // values are checked before anything is scheduled — the valid task
+  // never runs either.
+  const std::string good =
+      R"({"type": "latency", "src": "psonar-internal",
+          "dst": "psonar-ext1", "count": 2})";
+  const std::string hosts =
+      R"("src": "psonar-internal", "dst": "psonar-ext1")";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"type": "latency", )" + hosts + R"(, "start_s": -1})",
+       "mesh: 'tasks[1].start_s' must be in [0, 1000000000]"},
+      {R"({"type": "throughput", )" + hosts + R"(, "duration_s": 1e300})",
+       "mesh: 'tasks[1].duration_s' must be in [0, 1000000000]"},
+      {R"({"type": "udp_stream", )" + hosts + R"(, "rate_mbps": -10})",
+       "mesh: 'tasks[1].rate_mbps' must be in [0, 1000000]"},
+      {R"({"type": "latency", )" + hosts + R"(, "count": 1e300})",
+       "mesh: 'tasks[1].count' must be in [1, 65535]"},
+      {R"({"type": "latency", )" + hosts + R"(, "count": 2.5})",
+       "mesh: 'tasks[1].count' must be a positive integer"},
+      {R"({"type": "latency", )" + hosts + R"(, "count": "ten"})",
+       "mesh: 'tasks[1].count' must be a number"},
+      {R"({"type": "trace", )" + hosts + R"(, "max_hops": 1e300})",
+       "mesh: 'tasks[1].max_hops' must be in [1, 255]"},
+      {R"({"type": "latency", )" + hosts + R"(, "repeat_s": "1"})",
+       "mesh: 'tasks[1].repeat_s' must be a number"},
+      {R"({"type": "warp", )" + hosts + "}",
+       "mesh: 'tasks[1].type' must be throughput, latency, trace or "
+       "udp_stream"},
+      {R"({"type": "latency", "src": "psonar-internal"})",
+       "mesh: 'tasks[1]' needs 'dst'"},
+      {R"({"type": 7, )" + hosts + "}",
+       "mesh: 'tasks[1].type' must be a string"},
+      {R"({"type": "latency", "src": "psonar-internal", "dst": "nowhere"})",
+       "mesh: 'tasks[1].dst' unknown host 'nowhere'"},
+      {"[]", "mesh: 'tasks[1]' must be an object"},
+  };
+  PsConfig psconfig;
+  for (const auto& [bad, message] : cases) {
+    const auto result = psconfig.apply_mesh_text(
+        R"({"tasks": [)" + good + ", " + bad + "]}", scheduler, host_map());
+    EXPECT_FALSE(result.ok) << bad;
+    EXPECT_EQ(result.message, message) << bad;
+  }
+  EXPECT_EQ(psconfig.apply_mesh_text(R"({"tasks": 3})", scheduler, host_map())
+                .message,
+            "mesh: 'tasks' must be an array");
+  EXPECT_TRUE(psconfig.history().empty());
+  sim.run_until(units::seconds(20));
+  EXPECT_TRUE(scheduler.latency_results().empty());
+  EXPECT_TRUE(scheduler.throughput_results().empty());
+  EXPECT_TRUE(scheduler.traceroute_results().empty());
+  EXPECT_TRUE(scheduler.udp_stream_results().empty());
+}
+
+TEST_F(ToolsFixture, MeshAbsentKeysKeepTheirDefaults) {
+  PsConfig psconfig;
+  const auto result = psconfig.apply_mesh_text(
+      R"({"tasks": [{"type": "latency", "src": "psonar-internal",
+                     "dst": "psonar-ext1"}]})",
+      scheduler, host_map());
+  ASSERT_TRUE(result.ok) << result.message;
+  sim.run_until(units::seconds(12));
+  ASSERT_EQ(scheduler.latency_results().size(), 1u);
+  EXPECT_EQ(scheduler.latency_results()[0].sent, 10);  // default count
+  EXPECT_EQ(scheduler.latency_results()[0].start, units::seconds(1));
 }
 
 // ---------- MaDDash ----------

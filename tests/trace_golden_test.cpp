@@ -7,6 +7,9 @@
 //      plane (no TCP simulator) must reproduce the committed Report_v1
 //      series byte for byte — pinning the parser, the telemetry engines,
 //      and the control plane against the traffic that produced them.
+//   3. Paced replay into a capture tee must re-capture the committed
+//      pcaps byte for byte — a replayed frame reaches its sink exactly
+//      as the TAP delivered it live: timestamp, bytes and wire length.
 //
 // Regenerate the committed artifacts after an intentional behavior change:
 //   P4S_UPDATE_GOLDEN=1 ./build/tests/trace_golden_test
@@ -175,6 +178,36 @@ TEST(TraceGolden, ReplayOfCommittedTraceReproducesReportSeries) {
   EXPECT_EQ(pipeline.p4_switch().processed_pkts(), stats.frames);
   EXPECT_EQ(pipeline.p4_switch().parse_errors(), 0u);
   compare_lines(read_lines(kGoldenReports), pipeline.report_lines());
+}
+
+TEST(TraceGolden, PacedReplayRecapturesCommittedPcapsByteForByte) {
+  if (update_golden()) {
+    GTEST_SKIP() << "golden regeneration run";
+  }
+  const std::string golden_in =
+      read_file(port_file(kGoldenBase, net::MirrorPoint::kIngress));
+  const std::string golden_eg =
+      read_file(port_file(kGoldenBase, net::MirrorPoint::kEgress));
+  auto trace = trace::TraceReplayer::from_files(
+      port_file(kGoldenBase, net::MirrorPoint::kIngress),
+      port_file(kGoldenBase, net::MirrorPoint::kEgress));
+
+  sim::Simulation sim;
+  p4::P4Switch sw(sim, "recapture");
+  std::ostringstream ingress, egress;
+  trace::TraceCapture capture(sim, sw, ingress, egress);
+  trace.schedule(sim, capture);
+  sim.run();
+  capture.flush();
+
+  EXPECT_EQ(capture.captured_total(), trace.frames().size());
+  EXPECT_EQ(sw.processed_pkts(), trace.frames().size());
+  ASSERT_EQ(golden_in.size(), ingress.str().size());
+  ASSERT_EQ(golden_eg.size(), egress.str().size());
+  EXPECT_TRUE(golden_in == ingress.str())
+      << "re-captured ingress bytes diverged from the committed golden";
+  EXPECT_TRUE(golden_eg == egress.str())
+      << "re-captured egress bytes diverged from the committed golden";
 }
 
 }  // namespace

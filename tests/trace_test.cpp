@@ -214,12 +214,8 @@ TEST(Pcap, MalformedFilesThrowCleanly) {
 
 struct RecordingSink : net::MirrorSink {
   std::vector<std::pair<net::MirrorPoint, std::size_t>> calls;
-  void on_mirrored(const net::Packet&, net::MirrorPoint point) override {
-    calls.emplace_back(point, 0);
-  }
-  void on_mirrored_wire(const net::Packet&,
-                        std::span<const std::uint8_t> bytes,
-                        net::MirrorPoint point) override {
+  void on_mirrored_bytes(std::span<const std::uint8_t> bytes,
+                         net::MirrorPoint point, std::uint32_t) override {
     calls.emplace_back(point, bytes.size());
   }
 };
@@ -234,12 +230,14 @@ TEST(TraceCapture, TeesToPerPortFilesAndForwards) {
       net::ipv4(10, 0, 0, 10), net::ipv4(10, 1, 0, 10), 5001, 5201, 1, 0,
       net::tcpflags::kAck, 1000, 65535);
   const auto wire = serialized(data);
+  const std::uint32_t wire_len = static_cast<std::uint32_t>(
+      net::kEthernetHeaderBytes + data.ip.total_len);
 
   sim.at(100, [&]() {
-    capture.on_mirrored_wire(data, wire, net::MirrorPoint::kIngress);
+    capture.on_mirrored_bytes(wire, net::MirrorPoint::kIngress, wire_len);
   });
   sim.at(250, [&]() {
-    capture.on_mirrored_wire(data, wire, net::MirrorPoint::kEgress);
+    capture.on_mirrored_bytes(wire, net::MirrorPoint::kEgress, wire_len);
   });
   sim.at(300, [&]() {
     capture.on_mirrored(data, net::MirrorPoint::kIngress);
@@ -330,9 +328,8 @@ TEST(TraceReplayer, PacedReplayDeliversAtRecordedTimestamps) {
     sim::Simulation& sim;
     std::vector<std::pair<SimTime, net::MirrorPoint>> seen;
     explicit TimedSink(sim::Simulation& s) : sim(s) {}
-    void on_mirrored(const net::Packet&, net::MirrorPoint) override {}
-    void on_mirrored_wire(const net::Packet&, std::span<const std::uint8_t>,
-                          net::MirrorPoint point) override {
+    void on_mirrored_bytes(std::span<const std::uint8_t>,
+                           net::MirrorPoint point, std::uint32_t) override {
       seen.emplace_back(sim.now(), point);
     }
   } sink(sim);
