@@ -1,26 +1,6 @@
 #include "controlplane/report.hpp"
 
-#include <stdexcept>
-
 namespace p4s::cp {
-
-const char* metric_name(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kThroughput: return "throughput";
-    case MetricKind::kPacketLoss: return "packet_loss";
-    case MetricKind::kRtt: return "rtt";
-    case MetricKind::kQueueOccupancy: return "queue_occupancy";
-  }
-  return "?";
-}
-
-MetricKind metric_from_name(const std::string& name) {
-  if (name == "throughput") return MetricKind::kThroughput;
-  if (name == "packet_loss") return MetricKind::kPacketLoss;
-  if (name == "rtt" || name == "RTT") return MetricKind::kRtt;
-  if (name == "queue_occupancy") return MetricKind::kQueueOccupancy;
-  throw std::invalid_argument("unknown metric: " + name);
-}
 
 util::Json flow_json(const telemetry::FlowIdentity& flow) {
   util::Json j = util::Json::object();
@@ -42,13 +22,6 @@ util::Json base(const char* report, SimTime ts) {
   return j;
 }
 }  // namespace
-
-util::Json make_metric_report(MetricKind kind,
-                              const telemetry::FlowIdentity& flow,
-                              SimTime ts, double value,
-                              const char* value_key) {
-  return make_metric_report(metric_name(kind), flow, ts, value, value_key);
-}
 
 util::Json make_metric_report(const char* metric,
                               const telemetry::FlowIdentity& flow,
@@ -138,12 +111,6 @@ util::Json make_aggregate_report(SimTime ts, double link_utilization,
   j["total_packets"] = static_cast<std::int64_t>(total_packets);
   j["total_throughput_bps"] = total_throughput_bps;
   return j;
-}
-
-util::Json make_alert_report(MetricKind kind,
-                             const telemetry::FlowIdentity& flow, SimTime ts,
-                             double value, double threshold) {
-  return make_alert_report(metric_name(kind), flow, ts, value, threshold);
 }
 
 util::Json make_alert_report(const char* metric,

@@ -4,9 +4,11 @@
 // adds archive metadata to make Report_v2 and stores it in OpenSearch.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "telemetry/types.hpp"
 #include "util/json.hpp"
@@ -14,19 +16,11 @@
 
 namespace p4s::cp {
 
-/// The four run-time-configurable metrics (§3.2: t_N, t_P, t_R, t_Q and
-/// thresholds a_N, a_P, a_R, a_Q).
-enum class MetricKind : std::uint8_t {
-  kThroughput = 0,   // N: bytes
-  kPacketLoss = 1,   // P: losses
-  kRtt = 2,          // R: round-trip time
-  kQueueOccupancy = 3,  // Q: queue occupancy
-};
-inline constexpr std::size_t kMetricCount = 4;
-
-const char* metric_name(MetricKind kind);
-/// Inverse of metric_name; throws std::invalid_argument on unknown names.
-MetricKind metric_from_name(const std::string& name);
+/// The paper's four run-time-configurable metrics in §3.2 order (t_N,
+/// t_P, t_R, t_Q and thresholds a_N..a_Q). The control plane registers
+/// them first; config-P4 without --metric applies to these.
+inline constexpr std::array<std::string_view, 4> kPaperMetrics = {
+    "throughput", "packet_loss", "rtt", "queue_occupancy"};
 
 /// Consumer of Report_v1 documents (Logstash's TCP input plugin in the
 /// integrated system; experiment collectors in benches and tests).
@@ -41,12 +35,6 @@ util::Json flow_json(const telemetry::FlowIdentity& flow);
 
 // Report_v1 builders. Every document carries "report" (the record kind)
 // and "ts_ns" (switch nanosecond timestamp).
-util::Json make_metric_report(MetricKind kind,
-                              const telemetry::FlowIdentity& flow,
-                              SimTime ts, double value,
-                              const char* value_key);
-/// Name-based variant for registered extension extractors (the MetricKind
-/// overload delegates here).
 util::Json make_metric_report(const char* metric,
                               const telemetry::FlowIdentity& flow,
                               SimTime ts, double value,
@@ -75,9 +63,6 @@ util::Json make_aggregate_report(SimTime ts, double link_utilization,
                                  std::uint64_t total_bytes,
                                  std::uint64_t total_packets,
                                  double total_throughput_bps);
-util::Json make_alert_report(MetricKind kind,
-                             const telemetry::FlowIdentity& flow, SimTime ts,
-                             double value, double threshold);
 util::Json make_alert_report(const char* metric,
                              const telemetry::FlowIdentity& flow, SimTime ts,
                              double value, double threshold);

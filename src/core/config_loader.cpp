@@ -18,6 +18,40 @@ using util::JsonPathReader;
 // a name lookup failed ("'switches[0].tap': unknown tap point: x").
 const JsonPathReader reader("config", ": ");
 
+// Bounds that keep every conversion of a read number defined: times
+// become a 64-bit nanosecond SimTime (1e9 s is ~31.7 years), sizes and
+// rates given in kB, kb/s, Mb/s or MB a 64-bit byte or bit count, and
+// ports and some counters fill 16- or 32-bit fields.
+constexpr std::int64_t kMaxSeconds = 1'000'000'000;
+constexpr std::int64_t kMaxScaled = 1'000'000'000;
+constexpr std::int64_t kMaxU16 = 65535;
+constexpr std::int64_t kMaxU32 = 4'294'967'295;
+
+/// A time in [0, kMaxSeconds] s, written in units of 1/`per_second` s
+/// (1 for "_s" keys, 1000 for "_ms", 1'000'000 for "_us").
+SimTime duration(const util::Json& v, const std::string& path,
+                 std::int64_t per_second) {
+  return units::seconds_f(
+      reader.number_in(v, path, 0, kMaxSeconds * per_second) /
+      static_cast<double>(per_second));
+}
+
+/// A size or rate in [0, kMaxScaled] units of `unit` (1024 for "_kb",
+/// 1e6 for "_mbps"), as a 64-bit count.
+std::uint64_t scaled(const util::Json& v, const std::string& path,
+                     double unit) {
+  return static_cast<std::uint64_t>(reader.number_in(v, path, 0, kMaxScaled) *
+                                    unit);
+}
+
+/// A whole number in [0, `max`], for a field narrower than 64 bits.
+std::uint64_t narrow_uint(const util::Json& v, const std::string& path,
+                          std::int64_t max) {
+  const std::uint64_t n = reader.unsigned_int(v, path);
+  reader.number_in(v, path, 0, max);
+  return n;
+}
+
 /// Walk an object's keys, dispatching each (with its full path) to
 /// `apply`; unknown keys fail.
 template <typename Apply>
@@ -58,7 +92,7 @@ net::FaultInjector::ScheduledFault parse_fault(const util::Json& entry,
   walk(entry, where, [&](const std::string& k, const util::Json& v,
                          const std::string& path) {
     if (k == "at_s") {
-      fault.at = units::seconds_f(reader.number(v, path));
+      fault.at = duration(v, path, 1);
       has_at = true;
     } else if (k == "kind") {
       const std::string& kind = reader.string(v, path);
@@ -70,7 +104,7 @@ net::FaultInjector::ScheduledFault parse_fault(const util::Json& entry,
         reader.fail(path, "must be 'reset' or 'stall'");
       }
     } else if (k == "duration_s") {
-      fault.duration = units::seconds_f(reader.number(v, path));
+      fault.duration = duration(v, path, 1);
     } else {
       return false;
     }
@@ -111,38 +145,32 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
 
   for (const auto& [key, value] : doc.as_object()) {
     if (key == "seed") {
-      config.seed = static_cast<std::uint64_t>(reader.number(value, key));
+      config.seed = reader.unsigned_int(value, key);
     } else if (key == "tap_latency_us") {
-      config.tap_latency = units::seconds_f(reader.number(value, key) / 1e6);
+      config.tap_latency = duration(value, key, 1'000'000);
     } else if (key == "topology") {
       walk(value, "topology", [&](const std::string& k, const util::Json& v,
                                   const std::string& path) {
         if (k == "bottleneck_mbps") {
-          config.topology.bottleneck_bps =
-              static_cast<std::uint64_t>(reader.number(v, path) * 1e6);
+          config.topology.bottleneck_bps = scaled(v, path, 1e6);
         } else if (k == "access_mbps") {
-          config.topology.access_bps =
-              static_cast<std::uint64_t>(reader.number(v, path) * 1e6);
+          config.topology.access_bps = scaled(v, path, 1e6);
         } else if (k == "rtt_ms") {
           if (!v.is_array() || v.size() != 3) {
             reader.fail(path, "must be an array of 3 numbers");
           }
           for (std::size_t i = 0; i < 3; ++i) {
-            config.topology.rtt[i] = units::seconds_f(
-                reader.number(v.as_array()[i],
-                              JsonPathReader::element(path, i)) /
-                1e3);
+            config.topology.rtt[i] = duration(
+                v.as_array()[i], JsonPathReader::element(path, i), 1000);
           }
         } else if (k == "core_buffer_bytes") {
-          config.topology.core_buffer_bytes =
-              static_cast<std::uint64_t>(reader.number(v, path));
+          config.topology.core_buffer_bytes = reader.unsigned_int(v, path);
         } else if (k == "core_buffer_bdp_of_rtt_ms") {
           // JsonObject iterates keys alphabetically, so
           // "bottleneck_mbps" has already been applied when this
           // resolves ('b' < 'c').
           config.topology.core_buffer_bytes = units::bdp_bytes(
-              config.topology.bottleneck_bps,
-              units::seconds_f(reader.number(v, path) / 1e3));
+              config.topology.bottleneck_bps, duration(v, path, 1000));
         } else {
           return false;
         }
@@ -152,20 +180,19 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
       walk(value, "program", [&](const std::string& k, const util::Json& v,
                                  const std::string& path) {
         if (k == "promotion_kb") {
-          config.program.tracker.promotion_bytes =
-              static_cast<std::uint64_t>(reader.number(v, path) * 1024);
+          config.program.tracker.promotion_bytes = scaled(v, path, 1024);
         } else if (k == "burst_threshold_us") {
           config.program.queue.burst_threshold_ns =
-              units::seconds_f(reader.number(v, path) / 1e6);
+              duration(v, path, 1'000'000);
           config.program.queue.burst_exit_ns =
               config.program.queue.burst_threshold_ns / 2;
         } else if (k == "int_sample_every") {
-          const auto n = static_cast<std::uint32_t>(reader.number(v, path));
+          const auto n =
+              static_cast<std::uint32_t>(narrow_uint(v, path, kMaxU32));
           config.program.int_export.enabled = n > 0;
           if (n > 0) config.program.int_export.sample_every = n;
         } else if (k == "iat_min_gap_ms") {
-          config.program.iat.min_gap_ns =
-              units::seconds_f(reader.number(v, path) / 1e3);
+          config.program.iat.min_gap_ns = duration(v, path, 1000);
         } else {
           return false;
         }
@@ -178,29 +205,25 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
         if (k == "resilient") {
           t.resilient = reader.boolean(v, path);
         } else if (k == "latency_us") {
-          t.channel.latency = units::seconds_f(reader.number(v, path) / 1e6);
+          t.channel.latency = duration(v, path, 1'000'000);
         } else if (k == "send_buffer_kb") {
-          t.channel.send_buffer_bytes =
-              static_cast<std::uint64_t>(reader.number(v, path) * 1024);
+          t.channel.send_buffer_bytes = scaled(v, path, 1024);
         } else if (k == "drain_kbps") {
-          t.channel.drain_bps =
-              static_cast<std::uint64_t>(reader.number(v, path) * 1000);
+          t.channel.drain_bps = scaled(v, path, 1000);
         } else if (k == "max_chunk_bytes") {
-          t.channel.max_chunk_bytes =
-              static_cast<std::uint64_t>(reader.number(v, path));
+          t.channel.max_chunk_bytes = reader.unsigned_int(v, path);
         } else if (k == "random_chunking") {
           t.channel.random_chunking = reader.boolean(v, path);
         } else if (k == "queue_capacity") {
-          t.sink.queue_capacity =
-              static_cast<std::size_t>(reader.number(v, path));
+          t.sink.queue_capacity = reader.unsigned_int(v, path);
         } else if (k == "ack_timeout_ms") {
-          t.sink.ack_timeout = units::seconds_f(reader.number(v, path) / 1e3);
+          t.sink.ack_timeout = duration(v, path, 1000);
         } else if (k == "retry_base_ms") {
-          t.sink.backoff.base = units::seconds_f(reader.number(v, path) / 1e3);
+          t.sink.backoff.base = duration(v, path, 1000);
         } else if (k == "retry_max_ms") {
-          t.sink.backoff.max = units::seconds_f(reader.number(v, path) / 1e3);
+          t.sink.backoff.max = duration(v, path, 1000);
         } else if (k == "health_interval_s") {
-          t.sink.health_interval = units::seconds_f(reader.number(v, path));
+          t.sink.health_interval = duration(v, path, 1);
         } else if (k == "faults") {
           const auto& entries = reader.array(v, path);
           for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -225,7 +248,7 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
           config.trace.path_base = reader.string(v, path);
         } else if (k == "snaplen") {
           config.trace.snaplen =
-              static_cast<std::uint32_t>(reader.number(v, path));
+              static_cast<std::uint32_t>(narrow_uint(v, path, kMaxU32));
         } else {
           return false;
         }
@@ -251,21 +274,18 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
         } else if (k == "hot_fields") {
           a.store.hot_fields = string_list(v, path);
         } else if (k == "wal_batch_docs") {
-          a.store.wal_batch_docs =
-              static_cast<std::size_t>(reader.number(v, path));
+          a.store.wal_batch_docs = reader.unsigned_int(v, path);
         } else if (k == "seal_min_docs") {
-          a.store.seal_min_docs =
-              static_cast<std::size_t>(reader.number(v, path));
+          a.store.seal_min_docs = reader.unsigned_int(v, path);
         } else if (k == "compact_fanin") {
-          a.store.compact_fanin =
-              static_cast<std::size_t>(reader.number(v, path));
+          a.store.compact_fanin = reader.unsigned_int(v, path);
         } else if (k == "rollup_bucket_s") {
           a.store.rollup_bucket_ns =
-              static_cast<std::uint64_t>(reader.number(v, path) * 1e9);
+              static_cast<std::uint64_t>(duration(v, path, 1));
         } else if (k == "rollup_fields") {
           a.store.rollup_fields = string_list(v, path);
         } else if (k == "maintenance_interval_s") {
-          a.maintenance_interval = units::seconds_f(reader.number(v, path));
+          a.maintenance_interval = duration(v, path, 1);
         } else {
           return false;
         }
@@ -281,12 +301,12 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
         if (k == "enabled") {
           s.enabled = reader.boolean(v, path);
         } else if (k == "cache_bytes") {
-          s.cache_bytes = static_cast<std::size_t>(reader.number(v, path));
+          s.cache_bytes = reader.unsigned_int(v, path);
         } else if (k == "cache_shards") {
-          s.cache_shards = static_cast<std::size_t>(reader.number(v, path));
+          s.cache_shards = reader.unsigned_int(v, path);
           if (s.cache_shards == 0) reader.fail(path, "must be at least 1");
         } else if (k == "reader_threads") {
-          s.reader_threads = static_cast<std::size_t>(reader.number(v, path));
+          s.reader_threads = reader.unsigned_int(v, path);
         } else {
           return false;
         }
@@ -371,8 +391,7 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
               tracker.cuckoo.max_kicks =
                   static_cast<std::size_t>(reader.positive_int(cv, cpath));
             } else if (ck == "idle_age_s") {
-              tracker.cuckoo.idle_age =
-                  units::seconds_f(reader.number(cv, cpath));
+              tracker.cuckoo.idle_age = duration(cv, cpath, 1);
             } else {
               return false;
             }
@@ -390,8 +409,7 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
               sc.slots =
                   static_cast<std::size_t>(reader.positive_int(sv, spath));
             } else if (sk == "rtt_floor_us") {
-              sc.rtt_floor_ns =
-                  units::seconds_f(reader.number(sv, spath) / 1e6);
+              sc.rtt_floor_ns = duration(sv, spath, 1'000'000);
             } else if (sk == "outlier_factor") {
               const double f = reader.number(sv, spath);
               if (!(f > 1.0)) reader.fail(spath, "must be > 1");
@@ -422,9 +440,10 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
             } else if (nk == "min_window_packets") {
               nc.min_window_packets = reader.positive_int(nv, npath);
             } else if (nk == "window_ms") {
-              nc.window = static_cast<SimTime>(
-                  static_cast<double>(reader.positive_int(nv, npath)) *
-                  1e6);  // ms -> ns
+              const std::uint64_t ms = reader.positive_int(nv, npath);
+              reader.number_in(nv, npath, 1, kMaxSeconds * 1000);
+              nc.window =
+                  static_cast<SimTime>(static_cast<double>(ms) * 1e6);
             } else {
               return false;
             }
@@ -507,30 +526,29 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
             (k == "src" ? spec.src : spec.dst) =
                 reader.name(v, path, topology_host);
           } else if (k == "start_s") {
-            spec.start = units::seconds_f(reader.number(v, path));
+            spec.start = duration(v, path, 1);
           } else if (k == "duration_s") {
-            spec.duration = units::seconds_f(reader.number(v, path));
+            spec.duration = duration(v, path, 1);
           } else if (k == "pps") {
             spec.pps = reader.number(v, path);
           } else if (k == "port") {
-            spec.port = static_cast<std::uint16_t>(reader.number(v, path));
+            spec.port =
+                static_cast<std::uint16_t>(narrow_uint(v, path, kMaxU16));
           } else if (k == "port_count") {
             spec.port_count =
-                static_cast<std::uint32_t>(reader.number(v, path));
+                static_cast<std::uint32_t>(narrow_uint(v, path, kMaxU32));
           } else if (k == "spoof_count") {
-            const double n = reader.number(v, path);
-            if (n < 1) reader.fail(path, "must be >= 1");
-            spec.spoof_count = static_cast<std::uint32_t>(n);
+            if (reader.number(v, path) < 1) reader.fail(path, "must be >= 1");
+            spec.spoof_count =
+                static_cast<std::uint32_t>(narrow_uint(v, path, kMaxU32));
           } else if (k == "elephants") {
-            spec.elephants = static_cast<std::size_t>(reader.number(v, path));
+            spec.elephants = reader.unsigned_int(v, path);
           } else if (k == "elephant_mb") {
-            spec.elephant_bytes =
-                static_cast<std::uint64_t>(reader.number(v, path) * 1e6);
+            spec.elephant_bytes = scaled(v, path, 1e6);
           } else if (k == "mice_per_second") {
             spec.mice_per_second = reader.number(v, path);
           } else if (k == "mice_kb") {
-            spec.mice_bytes =
-                static_cast<std::uint64_t>(reader.number(v, path) * 1024);
+            spec.mice_bytes = scaled(v, path, 1024);
           } else {
             return false;
           }
@@ -543,11 +561,9 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
       walk(value, "control", [&](const std::string& k, const util::Json& v,
                                  const std::string& path) {
         if (k == "flow_idle_timeout_s") {
-          config.control.flow_idle_timeout =
-              units::seconds_f(reader.number(v, path));
+          config.control.flow_idle_timeout = duration(v, path, 1);
         } else if (k == "digest_poll_ms") {
-          config.control.digest_poll_interval =
-              units::seconds_f(reader.number(v, path) / 1e3);
+          config.control.digest_poll_interval = duration(v, path, 1000);
         } else {
           return false;
         }

@@ -268,9 +268,6 @@ class MonitoringSystem {
   const std::vector<std::unique_ptr<tcp::TcpFlow>>& flows() const {
     return flows_;
   }
-  const std::vector<std::unique_ptr<quic::QuicFlow>>& quic_flows() const {
-    return quic_flows_;
-  }
   /// Generators built from config.workloads, in config order; start()
   /// schedules them.
   const std::vector<std::unique_ptr<workload::TrafficGenerator>>& workloads()

@@ -23,13 +23,6 @@ const Program* ProgramVm::find(std::string_view name) const {
   return i < programs_.size() ? &programs_[i]->program : nullptr;
 }
 
-std::vector<std::string> ProgramVm::program_names() const {
-  std::vector<std::string> names;
-  names.reserve(programs_.size());
-  for (const auto& p : programs_) names.push_back(p->program.name);
-  return names;
-}
-
 void ProgramVm::bind(cp::ControlPlane& cp) {
   if (cp_ != nullptr) {
     throw std::logic_error("ProgramVm: already bound to a control plane");

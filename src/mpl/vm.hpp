@@ -92,7 +92,6 @@ class ProgramVm : public telemetry::PacketEngine {
 
   std::size_t program_count() const { return programs_.size(); }
   const Program* find(std::string_view name) const;
-  std::vector<std::string> program_names() const;
 
   std::size_t rows_in_use() const { return rows_in_use_; }
   std::size_t row_budget() const { return config_.row_budget; }

@@ -68,10 +68,11 @@ PsConfig::Result PsConfig::run_config_p4(const std::vector<std::string>& args,
     if (arg == "--metric") {
       auto v = next_value();
       if (!v) return {false, "config-P4: --metric needs a value"};
-      // Builtins and extension metrics alike: resolution is deferred to
+      // Paper and extension metrics alike: resolution is deferred to
       // the targeted control plane, which knows its registered
-      // extractors (a VM program's exported metric counts).
-      metric = *v;
+      // extractors (a VM program's exported metric counts). Figure 6
+      // spells the rtt metric "RTT".
+      metric = *v == "RTT" ? "rtt" : *v;
     } else if (arg == "--install-program") {
       auto v = next_value();
       if (!v) return {false, "config-P4: --install-program needs a file"};
@@ -194,49 +195,19 @@ PsConfig::Result PsConfig::run_config_p4(const std::vector<std::string>& args,
                       std::to_string(removed) + " switch(es)"};
   }
 
-  // A builtin --metric resolves through metric_from_name (which knows
-  // the paper's aliases, "RTT" included); anything else is looked up by
-  // extractor name on each targeted control plane, which reaches
-  // extension extractors — installed programs' exported metrics.
-  std::optional<cp::MetricKind> builtin_kind;
-  if (metric.has_value()) {
-    try {
-      builtin_kind = cp::metric_from_name(*metric);
-    } catch (const std::invalid_argument&) {
-      builtin_kind = std::nullopt;
-    }
-  }
-
-  // Figure 6 semantics: no --metric applies to all (builtin) metrics.
+  // Figure 6 semantics: no --metric applies to the four paper metrics.
+  std::vector<std::string_view> metrics(cp::kPaperMetrics.begin(),
+                                        cp::kPaperMetrics.end());
+  if (metric.has_value()) metrics = {*metric};
   for (Plane* plane : switches) {
-    cp::ControlPlane* control_plane = plane->control_plane;
     try {
-      if (metric.has_value()) {
-        if (builtin_kind.has_value()) {
-          if (alert) {
-            control_plane->set_alert(*builtin_kind, *threshold,
-                                     samples_per_second);
-          } else {
-            control_plane->set_samples_per_second(*builtin_kind,
-                                                  *samples_per_second);
-          }
-        } else if (alert) {
-          control_plane->set_alert(std::string_view(*metric), *threshold,
-                                   samples_per_second);
+      for (std::string_view name : metrics) {
+        if (alert) {
+          plane->control_plane->set_alert(name, *threshold,
+                                          samples_per_second);
         } else {
-          control_plane->set_samples_per_second(std::string_view(*metric),
-                                                *samples_per_second);
-        }
-      } else {
-        for (std::size_t i = 0; i < cp::kMetricCount; ++i) {
-          const auto kind = static_cast<cp::MetricKind>(i);
-          if (alert) {
-            control_plane->set_alert(kind, *threshold,
-                                     samples_per_second);
-          } else {
-            control_plane->set_samples_per_second(kind,
-                                                  *samples_per_second);
-          }
+          plane->control_plane->set_samples_per_second(name,
+                                                       *samples_per_second);
         }
       }
     } catch (const std::invalid_argument& e) {

@@ -11,8 +11,10 @@
 // Without --alert, --samples_per_second sets the metric's extraction
 // rate. With --alert, --threshold sets the alert threshold and
 // --samples_per_second sets the boosted rate used while the threshold is
-// exceeded. Omitting --metric applies the configuration to all four
-// metrics (§3.3.5).
+// exceeded. Every metric is addressed by its name alone (Figure 6's
+// "RTT" is the rtt metric). Omitting --metric applies the configuration
+// to the four paper metrics (§3.3.5); registered extension metrics keep
+// their own rates.
 //
 // In a monitoring fabric several switch control planes register with one
 // pSConfig (one per monitored site); `--switch <id>` targets a specific
@@ -24,8 +26,8 @@
 // Runtime-programmable measurements (src/mpl): --install-program
 // compiles a .mpl.json measurement program and installs it on the
 // targeted switches' VMs; --remove-program uninstalls by name. An
-// installed program's exported metric is configurable by name like any
-// builtin:
+// installed program's exported metric is configurable by name like the
+// paper metrics:
 //
 //   psconfig config-P4 --install-program byte_counter.mpl.json
 //                      --switch site-b
@@ -91,8 +93,6 @@ class PsConfig {
                          mpl::ProgramVm* vm = nullptr) {
     planes_.push_back(Plane{std::move(id), &control_plane, vm});
   }
-
-  std::size_t control_plane_count() const { return planes_.size(); }
 
   struct Result {
     bool ok = false;

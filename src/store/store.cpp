@@ -429,7 +429,7 @@ void Store::scan(const std::string& index, const ScanOptions& options,
   snapshot().scan(index, options, visit);
 }
 
-std::optional<Store::ColumnAggregate> Store::aggregate_column(
+std::optional<ColumnAggregate> Store::aggregate_column(
     const std::string& index, const std::string& field,
     const std::string& range_field, std::optional<double> range_min,
     std::optional<double> range_max) const {

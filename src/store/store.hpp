@@ -186,11 +186,6 @@ class Store {
   /// Pin the current view. O(1); safe from any thread.
   Snapshot snapshot() const;
 
-  // Compatibility aliases — these types moved to namespace scope when
-  // the read path became Snapshot-based.
-  using ScanOptions = store::ScanOptions;
-  using ColumnAggregate = store::ColumnAggregate;
-
   /// Visit documents in sequence order (or reversed); the visitor
   /// returns false to stop. Equivalent to snapshot().scan(...).
   void scan(const std::string& index, const ScanOptions& options,

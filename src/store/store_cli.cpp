@@ -94,7 +94,7 @@ int cmd_dump(const std::string& dir, const std::string& index,
   try {
     const Store store(dir, {}, OpenMode::read_only);
     std::size_t printed = 0;
-    Store::ScanOptions options;
+    ScanOptions options;
     options.newest_first = newest;
     store.scan(index, options, [&](const util::Json& doc) {
       out << doc.dump() << "\n";

@@ -169,13 +169,4 @@ std::optional<PcapRecord> PcapReader::next() {
   return rec;
 }
 
-std::vector<PcapRecord> PcapReader::read_all(const std::string& path,
-                                             FileInfo* info_out) {
-  PcapReader reader(path);
-  std::vector<PcapRecord> records;
-  while (auto rec = reader.next()) records.push_back(std::move(*rec));
-  if (info_out != nullptr) *info_out = reader.info();
-  return records;
-}
-
 }  // namespace p4s::trace

@@ -111,11 +111,6 @@ class PcapReader {
 
   std::uint64_t records_read() const { return records_read_; }
 
-  /// Convenience: open, read every record, return them. `info_out`
-  /// receives the file header when non-null. Throws PcapError.
-  static std::vector<PcapRecord> read_all(const std::string& path,
-                                          FileInfo* info_out = nullptr);
-
  private:
   void parse_global_header();
 

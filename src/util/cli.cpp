@@ -39,23 +39,30 @@ CliArgs::CliArgs(int argc, const char* const* argv,
   }
 }
 
-double CliArgs::number_or(const std::string& flag, double fallback) const {
-  const auto v = get(flag);
+namespace {
+
+template <typename T>
+T parse_or(const std::optional<std::string>& v, const std::string& flag,
+           T fallback, std::vector<std::string>& errors) {
   if (!v || v->empty()) return fallback;
-  double out = 0.0;
+  T out{};
   auto [p, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
-  if (ec != std::errc() || p != v->data() + v->size()) return fallback;
+  if (ec != std::errc() || p != v->data() + v->size()) {
+    errors.push_back("malformed value for --" + flag + ": '" + *v + "'");
+    return fallback;
+  }
   return out;
+}
+
+}  // namespace
+
+double CliArgs::number_or(const std::string& flag, double fallback) const {
+  return parse_or(get(flag), flag, fallback, errors_);
 }
 
 std::uint64_t CliArgs::uint_or(const std::string& flag,
                                std::uint64_t fallback) const {
-  const auto v = get(flag);
-  if (!v || v->empty()) return fallback;
-  std::uint64_t out = 0;
-  auto [p, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
-  if (ec != std::errc() || p != v->data() + v->size()) return fallback;
-  return out;
+  return parse_or(get(flag), flag, fallback, errors_);
 }
 
 }  // namespace p4s::util

@@ -1,7 +1,7 @@
 // Minimal command-line flag parser for the runnable tools:
-// --flag value / --flag=value / bare --switch. Unknown flags are
-// collected as errors so tools can fail loudly instead of silently
-// ignoring typos.
+// --flag value / --flag=value / bare --switch. Unknown flags, and
+// numeric flags whose value does not parse, are collected as errors so
+// tools can fail loudly instead of silently ignoring typos.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,10 @@ class CliArgs {
     return get(flag).value_or(fallback);
   }
 
+  /// The flag's value as a number, or `fallback` when the flag is
+  /// absent or has no value. A value that does not parse also yields
+  /// `fallback` and is recorded in errors(), so read numeric flags
+  /// before checking errors().
   double number_or(const std::string& flag, double fallback) const;
   std::uint64_t uint_or(const std::string& flag,
                         std::uint64_t fallback) const;
@@ -46,7 +50,7 @@ class CliArgs {
  private:
   std::map<std::string, std::string> values_;  // switches map to ""
   std::vector<std::string> positional_;
-  std::vector<std::string> errors_;
+  mutable std::vector<std::string> errors_;
 };
 
 }  // namespace p4s::util

@@ -69,10 +69,18 @@ TEST(CliArgs, PositionalCollected) {
 }
 
 TEST(CliArgs, MissingAndMalformedNumbersFallBack) {
-  const auto args = parse({"--rate", "abc"}, {"rate", "other"});
+  const auto args = parse({"--rate", "abc", "--count=1.5", "--bare"},
+                          {"rate", "count", "bare", "other"});
   EXPECT_DOUBLE_EQ(args.number_or("rate", 9.5), 9.5);
+  EXPECT_EQ(args.uint_or("count", 3), 3u);
   EXPECT_EQ(args.uint_or("other", 3), 3u);
+  EXPECT_EQ(args.uint_or("bare", 5), 5u);
   EXPECT_EQ(args.get_or("other", "dflt"), "dflt");
+  // A malformed value is an error, named by its flag; an absent flag or
+  // one without a value is not.
+  EXPECT_EQ(args.errors(),
+            (std::vector<std::string>{"malformed value for --rate: 'abc'",
+                                      "malformed value for --count: '1.5'"}));
 }
 
 TEST(CliArgs, SwitchFollowedByFlagDoesNotConsumeIt) {
@@ -667,6 +675,20 @@ TEST(ConfigLoader, WorkloadUnknownHostNameFailsAtLoadTime) {
   EXPECT_THROW(core::MonitoringSystem{config}, std::invalid_argument);
 }
 
+// The bounds that keep each converted number's cast defined load; one
+// past them is a diagnostic (pinned in DiagnosticTextIsPinned).
+TEST(ConfigLoader, RangeBoundsThemselvesLoad) {
+  const auto config = core::config_from_text(R"({
+    "seed": 0, "tap_latency_us": 0,
+    "control": {"flow_idle_timeout_s": 1000000000},
+    "workloads": [{"kind": "syn_flood", "port": 65535,
+                   "port_count": 4294967295}]})");
+  EXPECT_EQ(config.control.flow_idle_timeout,
+            units::seconds(1'000'000'000));
+  EXPECT_EQ(config.workloads[0].port, 65535);
+  EXPECT_EQ(config.workloads[0].port_count, 4294967295u);
+}
+
 TEST(ConfigLoader, DiagnosticTextIsPinned) {
   // The exact text of every diagnostic shape the loader produces: JSON
   // path, quoting and wording are part of the CLI's contract.
@@ -789,6 +811,52 @@ TEST(ConfigLoader, DiagnosticTextIsPinned) {
        "config: program: 'programs[0].ops[0].op' unknown op: warp"},
       {R"({"control": {"digest_poll_ms": []}})",
        "config: 'control.digest_poll_ms' must be a number"},
+      // Range checks: a negative, fractional or huge value in an
+      // untrusted config is a diagnostic, not an undefined cast.
+      {R"({"seed": -1})", "config: 'seed' must be a non-negative integer"},
+      {R"({"seed": 1.5})", "config: 'seed' must be a non-negative integer"},
+      {R"({"tap_latency_us": -1})",
+       "config: 'tap_latency_us' must be in [0, 1000000000000000]"},
+      {R"({"topology": {"bottleneck_mbps": -5}})",
+       "config: 'topology.bottleneck_mbps' must be in [0, 1000000000]"},
+      {R"({"topology": {"rtt_ms": [1, 2, 1e300]}})",
+       "config: 'topology.rtt_ms[2]' must be in [0, 1000000000000]"},
+      {R"({"topology": {"core_buffer_bytes": 1e20}})",
+       "config: 'topology.core_buffer_bytes' must be a non-negative "
+       "integer"},
+      {R"({"program": {"promotion_kb": 1e18}})",
+       "config: 'program.promotion_kb' must be in [0, 1000000000]"},
+      {R"({"program": {"int_sample_every": 5e9}})",
+       "config: 'program.int_sample_every' must be in [0, 4294967295]"},
+      {R"({"transport": {"drain_kbps": -1}})",
+       "config: 'transport.drain_kbps' must be in [0, 1000000000]"},
+      {R"({"transport": {"queue_capacity": -3}})",
+       "config: 'transport.queue_capacity' must be a non-negative integer"},
+      {R"({"transport": {"health_interval_s": 1e10}})",
+       "config: 'transport.health_interval_s' must be in [0, 1000000000]"},
+      {R"({"transport": {"resilient": true, "faults": [{"at_s": -1}]}})",
+       "config: 'transport.faults[0].at_s' must be in [0, 1000000000]"},
+      {R"({"trace": {"snaplen": -1}})",
+       "config: 'trace.snaplen' must be a non-negative integer"},
+      {R"({"archive": {"wal_batch_docs": -1}})",
+       "config: 'archive.wal_batch_docs' must be a non-negative integer"},
+      {R"({"archive": {"rollup_bucket_s": -60}})",
+       "config: 'archive.rollup_bucket_s' must be in [0, 1000000000]"},
+      {R"({"serving": {"reader_threads": 1e30}})",
+       "config: 'serving.reader_threads' must be a non-negative integer"},
+      {R"({"telemetry": {"nids": {"window_ms": 1e13}}})",
+       "config: 'telemetry.nids.window_ms' must be in [1, 1000000000000]"},
+      {R"({"telemetry": {"spin_rtt": {"rtt_floor_us": -2}}})",
+       "config: 'telemetry.spin_rtt.rtt_floor_us' must be in [0, "
+       "1000000000000000]"},
+      {R"({"workloads": [{"kind": "syn_flood", "port": 70000}]})",
+       "config: 'workloads[0].port' must be in [0, 65535]"},
+      {R"({"workloads": [{"kind": "syn_flood", "spoof_count": 1e10}]})",
+       "config: 'workloads[0].spoof_count' must be in [0, 4294967295]"},
+      {R"({"workloads": [{"kind": "elephant_mice", "elephant_mb": -1}]})",
+       "config: 'workloads[0].elephant_mb' must be in [0, 1000000000]"},
+      {R"({"control": {"digest_poll_ms": -10}})",
+       "config: 'control.digest_poll_ms' must be in [0, 1000000000000]"},
   };
   for (const auto& [text, expected] : cases) {
     EXPECT_EQ(config_error(text), expected) << text;

@@ -54,9 +54,7 @@ TEST(MonitoringSystem, PsConfigDrivesControlPlane) {
   const auto result = system.psonar().psconfig().execute(
       "psconfig config-P4 --metric throughput --samples_per_second 10");
   EXPECT_TRUE(result.ok);
-  EXPECT_EQ(system.control_plane()
-                .metric_config(cp::MetricKind::kThroughput)
-                .interval,
+  EXPECT_EQ(system.control_plane().extractor_config("throughput").interval,
             units::milliseconds(100));
 }
 

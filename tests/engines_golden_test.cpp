@@ -6,9 +6,10 @@
 //      byte — the default-path goldens never see these engines, so this
 //      is what pins their dispatch and export across refactors.
 //   2. Replaying the same run's capture through trace::ReplayPipeline,
-//      with the same program config and per-metric rates, must reproduce
-//      the live engine reports byte for byte: a replayed site is
-//      assembled exactly like a live one.
+//      with the same program config and the live control plane's
+//      config() snapshot alone, must reproduce the live engine reports
+//      byte for byte: a replayed site is assembled exactly like a live
+//      one, and the snapshot carries every extractor's rate.
 //
 // Regenerate the committed stream after an intentional behavior change:
 //   P4S_UPDATE_GOLDEN=1 ./build/tests/engines_golden_test
@@ -45,8 +46,8 @@ struct Collector : cp::ReportSink {
 constexpr SimTime kHorizon = seconds(9);
 
 // Per-metric extraction rates, set by name on the live control plane
-// (through psconfig) and on the replay's: builtins at 2/s, the engines'
-// extractors at rates of their own.
+// through psconfig: the paper metrics at 2/s, the engines' extractors at
+// rates of their own.
 const std::vector<std::pair<std::string, double>> kRates = {
     {"rtt_histogram", 4.0},
     {"iat_histogram", 2.0},
@@ -165,7 +166,7 @@ TEST(EnginesGolden, LiveReportStreamMatchesCommittedGolden) {
   compare_lines(read_lines(kGoldenReports), live.reports);
 }
 
-TEST(EnginesGolden, ReplayReproducesLiveEngineReports) {
+TEST(EnginesGolden, ReplayFromConfigSnapshotAloneReproducesEngineReports) {
   const std::string base = ::testing::TempDir() + "engines_replay_parity";
   const LiveRun live = run_live(base);
   const std::vector<std::string> expected = engine_lines(live.reports);
@@ -182,7 +183,9 @@ TEST(EnginesGolden, ReplayReproducesLiveEngineReports) {
   for (const auto& [metric, sps] : kRates) {
     ASSERT_TRUE(pipeline.control_plane().has_extractor(metric))
         << "the replayed site has no '" << metric << "' extractor";
-    pipeline.control_plane().set_samples_per_second(metric, sps);
+    EXPECT_EQ(pipeline.control_plane().extractor_config(metric).interval,
+              units::seconds_f(1.0 / sps))
+        << metric;
   }
   pipeline.run(trace, kHorizon);
   compare_lines(expected, engine_lines(pipeline.report_lines()));

@@ -359,7 +359,7 @@ TEST_F(PsConfigFixture, Figure6Line1SetsThroughputRate) {
   const auto result = psconfig.execute(
       "psconfig config-P4 --metric throughput --samples_per_second 1");
   EXPECT_TRUE(result.ok) << result.message;
-  EXPECT_EQ(control.metric_config(cp::MetricKind::kThroughput).interval,
+  EXPECT_EQ(control.extractor_config("throughput").interval,
             units::seconds(1));
 }
 
@@ -367,7 +367,7 @@ TEST_F(PsConfigFixture, Figure6Line2SetsRttRate) {
   const auto result = psconfig.execute(
       "psconfig config-P4 --metric RTT --samples_per_second 2");
   EXPECT_TRUE(result.ok);
-  EXPECT_EQ(control.metric_config(cp::MetricKind::kRtt).interval,
+  EXPECT_EQ(control.extractor_config("rtt").interval,
             units::milliseconds(500));
 }
 
@@ -376,7 +376,7 @@ TEST_F(PsConfigFixture, Figure6Line3ConfiguresAlertAndBoost) {
       "psconfig config-P4 --metric queue_occupancy --alert --threshold 30 "
       "--samples_per_second 10");
   EXPECT_TRUE(result.ok);
-  const auto& mc = control.metric_config(cp::MetricKind::kQueueOccupancy);
+  const auto& mc = control.extractor_config("queue_occupancy");
   EXPECT_TRUE(mc.alert_enabled);
   EXPECT_DOUBLE_EQ(mc.alert_threshold, 30.0);
   EXPECT_EQ(mc.boosted_interval, units::milliseconds(100));
@@ -385,11 +385,46 @@ TEST_F(PsConfigFixture, Figure6Line3ConfiguresAlertAndBoost) {
 TEST_F(PsConfigFixture, NoMetricAppliesToAll) {
   ASSERT_TRUE(
       psconfig.execute("psconfig config-P4 --samples_per_second 4").ok);
-  for (std::size_t i = 0; i < cp::kMetricCount; ++i) {
-    EXPECT_EQ(
-        control.metric_config(static_cast<cp::MetricKind>(i)).interval,
-        units::milliseconds(250));
+  for (std::string_view metric : cp::kPaperMetrics) {
+    EXPECT_EQ(control.extractor_config(metric).interval,
+              units::milliseconds(250));
   }
+}
+
+// One name-based path: no --metric reaches the four paper metrics only,
+// and Figure 6's "RTT" is the same row as "rtt".
+TEST_F(PsConfigFixture, MetricsAreConfiguredByNameAlone) {
+  cp::ControlPlane::MetricExtractor extension;
+  extension.name = "volume";
+  extension.value_key = "volume_bytes";
+  extension.read_switch = [](SimTime) { return 0.0; };
+  cp::MetricConfig fallback;
+  fallback.interval = units::milliseconds(200);
+  control.register_extractor(std::move(extension), fallback);
+
+  ASSERT_TRUE(
+      psconfig.execute("psconfig config-P4 --samples_per_second 4").ok);
+  EXPECT_EQ(control.extractor_config("rtt").interval,
+            units::milliseconds(250));
+  EXPECT_EQ(control.extractor_config("volume").interval,
+            units::milliseconds(200));
+
+  ASSERT_TRUE(psconfig
+                  .execute("psconfig config-P4 --metric RTT "
+                           "--samples_per_second 8")
+                  .ok);
+  EXPECT_EQ(control.extractor_config("rtt").interval,
+            units::milliseconds(125));
+  ASSERT_TRUE(psconfig
+                  .execute("psconfig config-P4 --metric rtt "
+                           "--samples_per_second 5")
+                  .ok);
+  EXPECT_EQ(control.extractor_config("rtt").interval,
+            units::milliseconds(200));
+  const auto unknown = psconfig.execute(
+      "psconfig config-P4 --metric bogus --samples_per_second 1");
+  EXPECT_FALSE(unknown.ok);
+  EXPECT_EQ(unknown.message, "config-P4: unknown metric: bogus");
 }
 
 TEST_F(PsConfigFixture, RejectsMalformedCommands) {
@@ -447,9 +482,9 @@ TEST_F(PsConfigFabricFixture, DefaultTargetsEverySwitch) {
                   .execute("psconfig config-P4 --metric rtt "
                            "--samples_per_second 4")
                   .ok);
-  EXPECT_EQ(site_a.metric_config(cp::MetricKind::kRtt).interval,
+  EXPECT_EQ(site_a.extractor_config("rtt").interval,
             units::milliseconds(250));
-  EXPECT_EQ(site_b.metric_config(cp::MetricKind::kRtt).interval,
+  EXPECT_EQ(site_b.extractor_config("rtt").interval,
             units::milliseconds(250));
 }
 
@@ -458,9 +493,9 @@ TEST_F(PsConfigFabricFixture, SwitchFlagTargetsOneSiteById) {
                   .execute("psconfig config-P4 --switch site-b --metric rtt "
                            "--samples_per_second 8")
                   .ok);
-  EXPECT_NE(site_a.metric_config(cp::MetricKind::kRtt).interval,
+  EXPECT_NE(site_a.extractor_config("rtt").interval,
             units::milliseconds(125));
-  EXPECT_EQ(site_b.metric_config(cp::MetricKind::kRtt).interval,
+  EXPECT_EQ(site_b.extractor_config("rtt").interval,
             units::milliseconds(125));
 }
 
@@ -469,9 +504,9 @@ TEST_F(PsConfigFabricFixture, SwitchFlagAcceptsZeroBasedIndex) {
                   .execute("psconfig config-P4 --switch 0 --metric rtt "
                            "--samples_per_second 8")
                   .ok);
-  EXPECT_EQ(site_a.metric_config(cp::MetricKind::kRtt).interval,
+  EXPECT_EQ(site_a.extractor_config("rtt").interval,
             units::milliseconds(125));
-  EXPECT_NE(site_b.metric_config(cp::MetricKind::kRtt).interval,
+  EXPECT_NE(site_b.extractor_config("rtt").interval,
             units::milliseconds(125));
 }
 

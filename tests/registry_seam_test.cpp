@@ -208,8 +208,6 @@ TEST_F(ExtractorFixture, ExtensionAlertsBoostLikeBuiltins) {
   sim.run_until(seconds(3));
   ASSERT_FALSE(control.alerts().empty());
   EXPECT_EQ(control.alerts()[0].metric_name, "spy_metric");
-  EXPECT_FALSE(control.alerts()[0].metric.has_value())
-      << "extension alerts carry no builtin kind";
   // The boosted cadence kicked in: far more than 2/s after the breach.
   EXPECT_GT(collector.count_of("spy_metric"), 10u);
 }

@@ -377,7 +377,7 @@ TEST(HistogramExtractor, EmitsSwitchWideReportsWithQuantilesAndBins) {
   sw.load_program(program);
   cp::ControlPlane plane(sim, program, cp::ControlPlaneConfig{});
   cp::register_engine_exports(plane, program);
-  EXPECT_EQ(plane.extractor_count(), cp::kMetricCount + 3);
+  EXPECT_EQ(plane.extractor_count(), cp::kPaperMetrics.size() + 3);
   // The name-based configuration seam covers the new extractors.
   plane.set_samples_per_second("rtt_histogram", 2.0);
   EXPECT_THROW(cp::register_engine_exports(plane, program),

@@ -230,7 +230,7 @@ TEST(StoreConcurrency, BlockCacheCountsHitsMissesAndEvictions) {
   }
   const auto scan_all = [&] {
     std::uint64_t visited = 0;
-    store.scan("idx", Store::ScanOptions{}, [&](const util::Json&) {
+    store.scan("idx", ScanOptions{}, [&](const util::Json&) {
       ++visited;
       return true;
     });
@@ -249,13 +249,13 @@ TEST(StoreConcurrency, BlockCacheCountsHitsMissesAndEvictions) {
   // An unbounded cache keeps everything resident: second scan is all hits.
   Store warm(dir, StoreConfig{});
   std::uint64_t visited = 0;
-  warm.scan("idx", Store::ScanOptions{}, [&](const util::Json&) {
+  warm.scan("idx", ScanOptions{}, [&](const util::Json&) {
     ++visited;
     return true;
   });
   ASSERT_EQ(visited, 12u);
   visited = 0;
-  warm.scan("idx", Store::ScanOptions{}, [&](const util::Json&) {
+  warm.scan("idx", ScanOptions{}, [&](const util::Json&) {
     ++visited;
     return true;
   });

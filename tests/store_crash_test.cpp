@@ -128,7 +128,7 @@ TEST(StoreCrash, EveryWriteBoundaryRecoversWithoutLosingCommittedDocs) {
     // Recovered data is coherent: every doc is scannable and carries
     // its fields.
     std::uint64_t visited = 0;
-    recovered.scan("tput", Store::ScanOptions{}, [&](const util::Json& doc) {
+    recovered.scan("tput", ScanOptions{}, [&](const util::Json& doc) {
       EXPECT_TRUE(doc.contains("ts_ns"));
       EXPECT_TRUE(doc.contains("throughput_bps"));
       ++visited;

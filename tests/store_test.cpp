@@ -326,7 +326,7 @@ TEST(StoreLifecycle, NewestFirstScanReversesSegmentsAndMemtable) {
   store.seal("idx");
   for (int i = 4; i < 6; ++i) store.append("idx", doc_at(i, i));
   std::vector<std::int64_t> order;
-  Store::ScanOptions newest;
+  ScanOptions newest;
   newest.newest_first = true;
   store.scan("idx", newest, [&](const util::Json& doc) {
     order.push_back(doc.at("ts_ns").as_int());
@@ -345,7 +345,7 @@ TEST(StorePruning, TimeRangePrunesDisjointSegments) {
     store.seal("idx");
   }
   ASSERT_EQ(store.segment_count("idx"), 3u);
-  Store::ScanOptions options;
+  ScanOptions options;
   options.range_field = "ts_ns";
   options.range_min = 1000;
   options.range_max = 1004;
@@ -370,7 +370,7 @@ TEST(StorePruning, TermBloomPrunesForeignSites) {
   // switch_id is low-cardinality (one distinct value over five docs), so
   // v2 segments posting-index it: the foreign segments prune via exact
   // empty posting lists and the matching one seeks straight to its rows.
-  Store::ScanOptions options;
+  ScanOptions options;
   options.term_keys = {term_key("switch_id", "cern")};
   std::size_t visited = 0;
   store.scan("idx", options, [&](const util::Json&) {
@@ -384,7 +384,7 @@ TEST(StorePruning, TermBloomPrunesForeignSites) {
 
   // throughput_bps is distinct per doc — never posting-indexed — so a
   // term on an absent value still prunes through the bloom filter.
-  Store::ScanOptions bloom;
+  ScanOptions bloom;
   bloom.term_keys = {term_key("throughput_bps", util::Json(999))};
   std::size_t bloom_visited = 0;
   store.scan("idx", bloom, [&](const util::Json&) {
@@ -404,7 +404,7 @@ TEST(StorePruning, RangeOnFieldNoDocumentCarriesPrunesEverySegment) {
     store.append("idx", doc);
   }
   store.seal("idx");
-  Store::ScanOptions options;
+  ScanOptions options;
   options.range_field = "throughput_bps";
   options.range_min = 0;
   std::size_t visited = 0;
@@ -638,7 +638,7 @@ TEST(StoreCli, DumpAndServeStatsOnEmptyStoreSucceedWithoutCreatingIt) {
   // Direct API on a read-only empty store behaves the same way.
   Store store(dir, {}, OpenMode::read_only);
   std::size_t visited = 0;
-  store.scan("anything", Store::ScanOptions{}, [&](const util::Json&) {
+  store.scan("anything", ScanOptions{}, [&](const util::Json&) {
     ++visited;
     return true;
   });
@@ -696,7 +696,7 @@ TEST(StoreTiering, MaintainBoundsSegmentCountLogarithmically) {
 
   // Order and content survived all the merging.
   std::int64_t expect_ts = 0;
-  store.scan("idx", Store::ScanOptions{}, [&](const util::Json& doc) {
+  store.scan("idx", ScanOptions{}, [&](const util::Json& doc) {
     EXPECT_EQ(doc.at("ts_ns").as_int(), expect_ts);
     ++expect_ts;
     return true;
