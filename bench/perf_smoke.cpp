@@ -4,8 +4,7 @@
 //
 // exits non-zero if any file is missing, malformed, or off-schema.
 // Absolute numbers are machine-dependent and are archived, not
-// asserted; the hot-path measurements themselves live in
-// micro_pipeline.
+// asserted; the end-to-end and per-stage timings live in bench/e2e.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -19,9 +18,9 @@ using namespace p4s;
 namespace {
 
 // Bench-specific schema contracts layered over the generic p4s-bench-v1
-// shape. fabric_scaling must carry its headline wall/throughput keys —
-// downstream tooling plots them by name, so a silent rename is a gate
-// failure, not a soft drift.
+// shape. program_vm must carry its headline keys — downstream tooling
+// plots them by name, so a silent rename is a gate failure, not a soft
+// drift.
 bool validate_bench_contract(const std::string& file) {
   std::ifstream in(file);
   if (!in) return false;
@@ -43,24 +42,7 @@ bool validate_bench_contract(const std::string& file) {
       }
       return true;
     };
-    if (name == "fabric_scaling") {
-      for (const char* key :
-           {"wall_seconds", "copies_per_switch_per_sec"}) {
-        if (!require_positive(key)) return false;
-      }
-    } else if (name == "sketch_scale") {
-      // The headline keys of each part: fidelity sample count, the
-      // 100k-flow tier throughputs (present in quick and full runs), and
-      // the pipeline match rate. The rel-err *bounds* are enforced by the
-      // bench's own exit code; here we gate on the schema.
-      for (const char* key :
-           {"fidelity_samples", "fidelity_adds_per_sec",
-            "registers_100k_events_per_sec", "cuckoo_100k_events_per_sec",
-            "cuckoo_100k_tracked", "pipeline_pairs",
-            "pipeline_copies_per_sec"}) {
-        if (!require_positive(key)) return false;
-      }
-    } else if (name == "program_vm") {
+    if (name == "program_vm") {
       // The interpreter-overhead headline: both throughputs and the
       // ratio. The overhead *budget* is enforced by the bench's own
       // exit code; here we gate on the schema.

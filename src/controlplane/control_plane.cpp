@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 namespace p4s::cp {
 
 ControlPlane::ControlPlane(sim::Simulation& sim,

@@ -1,17 +1,11 @@
 #include "net/host.hpp"
 
-#include "util/logging.hpp"
-
 namespace p4s::net {
 
 void Host::send(Packet pkt) {
   pkt.ip.id = ip_id_++;
   ++sent_pkts_;
-  if (uplink_ == nullptr) {
-    P4S_WARN() << name_ << ": send with no uplink attached";
-    return;
-  }
-  uplink_->enqueue(pkt);
+  if (uplink_ != nullptr) uplink_->enqueue(pkt);
 }
 
 void Host::bind(Protocol proto, std::uint16_t port, Handler handler) {
@@ -24,10 +18,7 @@ void Host::unbind(Protocol proto, std::uint16_t port) {
 
 void Host::on_packet(const Packet& pkt) {
   ++received_pkts_;
-  if (pkt.ip.dst != ip_) {
-    P4S_DEBUG() << name_ << ": dropping packet for " << to_string(pkt.ip.dst);
-    return;
-  }
+  if (pkt.ip.dst != ip_) return;
 
   if (pkt.is_icmp()) {
     const IcmpHeader& icmp = pkt.icmp();
@@ -55,8 +46,6 @@ void Host::on_packet(const Packet& pkt) {
   }
   if (auto it = handlers_.find(key(proto, dst_port)); it != handlers_.end()) {
     it->second(pkt);
-  } else {
-    P4S_DEBUG() << name_ << ": no listener on port " << dst_port;
   }
 }
 

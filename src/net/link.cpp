@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "util/logging.hpp"
-
 namespace p4s::net {
 
 SimTime Link::transmit(const Packet& pkt) {

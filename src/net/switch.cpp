@@ -1,7 +1,5 @@
 #include "net/switch.hpp"
 
-#include "util/logging.hpp"
-
 namespace p4s::net {
 
 std::size_t LegacySwitch::add_port(OutputPort& port) {
@@ -36,7 +34,6 @@ void LegacySwitch::on_packet(const Packet& pkt) {
   if (auto it = fib_.find(fwd.ip.dst); it != fib_.end()) out = it->second;
   if (out == kNoPort || out >= ports_.size()) {
     ++unroutable_pkts_;
-    P4S_DEBUG() << name_ << ": no route for " << to_string(fwd.ip.dst);
     return;
   }
   ++forwarded_pkts_;

@@ -1,7 +1,5 @@
 #include "psonar/logstash.hpp"
 
-#include "util/logging.hpp"
-
 namespace p4s::ps {
 
 void Logstash::add_filter(std::string name, Filter filter) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "tcp/seq.hpp"
-#include "util/logging.hpp"
 
 namespace p4s::tcp {
 

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "tcp/seq.hpp"
-#include "util/logging.hpp"
 
 namespace p4s::tcp {
 
@@ -215,10 +214,7 @@ void TcpSender::handle_ack(const net::Packet& pkt) {
     return;
   }
 
-  if (seq_gt(ack, snd_nxt_)) {
-    P4S_DEBUG() << "ack beyond snd_nxt ignored";
-    return;
-  }
+  if (seq_gt(ack, snd_nxt_)) return;  // acks data never sent
 
   const std::uint64_t newly_sacked = merge_sack(tcp);
 

@@ -5,7 +5,10 @@
 // "telemetry" config section, and the trace CLI's --histogram mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -353,6 +356,59 @@ TEST(HistogramEngines, IatAndQueueDelayObserveEgressPath) {
   EXPECT_NEAR(p.engine(1).quantile_ns(0.5),
               static_cast<double>(units::milliseconds(2)),
               0.05 * static_cast<double>(units::milliseconds(2)));
+}
+
+// The switch-wide queue-delay sketch against the exact quantiles of the
+// delays injected between each TAP pair's ingress and egress copies:
+// every pair is matched, and p50/p99 stay within the sketch's relative
+// accuracy alpha plus 10% bucket-rounding slack.
+TEST(HistogramEngines, QueueDelayQuantilesTrackInjectedDelaysWithinAlpha) {
+  constexpr std::size_t kPairs = 20'000;
+  constexpr double kAlpha = 0.01;
+  DataPlaneProgram::Config config;
+  HistogramEngineConfig hc;
+  hc.metric = HistogramEngineConfig::Metric::kQueueDelay;
+  hc.sketch_alpha = kAlpha;
+  config.histograms.push_back(hc);
+  DataPlaneProgram program(config);
+  sim::Simulation sim;
+  p4::P4Switch sw(sim, "dut");
+  sw.load_program(program);
+
+  std::mt19937_64 rng(13);
+  std::lognormal_distribution<double> delay_dist(std::log(50e3), 0.8);
+  std::vector<double> exact;
+  exact.reserve(kPairs);
+  SimTime t = units::milliseconds(1);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const auto delay = static_cast<SimTime>(std::max(1.0, delay_dist(rng)));
+    exact.push_back(static_cast<double>(delay));
+    net::Packet pkt = net::make_tcp_packet(
+        net::ipv4(10, 0, static_cast<std::uint8_t>(i >> 8),
+                  static_cast<std::uint8_t>(i)),
+        kDst, 40000, 5201, static_cast<std::uint32_t>(1000 + i), 0,
+        net::tcpflags::kAck, 512, 1 << 16);
+    pkt.ip.id = static_cast<std::uint16_t>(i + 1);
+    sim.at(t, [&sw, pkt]() {
+      sw.on_mirrored(pkt, net::MirrorPoint::kIngress);
+    });
+    sim.at(t + delay, [&sw, pkt]() {
+      sw.on_mirrored(pkt, net::MirrorPoint::kEgress);
+    });
+    t += units::microseconds(10);
+  }
+  sim.run();
+
+  const auto& engine =
+      *program.engines_of<telemetry::HistogramEngine>().at(0);
+  EXPECT_EQ(engine.samples(), kPairs);
+  std::sort(exact.begin(), exact.end());
+  for (const double q : {0.50, 0.99}) {
+    const double truth = exact[static_cast<std::size_t>(
+        q * static_cast<double>(kPairs - 1))];
+    EXPECT_NEAR(engine.quantile_ns(q), truth, 1.10 * kAlpha * truth)
+        << "q=" << q;
+  }
 }
 
 TEST(HistogramEngines, DefaultPipelineHasNone) {

@@ -324,6 +324,81 @@ TEST(StoreConcurrency, StoreServerServesSyncAndAsyncQueries) {
   EXPECT_EQ(stats.latest_queries, 1u);
 }
 
+// The dashboards' mixed query load (term, range, aggregate, latest)
+// through a StoreServer while a writer appends, seals and compacts.
+// Under a single writer snapshots only move forward, so no reader may
+// see its term-match count shrink; the store must verify clean after.
+TEST(StoreConcurrency, ServerReadersSeeMonotonicTermCountsUnderWriterChurn) {
+  const std::string dir = fresh_dir("serve_churn");
+  StoreConfig config;
+  config.seal_min_docs = 64;
+  config.compact_fanin = 4;
+  Store store(dir, config);
+  constexpr int kPreload = 1024;
+  constexpr int kWrites = 1024;
+  constexpr int kReaders = 4;
+  constexpr int kMinQueries = 40;
+  const char* sites[] = {"s0", "s1", "s2"};
+  const auto write = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      store.append("tput", doc_at(i, 100 + i % 977, sites[i % 3]));
+      if ((i + 1) % 32 == 0) store.maintain();
+    }
+  };
+  write(0, kPreload);
+
+  ps::StoreServerConfig server_config;
+  server_config.reader_threads = 0;  // readers query synchronously
+  const ps::StoreServer server(store, server_config);
+  ps::ArchiverQuery term;
+  term.terms["switch_id"] = util::Json(std::string("s0"));
+  ps::ArchiverQuery recent;
+  recent.range_field = "ts_ns";
+  recent.range_min = kPreload * 0.9;
+  recent.limit = 64;
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> shrinks{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::size_t last_term_count = 0;
+      // Keep querying until the writer is done, so every reader overlaps
+      // the churn however the threads are scheduled.
+      for (int q = 0; q < kMinQueries || !writer_done.load(); ++q) {
+        switch ((q + r) % 4) {
+          case 0: {
+            const std::size_t count = server.search("tput", term).size();
+            if (count < last_term_count) shrinks.fetch_add(1);
+            last_term_count = count;
+            break;
+          }
+          case 1:
+            (void)server.search("tput", recent);
+            break;
+          case 2:
+            (void)server.aggregate("tput", "throughput_bps");
+            break;
+          default:
+            (void)server.latest_value("tput", "throughput_bps");
+            break;
+        }
+      }
+    });
+  }
+  write(kPreload, kPreload + kWrites);
+  writer_done.store(true);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(shrinks.load(), 0);
+  EXPECT_EQ(server.search("tput", term).size(),
+            static_cast<std::size_t>((kPreload + kWrites + 2) / 3));
+  EXPECT_GT(store.stats().compactions, 0u);
+  store.flush();
+  const auto verify = Store::verify(dir);
+  EXPECT_TRUE(verify.ok) << (verify.errors.empty() ? "" : verify.errors[0]);
+}
+
 TEST(StoreConcurrency, ReadOnlyOpenRejectsWrites) {
   const std::string dir = fresh_dir("read_only");
   {

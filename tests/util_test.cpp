@@ -1,4 +1,4 @@
-// Unit tests: util module (JSON, statistics, CSV, units, logging).
+// Unit tests: util module (JSON, statistics, CSV, units).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 
 #include "util/csv.hpp"
 #include "util/json.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -332,31 +331,6 @@ TEST(Units, TransmissionTimeNoOverflowJumboOnSlowLink) {
   // 9000-byte jumbo on a 1 kbps link: 72 s; must not overflow.
   EXPECT_EQ(units::transmission_time(9000, units::kbps(1)),
             units::seconds(72));
-}
-
-// ---------- Logging ----------
-
-TEST(Logging, LevelFiltering) {
-  std::vector<std::string> captured;
-  set_log_sink([&](LogLevel, const std::string& m) {
-    captured.push_back(m);
-  });
-  set_log_level(LogLevel::kWarn);
-  P4S_DEBUG() << "hidden";
-  P4S_WARN() << "shown " << 42;
-  set_log_sink(nullptr);
-  set_log_level(LogLevel::kWarn);
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0], "shown 42");
-}
-
-TEST(Logging, SinkRestore) {
-  set_log_sink(nullptr);
-  // Writing to the default sink (stderr) must not crash.
-  set_log_level(LogLevel::kError);
-  P4S_ERROR() << "stderr path exercised";
-  set_log_level(LogLevel::kWarn);
-  SUCCEED();
 }
 
 }  // namespace
