@@ -14,7 +14,8 @@ QuicSender::QuicSender(sim::Simulation& sim, net::Host& host,
       src_port_(src_port),
       dst_port_(dst_port),
       config_(config),
-      rtt_(config.rtt) {
+      rtt_(config.rtt),
+      rto_timer_(sim.events(), [this]() { on_rto_expired(); }) {
   unbounded_ = config_.bytes_to_send == 0;
   target_bytes_ = unbounded_ ? ~0ULL : config_.bytes_to_send;
   host_.bind(net::Protocol::kUdp, src_port_,
@@ -22,7 +23,6 @@ QuicSender::QuicSender(sim::Simulation& sim, net::Host& host,
 }
 
 QuicSender::~QuicSender() {
-  rto_timer_.cancel();
   host_.unbind(net::Protocol::kUdp, src_port_);
 }
 
@@ -64,7 +64,7 @@ void QuicSender::send_initial(bool retransmit) {
   host_.send(net::make_quic_packet(host_.ip(), dst_ip_, src_port_,
                                    dst_port_, hdr,
                                    config_.handshake_payload_bytes));
-  arm_rto();
+  rto_timer_.arm(rtt_.rto());
 }
 
 void QuicSender::on_packet(const net::Packet& pkt) {
@@ -119,9 +119,9 @@ void QuicSender::process_ack(const net::QuicFrames& frames) {
   rtt_.add_sample(sim_.now() - largest_sent_at);
   detect_losses(largest_acked_);
   if (inflight_.empty()) {
-    rto_timer_.cancel();
+    rto_timer_.disarm();
   } else {
-    arm_rto();
+    rto_timer_.arm(rtt_.rto());
   }
 }
 
@@ -185,7 +185,7 @@ void QuicSender::send_stream_packet(std::uint64_t offset, std::uint32_t len,
   ++stats_.packets_sent;
   if (retransmit) ++stats_.retransmitted_packets;
   host_.send(std::move(pkt));
-  arm_rto();
+  rto_timer_.arm(rtt_.rto());
 }
 
 void QuicSender::maybe_finish() {
@@ -193,13 +193,8 @@ void QuicSender::maybe_finish() {
   if (!fin_sent_ || !fin_acked_ || !inflight_.empty()) return;
   state_ = State::kClosed;
   stats_.end_time = sim_.now();
-  rto_timer_.cancel();
+  rto_timer_.disarm();
   if (on_complete_) on_complete_();
-}
-
-void QuicSender::arm_rto() {
-  rto_timer_.cancel();
-  rto_timer_ = sim_.after(rtt_.rto(), [this]() { on_rto_expired(); });
 }
 
 void QuicSender::on_rto_expired() {
@@ -210,7 +205,7 @@ void QuicSender::on_rto_expired() {
   // rest follow via threshold detection once acks resume.
   const std::uint32_t oldest = inflight_.begin()->first;
   resend(oldest);
-  arm_rto();
+  rto_timer_.arm(rtt_.rto());
 }
 
 void QuicSender::resend(std::uint32_t old_pn) {

@@ -28,6 +28,7 @@
 #include "net/host.hpp"
 #include "net/packet.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer.hpp"
 #include "tcp/rtt_estimator.hpp"
 
 namespace p4s::quic {
@@ -116,7 +117,6 @@ class QuicSender {
                           bool retransmit);
   bool current_spin() const { return !server_spin_; }
   void maybe_finish();
-  void arm_rto();
   void on_rto_expired();
 
   sim::Simulation& sim_;
@@ -151,7 +151,7 @@ class QuicSender {
   bool last_sent_spin_ = false;
   bool any_sent_short_ = false;
 
-  sim::EventHandle rto_timer_;
+  sim::Timer rto_timer_;
   std::function<void()> on_complete_;
 };
 

@@ -6,27 +6,23 @@
 
 namespace p4s::sim {
 
-EventHandle EventQueue::schedule_at(SimTime at, EventFn fn) {
+void EventQueue::schedule_at(SimTime at, EventFn fn) {
   if (at < now_) {
     throw std::invalid_argument("EventQueue: scheduling into the past");
   }
-  std::uint32_t slot_index;
+  std::uint32_t slot;
   if (!free_slots_.empty()) {
-    slot_index = free_slots_.back();
+    slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot_index = static_cast<std::uint32_t>(slab_.size());
+    slot = static_cast<std::uint32_t>(slab_.size());
     slab_.emplace_back();
   }
-  Slot& slot = slab_[slot_index];
-  slot.fn = std::move(fn);
-  slot.cancelled = false;
-  slot.pending = true;
+  slab_[slot] = std::move(fn);
 
-  heap_.push_back(HeapEntry{at, next_seq_++, slot_index});
+  heap_.push_back(HeapEntry{at, next_seq_++, slot});
   sift_up(heap_.size() - 1);
   if (heap_.size() > peak_live_) peak_live_ = heap_.size();
-  return EventHandle{this, alive_, slot_index, slot.generation};
 }
 
 void EventQueue::sift_up(std::size_t i) {
@@ -60,53 +56,26 @@ void EventQueue::pop_entry() {
   if (!heap_.empty()) sift_down(0);
 }
 
-void EventQueue::reclaim(std::uint32_t slot_index) {
-  Slot& slot = slab_[slot_index];
-  slot.fn = nullptr;  // release captures promptly
-  slot.pending = false;
-  slot.cancelled = false;
-  ++slot.generation;  // stale handles become inert
-  free_slots_.push_back(slot_index);
-}
-
 bool EventQueue::pop_and_run() {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    pop_entry();
-    Slot& slot = slab_[top.slot];
-    if (slot.cancelled) {
-      reclaim(top.slot);
-      continue;  // lazily dropped
-    }
-    assert(top.time >= now_);
-    now_ = top.time;
-    // Move the callback out and reclaim before running: handles report
-    // !pending() while the event executes, and the callback may schedule
-    // into (and reuse) the slot it just vacated.
-    EventFn fn = std::move(slot.fn);
-    reclaim(top.slot);
-    ++executed_;
-    fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const HeapEntry top = heap_.front();
+  pop_entry();
+  assert(top.time >= now_);
+  now_ = top.time;
+  // Move the callback out and free its slot before running: the callback
+  // may schedule into (and reuse) the slot it just vacated.
+  EventFn fn = std::move(slab_[top.slot]);
+  slab_[top.slot] = nullptr;  // release captures promptly
+  free_slots_.push_back(top.slot);
+  ++executed_;
+  fn();
+  return true;
 }
 
 bool EventQueue::step() { return pop_and_run(); }
 
 void EventQueue::run_until(SimTime until) {
-  while (!heap_.empty()) {
-    // Reclaim cancelled events without advancing time, even past the
-    // horizon — cancelled entries carry no semantics, only storage.
-    const HeapEntry top = heap_.front();
-    if (slab_[top.slot].cancelled) {
-      pop_entry();
-      reclaim(top.slot);
-      continue;
-    }
-    if (top.time > until) break;
-    pop_and_run();
-  }
+  while (!heap_.empty() && heap_.front().time <= until) pop_and_run();
   // Advance to the horizon even when the queue drained early: see the
   // contract on the declaration.
   if (now_ < until) now_ = until;

@@ -6,22 +6,19 @@
 // EXPERIMENTS.md must be exactly reproducible.
 //
 // Event records live in a slab (a vector of slots recycled through a free
-// list), so steady-state scheduling performs no heap allocation: no
-// shared_ptr control block per event, and the slot's std::function reuses
-// its small-object storage across events (hot-path callbacks capture a
-// pointer or two and fit inline). Handles address their slot by index
-// plus a generation counter, which makes stale handles (slot since
-// recycled) inert without any per-event ownership.
+// list), so steady-state scheduling performs no heap allocation: heap
+// entries stay 24 bytes, and the slot's std::function reuses its
+// small-object storage across events (hot-path callbacks capture a
+// pointer or two and fit inline).
 //
-// Cancellation is lazy: a cancelled event's heap entry stays put and is
-// skipped when popped, keeping cancel() O(1) (TCP cancels its RTO timer
-// on every ACK, so this path is hot). The slot itself is reclaimed when
-// its heap entry surfaces.
+// Events cannot be cancelled. A callback that may no longer be wanted
+// when it fires checks its owner's state and returns; a timer whose
+// deadline keeps moving (TCP and QUIC retransmission) is a sim::Timer,
+// which keeps one live event per deadline instead of one per re-arm.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "util/units.hpp"
@@ -30,42 +27,9 @@ namespace p4s::sim {
 
 using EventFn = std::function<void()>;
 
-class EventQueue;
-
-/// Handle to a scheduled event; allows cancellation. Default-constructed
-/// handles are inert. Copies refer to the same underlying event. Handles
-/// remain safe to use after the event fired, after cancel(), and after
-/// the queue itself was destroyed (they simply report !pending()).
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Cancel the event if it has not fired yet. Safe to call repeatedly
-  /// and on inert handles.
-  inline void cancel();
-
-  /// True if the handle refers to an event that is still pending.
-  inline bool pending() const;
-
- private:
-  friend class EventQueue;
-  EventHandle(EventQueue* queue, std::weak_ptr<void> alive,
-              std::uint32_t slot, std::uint32_t generation)
-      : queue_(queue),
-        alive_(std::move(alive)),
-        slot_(slot),
-        generation_(generation) {}
-
-  EventQueue* queue_ = nullptr;
-  std::weak_ptr<void> alive_;  // expires with the queue
-  std::uint32_t slot_ = 0;
-  std::uint32_t generation_ = 0;
-};
-
 class EventQueue {
  public:
   EventQueue() = default;
-  // Handles capture the queue's address, so the queue must not move.
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -74,11 +38,11 @@ class EventQueue {
 
   /// Schedule `fn` to run at absolute time `at` (>= now()). Events at
   /// equal times fire in scheduling order.
-  EventHandle schedule_at(SimTime at, EventFn fn);
+  void schedule_at(SimTime at, EventFn fn);
 
   /// Schedule `fn` to run `delay` ns from now.
-  EventHandle schedule_in(SimTime delay, EventFn fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  void schedule_in(SimTime delay, EventFn fn) {
+    schedule_at(now_ + delay, std::move(fn));
   }
 
   /// Run events until the queue is empty or `until` is reached. Events
@@ -95,8 +59,7 @@ class EventQueue {
   /// Execute at most one event; returns false if none were pending.
   bool step();
 
-  /// Heap entries not yet reclaimed. Cancellation is lazy, so a
-  /// cancelled event still counts until its entry is popped.
+  /// Events scheduled and not yet run.
   std::size_t pending_events() const { return heap_.size(); }
   std::uint64_t executed_events() const { return executed_; }
   /// High-water mark of pending_events() over the queue's lifetime (the
@@ -104,14 +67,6 @@ class EventQueue {
   std::size_t peak_pending_events() const { return peak_live_; }
 
  private:
-  friend class EventHandle;
-
-  struct Slot {
-    EventFn fn;
-    std::uint32_t generation = 0;  // bumped on reclaim; stale handles miss
-    bool cancelled = false;
-    bool pending = false;
-  };
   // Key fields are denormalized into the heap entry so sift compares
   // touch one contiguous array instead of chasing slot indices.
   struct HeapEntry {
@@ -127,41 +82,16 @@ class EventQueue {
 
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  void pop_entry();           // remove heap_[0], restore heap order
-  void reclaim(std::uint32_t slot_index);
+  void pop_entry();  // remove heap_[0], restore heap order
   bool pop_and_run();
 
-  bool handle_pending(std::uint32_t slot, std::uint32_t generation) const {
-    return slot < slab_.size() && slab_[slot].generation == generation &&
-           slab_[slot].pending && !slab_[slot].cancelled;
-  }
-  void handle_cancel(std::uint32_t slot, std::uint32_t generation) {
-    if (slot < slab_.size() && slab_[slot].generation == generation &&
-        slab_[slot].pending) {
-      slab_[slot].cancelled = true;
-    }
-  }
-
-  std::vector<Slot> slab_;
+  std::vector<EventFn> slab_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;
-  // Liveness token handed to handles (one allocation per queue, not per
-  // event); expires when the queue is destroyed.
-  std::shared_ptr<void> alive_ = std::make_shared<int>(0);
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t peak_live_ = 0;
 };
-
-inline void EventHandle::cancel() {
-  if (queue_ == nullptr || alive_.expired()) return;
-  queue_->handle_cancel(slot_, generation_);
-}
-
-inline bool EventHandle::pending() const {
-  if (queue_ == nullptr || alive_.expired()) return false;
-  return queue_->handle_pending(slot_, generation_);
-}
 
 }  // namespace p4s::sim

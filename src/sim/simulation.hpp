@@ -22,11 +22,9 @@ class Simulation {
   EventQueue& events() { return events_; }
   Rng& rng() { return rng_; }
 
-  EventHandle at(SimTime t, EventFn fn) {
-    return events_.schedule_at(t, std::move(fn));
-  }
-  EventHandle after(SimTime delay, EventFn fn) {
-    return events_.schedule_in(delay, std::move(fn));
+  void at(SimTime t, EventFn fn) { events_.schedule_at(t, std::move(fn)); }
+  void after(SimTime delay, EventFn fn) {
+    events_.schedule_in(delay, std::move(fn));
   }
 
   /// Schedule `fn` at `start` and then every `period` until it returns

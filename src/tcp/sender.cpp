@@ -22,7 +22,8 @@ TcpSender::TcpSender(sim::Simulation& sim, net::Host& host,
       dst_port_(dst_port),
       config_(std::move(config)),
       cc_(make_congestion_control(config_.congestion_control)),
-      rtt_(config_.rtt) {
+      rtt_(config_.rtt),
+      rto_timer_(sim.events(), [this]() { on_rto_expired(); }) {
   cc_->init(config_.mss,
             static_cast<std::uint64_t>(config_.initial_cwnd_segments) *
                 config_.mss);
@@ -34,7 +35,6 @@ TcpSender::TcpSender(sim::Simulation& sim, net::Host& host,
 }
 
 TcpSender::~TcpSender() {
-  cancel_rto();
   host_.unbind(net::Protocol::kTcp, src_port_);
 }
 
@@ -62,7 +62,7 @@ void TcpSender::send_syn() {
       host_.ip(), dst_ip_, src_port_, dst_port_, isn_, 0, kSyn,
       /*payload=*/0, config_.advertised_window);
   host_.send(std::move(syn));
-  arm_rto();
+  rto_timer_.arm(rtt_.rto());
 }
 
 void TcpSender::on_packet(const net::Packet& pkt) {
@@ -86,7 +86,7 @@ void TcpSender::handle_syn_ack(const net::Packet& pkt) {
   snd_nxt_ = isn_ + 1;
   una_off_ = 0;
   rwnd_ = pkt.tcp().window;
-  cancel_rto();
+  rto_timer_.disarm();
   // The handshake RTT seeds the estimator (a retransmitted SYN would
   // inflate this one sample; it washes out).
   rtt_.add_sample(sim_.now() - stats_.start_time);
@@ -209,7 +209,7 @@ void TcpSender::handle_ack(const net::Packet& pkt) {
 
   // FIN acknowledgment.
   if (state_ == State::kFinSent && ack == fin_seq_ + 1) {
-    cancel_rto();
+    rto_timer_.disarm();
     finish();
     return;
   }
@@ -289,9 +289,9 @@ void TcpSender::on_new_ack(std::uint32_t ack, std::uint64_t acked_bytes,
   }
 
   if (flight_bytes() > 0 || (fin_sent_ && state_ == State::kFinSent)) {
-    arm_rto();
+    rto_timer_.arm(rtt_.rto());
   } else {
-    cancel_rto();
+    rto_timer_.disarm();
   }
 }
 
@@ -328,7 +328,7 @@ void TcpSender::maybe_enter_recovery() {
     recovery_inflation_ = 3ULL * config_.mss;
     retransmit_one(snd_una_);
   }
-  arm_rto();
+  rto_timer_.arm(rtt_.rto());
 }
 
 void TcpSender::exit_recovery() {
@@ -467,7 +467,7 @@ void TcpSender::send_segment(std::uint32_t seq, std::uint32_t len,
     rtt_sample_sent_at_ = sim_.now();
   }
   host_.send(std::move(pkt));
-  if (!rto_timer_.pending()) arm_rto();
+  if (!rto_timer_.armed()) rto_timer_.arm(rtt_.rto());
 }
 
 void TcpSender::maybe_send_fin() {
@@ -484,17 +484,10 @@ void TcpSender::maybe_send_fin() {
       host_.ip(), dst_ip_, src_port_, dst_port_, fin_seq_, 0,
       static_cast<std::uint8_t>(kFin | kAck), 0, config_.advertised_window);
   host_.send(std::move(fin));
-  arm_rto();
+  rto_timer_.arm(rtt_.rto());
 }
 
 // ---- Timers ----------------------------------------------------------------
-
-void TcpSender::arm_rto() {
-  cancel_rto();
-  rto_timer_ = sim_.after(rtt_.rto(), [this]() { on_rto_expired(); });
-}
-
-void TcpSender::cancel_rto() { rto_timer_.cancel(); }
 
 void TcpSender::on_rto_expired() {
   if (state_ == State::kClosed) return;
@@ -505,7 +498,7 @@ void TcpSender::on_rto_expired() {
         host_.ip(), dst_ip_, src_port_, dst_port_, isn_, 0, kSyn, 0,
         config_.advertised_window);
     host_.send(std::move(syn));
-    arm_rto();
+    rto_timer_.arm(rtt_.rto());
     return;
   }
   if (state_ == State::kFinSent && flight_bytes() == 0) {
@@ -514,7 +507,7 @@ void TcpSender::on_rto_expired() {
         static_cast<std::uint8_t>(kFin | kAck), 0,
         config_.advertised_window);
     host_.send(std::move(fin));
-    arm_rto();
+    rto_timer_.arm(rtt_.rto());
     return;
   }
   // Data timeout: collapse the window and restart in slow start. All
@@ -540,7 +533,7 @@ void TcpSender::on_rto_expired() {
   } else {
     retransmit_one(snd_una_);
   }
-  arm_rto();
+  rto_timer_.arm(rtt_.rto());
 }
 
 void TcpSender::finish() {

@@ -11,6 +11,11 @@
 // Wire sequence numbers are wrap-safe 32-bit; the SACK scoreboard and
 // byte totals are kept in 64-bit stream offsets (offset 0 = first data
 // byte), converted at the header boundary.
+//
+// The RTO is one sim::Timer: every ACK moves its deadline, and the timer
+// keeps a single event in the queue instead of one per ACK. Its events,
+// like the token and pacing wakeups, capture `this`, so a sender must
+// outlive every run of its simulation.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +27,7 @@
 #include "net/host.hpp"
 #include "net/packet.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer.hpp"
 #include "tcp/congestion.hpp"
 #include "tcp/rtt_estimator.hpp"
 
@@ -112,8 +118,6 @@ class TcpSender {
   std::uint32_t next_segment_size() const;
   void send_segment(std::uint32_t seq, std::uint32_t len, bool retransmit);
   void maybe_send_fin();
-  void arm_rto();
-  void cancel_rto();
   void on_rto_expired();
   void refill_tokens();
   void schedule_token_wakeup(std::uint32_t needed);
@@ -195,7 +199,7 @@ class TcpSender {
   SimTime cc_tokens_refilled_at_ = 0;
   bool cc_wakeup_armed_ = false;
 
-  sim::EventHandle rto_timer_;
+  sim::Timer rto_timer_;  // RFC 6298 retransmission timer
   std::function<void()> on_complete_;
 };
 

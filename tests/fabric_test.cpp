@@ -178,14 +178,22 @@ void run_conservation_check(std::size_t parallel) {
     ASSERT_GT(site.reports_emitted, 0u) << site.id;
     EXPECT_EQ(archived_by_site[site.id], site.reports_emitted)
         << "site " << site.id << " lost or duplicated reports";
-    // Mirror-pipeline conservation at the barrier: every parsed frame
-    // was mirrored first (copies in flight across the TAP are the only
-    // allowed difference).
-    EXPECT_LE(site.processed + site.parse_errors, site.mirrored) << site.id;
     total_emitted += site.reports_emitted;
   }
   EXPECT_EQ(total_archived, total_emitted);
   EXPECT_EQ(stats.reports_emitted, total_emitted);
+
+  // Mirror-pipeline conservation, exact per site: every copy mirrored by
+  // the barrier reaches its P4 parser one TAP latency later, where it is
+  // either processed or rejected.
+  system.run_until(stats.at + system.config().tap_latency);
+  const auto after_tap = system.fabric_stats();
+  ASSERT_EQ(after_tap.sites.size(), stats.sites.size());
+  for (std::size_t i = 0; i < stats.sites.size(); ++i) {
+    const auto& site = after_tap.sites[i];
+    EXPECT_EQ(site.processed + site.parse_errors, stats.sites[i].mirrored)
+        << site.id;
+  }
 
   // MaDDash renders the fabric as one grid row per site: every site's
   // tap observed at least one tracked flow.

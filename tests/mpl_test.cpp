@@ -426,9 +426,13 @@ struct PsConfigVmFixture : ::testing::Test {
     psconfig.add_control_plane(control, "core", &vm);
   }
 
+  // Named after the running test, so tests run in parallel (ctest -j)
+  // never overwrite each other's program file.
   std::string write_program(const std::string& text) {
     const std::string path =
-        ::testing::TempDir() + "mpl_psconfig_program.json";
+        ::testing::TempDir() + "mpl_psconfig_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".json";
     std::ofstream out(path, std::ios::trunc);
     out << text;
     return path;

@@ -10,6 +10,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer.hpp"
 
 // Global allocation counter backing the steady-state no-allocation
 // assertion below. Replacing operator new is per-binary, so only this
@@ -122,31 +123,6 @@ TEST(EventQueue, SchedulingIntoPastThrows) {
   EXPECT_THROW(q.schedule_at(5, []() {}), std::invalid_argument);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  EventHandle h = q.schedule_at(10, [&]() { ran = true; });
-  EXPECT_TRUE(h.pending());
-  h.cancel();
-  EXPECT_FALSE(h.pending());
-  q.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelIsIdempotentAndSafeAfterFire) {
-  EventQueue q;
-  int runs = 0;
-  EventHandle h = q.schedule_at(1, [&]() { ++runs; });
-  q.run();
-  EXPECT_EQ(runs, 1);
-  EXPECT_FALSE(h.pending());
-  h.cancel();  // after fire: no effect
-  h.cancel();
-  EventHandle inert;
-  inert.cancel();  // default-constructed: no effect
-  EXPECT_FALSE(inert.pending());
-}
-
 TEST(EventQueue, RunUntilStopsAndAdvancesClock) {
   EventQueue q;
   std::vector<SimTime> fired;
@@ -188,14 +164,14 @@ TEST(EventQueue, StepExecutesExactlyOne) {
 
 TEST(EventQueue, CountersTrackLiveAndExecuted) {
   EventQueue q;
-  auto h = q.schedule_at(1, []() {});
+  q.schedule_at(1, []() {});
   q.schedule_at(2, []() {});
   EXPECT_EQ(q.pending_events(), 2u);
-  h.cancel();
-  // Cancellation is lazy: the slot still occupies the heap until popped.
-  EXPECT_EQ(q.pending_events(), 2u);
-  q.run();
+  EXPECT_TRUE(q.step());
+  EXPECT_EQ(q.pending_events(), 1u);
   EXPECT_EQ(q.executed_events(), 1u);
+  q.run();
+  EXPECT_EQ(q.executed_events(), 2u);
   EXPECT_EQ(q.pending_events(), 0u);
 }
 
@@ -211,63 +187,6 @@ TEST(EventQueue, RunUntilAdvancesToHorizonWhenDrainedEarly) {
   EXPECT_EQ(q.now(), 50u);
   q.run_until(10);  // horizon in the past: clock never goes backwards
   EXPECT_EQ(q.now(), 50u);
-}
-
-TEST(EventQueue, CancelledEventBeyondHorizonDoesNotAdvanceClock) {
-  EventQueue q;
-  auto h = q.schedule_at(100, []() {});
-  h.cancel();
-  q.run_until(50);
-  // The cancelled entry may be reclaimed, but its (beyond-horizon) time
-  // must not leak into the clock.
-  EXPECT_EQ(q.now(), 50u);
-  EXPECT_EQ(q.executed_events(), 0u);
-}
-
-TEST(EventQueue, HandleOutlivesQueue) {
-  EventHandle h;
-  {
-    EventQueue q;
-    h = q.schedule_at(5, []() {});
-    EXPECT_TRUE(h.pending());
-  }
-  // The queue is gone; the handle must degrade to inert, not dangle.
-  EXPECT_FALSE(h.pending());
-  h.cancel();
-}
-
-TEST(EventQueue, StaleHandleDoesNotTouchRecycledSlot) {
-  EventQueue q;
-  bool second_ran = false;
-  EventHandle stale = q.schedule_at(1, []() {});
-  q.run();  // slot reclaimed onto the free list
-  // The next event reuses the slot; the stale handle's generation no
-  // longer matches, so cancelling it must not kill the new occupant.
-  EventHandle fresh = q.schedule_at(2, [&]() { second_ran = true; });
-  EXPECT_FALSE(stale.pending());
-  stale.cancel();
-  EXPECT_TRUE(fresh.pending());
-  q.run();
-  EXPECT_TRUE(second_ran);
-}
-
-TEST(EventQueue, RtoStyleCancelRescheduleChurn) {
-  // TCP's RTO pattern: every ACK cancels the pending timer and re-arms
-  // it further out. Only the final arm may fire, and the slab must
-  // recycle slots rather than grow with the churn count.
-  EventQueue q;
-  int fires = 0;
-  EventHandle rto;
-  for (int i = 0; i < 10000; ++i) {
-    rto.cancel();
-    rto = q.schedule_at(static_cast<SimTime>(100 + i),
-                        [&fires]() { ++fires; });
-  }
-  q.run();
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(q.executed_events(), 1u);
-  EXPECT_EQ(q.now(), 100u + 9999u);
-  EXPECT_EQ(q.pending_events(), 0u);
 }
 
 TEST(EventQueue, PeakPendingTracksHighWaterMark) {
@@ -301,6 +220,117 @@ TEST(EventQueue, NoPerEventHeapAllocationInSteadyState) {
   }
   EXPECT_EQ(g_heap_allocs.load(), before);
   EXPECT_EQ(fired, 1024u + 16u * 512u);
+
+  // A timer re-armed on every "ACK" (TCP's RTO pattern) schedules into
+  // recycled slots too: its event captures a pointer and a token.
+  int expiries = 0;
+  Timer rto(q, [&expiries]() { ++expiries; });
+  rto.arm(100);
+  q.run();
+  const std::uint64_t before_rearm = g_heap_allocs.load();
+  for (int round = 0; round < 16; ++round) {
+    for (int i = 0; i < 512; ++i) {
+      rto.arm(static_cast<SimTime>(100 + (i % 7) * 10));
+      q.schedule_in(1, [&fired]() { ++fired; });
+      q.step();
+    }
+    q.run();
+  }
+  EXPECT_EQ(g_heap_allocs.load(), before_rearm);
+  EXPECT_EQ(expiries, 17);
+}
+
+// ---------- Timer: one moving deadline, at most one live event ----------
+
+TEST(Timer, LaterMovingArmsKeepOneEventAndFireOnceAtLastDeadline) {
+  // TCP's RTO pattern: every ACK pushes the deadline further out. The
+  // queue holds one event throughout, and only the last deadline fires.
+  EventQueue q;
+  std::vector<SimTime> expiries;
+  Timer t(q, [&]() { expiries.push_back(q.now()); });
+  for (SimTime i = 0; i < 10000; ++i) {
+    t.arm(100 + i);
+    EXPECT_EQ(q.pending_events(), 1u);
+  }
+  q.run();
+  EXPECT_EQ(expiries, (std::vector<SimTime>{100 + 9999}));
+  EXPECT_EQ(q.now(), 100u + 9999u);
+  EXPECT_EQ(q.executed_events(), 2u);  // the early event, then the deadline
+  EXPECT_FALSE(t.armed());
+}
+
+TEST(Timer, EarlierMovingArmFiresAtNewDeadlineAndRetiresTheOldEvent) {
+  EventQueue q;
+  std::vector<SimTime> expiries;
+  Timer t(q, [&]() { expiries.push_back(q.now()); });
+  t.arm(1000);
+  t.arm(50);  // moves earlier: a second event; the first is superseded
+  EXPECT_EQ(q.pending_events(), 2u);
+  q.run_until(50);
+  EXPECT_EQ(expiries, (std::vector<SimTime>{50}));
+  EXPECT_FALSE(t.armed());
+  // The superseded event still fires at 1000, and does nothing.
+  q.run();
+  EXPECT_EQ(q.now(), 1000u);
+  EXPECT_EQ(expiries, (std::vector<SimTime>{50}));
+  EXPECT_EQ(q.executed_events(), 2u);
+}
+
+TEST(Timer, DisarmThenRearm) {
+  EventQueue q;
+  std::vector<SimTime> expiries;
+  Timer t(q, [&]() { expiries.push_back(q.now()); });
+  t.arm(100);
+  t.disarm();
+  EXPECT_FALSE(t.armed());
+  q.run_until(100);
+  EXPECT_TRUE(expiries.empty());  // a disarmed deadline never expires
+  t.arm(30);
+  EXPECT_TRUE(t.armed());
+  q.run();
+  EXPECT_EQ(expiries, (std::vector<SimTime>{130}));
+  // Disarmed and re-armed later while its event (at 180) is still live:
+  // that event carries the timer on to the new deadline.
+  t.arm(50);
+  t.disarm();
+  t.arm(100);
+  EXPECT_EQ(q.pending_events(), 1u);
+  q.run();
+  EXPECT_EQ(expiries, (std::vector<SimTime>{130, 230}));
+}
+
+TEST(Timer, RearmFromInsideTheExpiryCallback) {
+  // The RTO backoff pattern: the expiry handler retransmits and re-arms.
+  EventQueue q;
+  std::vector<SimTime> expiries;
+  Timer* self = nullptr;
+  Timer t(q, [&]() {
+    expiries.push_back(q.now());
+    if (expiries.size() < 3) self->arm(expiries.size() * 100);
+  });
+  self = &t;
+  t.arm(10);
+  q.run();
+  EXPECT_EQ(expiries, (std::vector<SimTime>{10, 110, 310}));
+  EXPECT_FALSE(t.armed());
+  EXPECT_EQ(q.executed_events(), 3u);
+}
+
+TEST(Timer, NotArmedWhileTheCallbackRuns) {
+  EventQueue q;
+  Timer* self = nullptr;
+  int calls = 0;
+  bool armed_inside = true;
+  Timer t(q, [&]() {
+    ++calls;
+    armed_inside = self->armed();
+  });
+  self = &t;
+  t.arm(5);
+  EXPECT_TRUE(t.armed());
+  q.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(armed_inside);
 }
 
 TEST(Simulation, EveryRepeatsUntilFalse) {

@@ -283,10 +283,18 @@ TEST(TraceCapture, PortPathNaming) {
 // ---------------------------------------------------------------- replayer
 
 // Writes a two-port capture: ingress frames at 100/200/300 ns, egress at
-// 150/200 ns — the 200 ns tie must replay ingress first.
+// 150/200 ns — the 200 ns tie must replay ingress first. The files are
+// named after the running test, so tests run in parallel (ctest -j)
+// never write or read each other's capture.
+std::string per_test_path(const std::string& suffix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return temp_path(std::string(info->test_suite_name()) + "." + info->name() +
+                   suffix);
+}
+
 struct TwoPortFixture {
-  std::string ingress_path = temp_path("replay_test.ingress.pcap");
-  std::string egress_path = temp_path("replay_test.egress.pcap");
+  std::string ingress_path = per_test_path(".ingress.pcap");
+  std::string egress_path = per_test_path(".egress.pcap");
   std::vector<std::uint8_t> wire;
 
   TwoPortFixture() {
