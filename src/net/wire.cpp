@@ -1,7 +1,5 @@
 #include "net/wire.hpp"
 
-#include <cstring>
-
 namespace p4s::net {
 
 namespace {
@@ -20,30 +18,9 @@ void put_u32(std::span<std::uint8_t> out, std::size_t& pos, std::uint32_t v) {
   out[pos++] = static_cast<std::uint8_t>(v & 0xFF);
 }
 
-std::uint8_t get_u8(std::span<const std::uint8_t> in, std::size_t& pos) {
-  return in[pos++];
-}
-std::uint16_t get_u16(std::span<const std::uint8_t> in, std::size_t& pos) {
-  std::uint16_t v = static_cast<std::uint16_t>(in[pos] << 8) | in[pos + 1];
-  pos += 2;
-  return v;
-}
-std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t& pos) {
-  std::uint32_t v = (static_cast<std::uint32_t>(in[pos]) << 24) |
-                    (static_cast<std::uint32_t>(in[pos + 1]) << 16) |
-                    (static_cast<std::uint32_t>(in[pos + 2]) << 8) |
-                    in[pos + 3];
-  pos += 4;
-  return v;
-}
-
 void put_u64(std::span<std::uint8_t> out, std::size_t& pos, std::uint64_t v) {
   put_u32(out, pos, static_cast<std::uint32_t>(v >> 32));
   put_u32(out, pos, static_cast<std::uint32_t>(v));
-}
-std::uint64_t get_u64(std::span<const std::uint8_t> in, std::size_t& pos) {
-  const std::uint64_t hi = get_u32(in, pos);
-  return (hi << 32) | get_u32(in, pos);
 }
 
 // QUIC first-byte bits (RFC 9000 §17): form, fixed, spin, and the
@@ -53,37 +30,6 @@ constexpr std::uint8_t kQuicFixedBit = 0x40;
 constexpr std::uint8_t kQuicSpinBit = 0x20;
 constexpr std::uint8_t kQuicPnLen4 = 0x03;
 constexpr std::uint8_t kQuicCidLen = 8;
-
-// Best-effort QUIC header extraction from the UDP payload region. The
-// fixed bit plus our fixed shape (8-byte CIDs, 4-byte packet numbers)
-// gate acceptance; anything else is opaque UDP payload, not an error —
-// real demultiplexers are exactly this tolerant (RFC 9443-style
-// heuristics), and captures may carry arbitrary payloads.
-bool parse_quic(std::span<const std::uint8_t> in, std::size_t pos,
-                Packet& pkt) {
-  if (in.size() < pos + 13) return false;
-  const std::uint8_t byte0 = in[pos++];
-  if ((byte0 & kQuicFixedBit) == 0) return false;
-  QuicHeader q;
-  if ((byte0 & kQuicFormBit) != 0) {
-    if (in.size() < pos + 26) return false;
-    q.long_form = true;
-    q.type = (byte0 >> 4) & 0x03;
-    q.version = get_u32(in, pos);
-    if (get_u8(in, pos) != kQuicCidLen) return false;
-    q.dcid = get_u64(in, pos);
-    if (get_u8(in, pos) != kQuicCidLen) return false;
-    q.scid = get_u64(in, pos);
-  } else {
-    if ((byte0 & kQuicPnLen4) != kQuicPnLen4) return false;
-    q.spin = (byte0 & kQuicSpinBit) != 0;
-    q.dcid = get_u64(in, pos);
-  }
-  q.packet_number = get_u32(in, pos);
-  pkt.quic = q;
-  pkt.has_quic = true;
-  return true;
-}
 
 }  // namespace
 
@@ -155,10 +101,9 @@ std::size_t serialize_headers(const Packet& pkt,
   put_u16(out, pos, 0);  // checksum placeholder
   put_u32(out, pos, ip.src);
   put_u32(out, pos, ip.dst);
-  // Options region (IHL > 5, only for packets parsed from real-world
-  // captures): option *contents* are not modelled, so pad with
-  // End-of-Option-List zeros. Written before the checksum, which covers
-  // the full IHL.
+  // Options region (IHL > 5): option *contents* are not modelled, so pad
+  // with End-of-Option-List zeros. Written before the checksum, which
+  // covers the full IHL.
   for (std::size_t i = 20; i < ip.header_bytes(); ++i) put_u8(out, pos, 0);
   const std::uint16_t csum =
       internet_checksum(out.subspan(ip_start, ip.header_bytes()));
@@ -214,76 +159,6 @@ std::size_t serialize_headers(const Packet& pkt,
     put_u16(out, pos, ic.seq);
   }
   return pos;
-}
-
-std::optional<Packet> parse_headers(std::span<const std::uint8_t> in) {
-  if (in.size() < kEthernetHeaderBytes + 20) return std::nullopt;
-  std::size_t pos = 12;  // skip MACs
-  if (get_u16(in, pos) != kEtherTypeIpv4) return std::nullopt;
-  in = in.subspan(kEthernetHeaderBytes);
-  pos = 0;
-  Packet pkt;
-  const std::uint8_t ver_ihl = get_u8(in, pos);
-  pkt.ip.version = ver_ihl >> 4;
-  pkt.ip.ihl = ver_ihl & 0x0F;
-  if (pkt.ip.version != 4 || pkt.ip.ihl < 5) return std::nullopt;
-  if (in.size() < pkt.ip.header_bytes()) return std::nullopt;
-  pkt.ip.dscp = get_u8(in, pos);
-  pkt.ip.total_len = get_u16(in, pos);
-  pkt.ip.id = get_u16(in, pos);
-  (void)get_u16(in, pos);  // flags/fragment
-  pkt.ip.ttl = get_u8(in, pos);
-  pkt.ip.protocol = get_u8(in, pos);
-  (void)get_u16(in, pos);  // checksum (verified over the whole header below)
-  pkt.ip.src = get_u32(in, pos);
-  pkt.ip.dst = get_u32(in, pos);
-  if (internet_checksum(in.subspan(0, pkt.ip.header_bytes())) != 0) {
-    return std::nullopt;  // ones'-complement sum over a valid header is 0
-  }
-  pos = pkt.ip.header_bytes();
-
-  switch (static_cast<Protocol>(pkt.ip.protocol)) {
-    case Protocol::kTcp: {
-      if (in.size() < pos + 20) return std::nullopt;
-      TcpHeader t;
-      t.src_port = get_u16(in, pos);
-      t.dst_port = get_u16(in, pos);
-      t.seq = get_u32(in, pos);
-      t.ack = get_u32(in, pos);
-      t.data_offset = get_u8(in, pos) >> 4;
-      t.flags = get_u8(in, pos);
-      t.window = static_cast<std::uint32_t>(get_u16(in, pos)) << kWindowShift;
-      (void)get_u16(in, pos);  // checksum
-      (void)get_u16(in, pos);  // urgent
-      pkt.l4 = t;
-      break;
-    }
-    case Protocol::kUdp: {
-      if (in.size() < pos + 8) return std::nullopt;
-      UdpHeader u;
-      u.src_port = get_u16(in, pos);
-      u.dst_port = get_u16(in, pos);
-      u.length = get_u16(in, pos);
-      (void)get_u16(in, pos);
-      pkt.l4 = u;
-      parse_quic(in, pos, pkt);  // best effort; failure is plain UDP
-      break;
-    }
-    case Protocol::kIcmp: {
-      if (in.size() < pos + 8) return std::nullopt;
-      IcmpHeader ic;
-      ic.type = get_u8(in, pos);
-      ic.code = get_u8(in, pos);
-      (void)get_u16(in, pos);
-      ic.ident = get_u16(in, pos);
-      ic.seq = get_u16(in, pos);
-      pkt.l4 = ic;
-      break;
-    }
-    default:
-      return std::nullopt;
-  }
-  return pkt;
 }
 
 }  // namespace p4s::net

@@ -1,8 +1,8 @@
 // Byte-level header serialization (network byte order, real layouts, real
-// IPv4 header checksum). The P4 switch's programmable parser consumes these
-// bytes, so header extraction in the pipeline is genuine parsing rather
-// than struct copying. Payload bytes are virtual (zeros are implied by
-// total_len) and never emitted.
+// IPv4 header checksum). The P4 switch's programmable parser (p4::parse)
+// consumes these bytes and is their only decoder, so header extraction in
+// the pipeline is genuine parsing rather than struct copying. Payload
+// bytes are virtual (zeros are implied by total_len) and never emitted.
 //
 // Frames start with an Ethernet II header (as every P4 parser's start
 // state expects): MAC addresses are synthesized deterministically from
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "net/packet.hpp"
@@ -30,9 +29,8 @@ inline constexpr std::size_t kQuicShortHeaderBytes = 13;
 
 /// Maximum serialized header size we ever produce (Ethernet II + IPv4
 /// at its maximum IHL of 15 words + largest L4 header + QUIC long
-/// header). The simulator's own packets carry no options (IHL 5), but
-/// packets parsed from real-world captures may, and those must survive
-/// a re-serialization.
+/// header). The simulator's own packets carry no options (IHL 5); tests
+/// serialize option-carrying headers to exercise the parser's skip path.
 inline constexpr std::size_t kMaxHeaderBytes =
     kEthernetHeaderBytes + 60 + 20 + kMaxQuicHeaderBytes;
 
@@ -45,16 +43,6 @@ void mac_for(Ipv4Address addr, std::span<std::uint8_t> out);
 /// encrypted frames behind it are never emitted. Returns the number of
 /// bytes written. Computes and embeds the IPv4 header checksum.
 std::size_t serialize_headers(const Packet& pkt, std::span<std::uint8_t> out);
-
-/// Inverse of serialize_headers. Returns nullopt if the buffer is
-/// truncated, the version is not 4, the checksum fails, or the protocol is
-/// unknown. IPv4 headers with options (IHL > 5) are accepted: the checksum
-/// is verified over the full IHL and the option bytes are skipped (their
-/// contents are not retained — the value type records only the IHL, and a
-/// re-serialization pads the options region with End-of-Option-List
-/// zeros). The result has uid == 0 (uids are simulator metadata, not wire
-/// data).
-std::optional<Packet> parse_headers(std::span<const std::uint8_t> in);
 
 /// RFC 1071 ones'-complement checksum over a byte span.
 std::uint16_t internet_checksum(std::span<const std::uint8_t> bytes);

@@ -12,7 +12,7 @@ void P4Switch::on_mirrored_bytes(std::span<const std::uint8_t> bytes,
                               : kEgressTapPort;
   ctx.meta.ingress_ts = sim_.now();
 
-  if (parser_.parse(ctx) != Parser::Result::kAccept) {
+  if (!parse(ctx)) {
     ++parse_errors_;
     return;
   }

@@ -36,7 +36,6 @@ class P4Switch : public net::MirrorSink {
                          net::MirrorPoint point,
                          std::uint32_t wire_len) override;
 
-  const Parser& parser() const { return parser_; }
   std::uint64_t processed_pkts() const { return processed_; }
   std::uint64_t parse_errors() const { return parse_errors_; }
   const std::string& name() const { return name_; }
@@ -44,7 +43,6 @@ class P4Switch : public net::MirrorSink {
  private:
   sim::Simulation& sim_;
   std::string name_;
-  Parser parser_;
   P4Program* program_ = nullptr;
   std::uint64_t processed_ = 0;
   std::uint64_t parse_errors_ = 0;

@@ -77,7 +77,7 @@ bool parse_tcp(Cursor& c, ParsedHeaders& hdr) {
 }
 
 // state parse_quic — entered from parse_udp when the first payload byte
-// carries the QUIC fixed bit. Extraction mirrors the wire codec's fixed
+// carries the QUIC fixed bit. Extraction mirrors the serializer's fixed
 // shape (8-byte CIDs, 4-byte packet numbers); any mismatch falls back
 // to plain UDP (the payload is opaque, not a parse error — a switch
 // cannot reject traffic for not being QUIC).
@@ -152,40 +152,26 @@ bool parse_icmp(Cursor& c, ParsedHeaders& hdr) {
 
 }  // namespace
 
-Parser::Result Parser::parse(PacketContext& ctx) {
+bool parse(PacketContext& ctx) {
   Cursor c{ctx.data, 0};
   ctx.hdr = ParsedHeaders{};
 
   // start -> parse_ethernet
-  if (!parse_ethernet(c, ctx.hdr)) {
-    ++stats_.rejected;
-    return Result::kReject;
-  }
+  if (!parse_ethernet(c, ctx.hdr)) return false;
   // select(hdr.ethernet.ethertype)
   if (ctx.hdr.ethernet.ethertype != net::kEtherTypeIpv4) {
     // Non-IPv4 frames accept with only Ethernet extracted (the telemetry
     // program ignores them).
-    ++stats_.accepted;
-    return Result::kAccept;
+    return true;
   }
-  if (!parse_ipv4(c, ctx.hdr)) {
-    ++stats_.rejected;
-    return Result::kReject;
-  }
+  if (!parse_ipv4(c, ctx.hdr)) return false;
   // select(hdr.ipv4.protocol)
-  bool ok = false;
   switch (static_cast<net::Protocol>(ctx.hdr.ipv4.protocol)) {
-    case net::Protocol::kTcp: ok = parse_tcp(c, ctx.hdr); break;
-    case net::Protocol::kUdp: ok = parse_udp(c, ctx.hdr); break;
-    case net::Protocol::kIcmp: ok = parse_icmp(c, ctx.hdr); break;
-    default: ok = true; break;  // L4-unknown still accepts (IPv4-only view)
+    case net::Protocol::kTcp: return parse_tcp(c, ctx.hdr);
+    case net::Protocol::kUdp: return parse_udp(c, ctx.hdr);
+    case net::Protocol::kIcmp: return parse_icmp(c, ctx.hdr);
+    default: return true;  // L4-unknown still accepts (IPv4-only view)
   }
-  if (!ok) {
-    ++stats_.rejected;
-    return Result::kReject;
-  }
-  ++stats_.accepted;
-  return Result::kAccept;
 }
 
 }  // namespace p4s::p4

@@ -53,22 +53,12 @@ struct PacketContext {
   ParsedHeaders hdr;
 };
 
-class Parser {
- public:
-  enum class Result { kAccept, kReject };
-
-  struct Stats {
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;
-  };
-
-  /// Run the state machine over ctx.data, filling ctx.hdr.
-  Result parse(PacketContext& ctx);
-
-  const Stats& stats() const { return stats_; }
-
- private:
-  Stats stats_;
-};
+/// Run the parser state machine over ctx.data, filling ctx.hdr. Returns
+/// false when the parser rejects the frame (runt, bad IPv4 version or
+/// IHL, truncated options or L4 header); ctx.hdr then keeps the headers
+/// extracted before the reject. This is the only code that decodes
+/// header bytes: the pipeline, the trace analyzer and the top-talker
+/// table all read frames through it.
+bool parse(PacketContext& ctx);
 
 }  // namespace p4s::p4

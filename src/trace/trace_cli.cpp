@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +13,7 @@
 
 #include "mpl/compiler.hpp"
 #include "net/wire.hpp"
+#include "p4/parser.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_replayer.hpp"
 #include "util/cli.hpp"
@@ -201,7 +201,8 @@ int render_histogram(const TraceReplayer& trace, const util::CliArgs& args,
 
 // Top-talker table: aggregate ingress frames (one copy per packet; the
 // egress mirror would double-count) by 5-tuple and print the top N by
-// wire bytes.
+// wire bytes. Only frames the parser accepts with an IPv4 header that
+// passes its checksum and a TCP, UDP or ICMP header are listed.
 void print_top_flows(const TraceReplayer& trace, std::size_t top_n,
                      std::ostream& out) {
   struct FlowAgg {
@@ -211,24 +212,34 @@ void print_top_flows(const TraceReplayer& trace, std::size_t top_n,
   std::map<std::string, FlowAgg> flows;
   for (const TraceFrame& f : trace.frames()) {
     if (f.point != net::MirrorPoint::kIngress) continue;
-    const std::optional<net::Packet> parsed =
-        net::parse_headers({f.bytes.data(), f.bytes.size()});
-    if (!parsed.has_value()) continue;
-    const net::Packet& pkt = *parsed;
+    p4::PacketContext ctx;
+    ctx.data = f.bytes;
+    if (!p4::parse(ctx)) continue;
+    const p4::ParsedHeaders& hdr = ctx.hdr;
+    if (!hdr.ipv4_valid ||
+        !(hdr.tcp_valid || hdr.udp_valid || hdr.icmp_valid)) {
+      continue;
+    }
+    // The parser leaves the checksum to the MAU; outside input is
+    // checked here (a valid header's ones'-complement sum is 0).
+    if (net::internet_checksum(ctx.data.subspan(
+            net::kEthernetHeaderBytes, hdr.ipv4.header_bytes())) != 0) {
+      continue;
+    }
     char key[96];
-    const char* proto = pkt.is_tcp()    ? "tcp"
-                        : pkt.is_quic() ? "quic"
-                        : pkt.is_udp()  ? "udp"
-                                        : "ip";
-    const std::uint16_t src_port = pkt.is_tcp()   ? pkt.tcp().src_port
-                                   : pkt.is_udp() ? pkt.udp().src_port
-                                                  : 0;
-    const std::uint16_t dst_port = pkt.is_tcp()   ? pkt.tcp().dst_port
-                                   : pkt.is_udp() ? pkt.udp().dst_port
-                                                  : 0;
+    const char* proto = hdr.tcp_valid    ? "tcp"
+                        : hdr.quic_valid ? "quic"
+                        : hdr.udp_valid  ? "udp"
+                                         : "ip";
+    const std::uint16_t src_port = hdr.tcp_valid   ? hdr.tcp.src_port
+                                   : hdr.udp_valid ? hdr.udp.src_port
+                                                   : 0;
+    const std::uint16_t dst_port = hdr.tcp_valid   ? hdr.tcp.dst_port
+                                   : hdr.udp_valid ? hdr.udp.dst_port
+                                                   : 0;
     std::snprintf(key, sizeof(key), "%s %s:%u -> %s:%u", proto,
-                  net::to_string(pkt.ip.src).c_str(), src_port,
-                  net::to_string(pkt.ip.dst).c_str(), dst_port);
+                  net::to_string(hdr.ipv4.src).c_str(), src_port,
+                  net::to_string(hdr.ipv4.dst).c_str(), dst_port);
     FlowAgg& agg = flows[key];
     ++agg.frames;
     agg.bytes += f.orig_len;

@@ -5,10 +5,12 @@
 //   p4s-trace replay <ingress.pcap> [<egress.pcap>] [flags]
 //
 // `info` prints each file's global header and record summary, `stats`
-// analyzes the merged trace by the pipeline's frame categories, `replay`
-// pushes the trace through a fresh P4 switch + control plane (paced by
-// the recorded timestamps, or --max-speed for throughput). The entry
-// point is separated from main() so tests can drive it in-process.
+// analyzes the merged trace by the categories of the P4 parser that
+// `replay` runs (the frames `stats` counts as undecodable are the ones
+// `replay` counts as parse errors), `replay` pushes the trace through a
+// fresh P4 switch + control plane (paced by the recorded timestamps, or
+// --max-speed for throughput). The entry point is separated from main()
+// so tests can drive it in-process.
 #pragma once
 
 #include <ostream>

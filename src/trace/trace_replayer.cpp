@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/wire.hpp"
+#include "p4/parser.hpp"
 
 namespace p4s::trace {
 
@@ -22,10 +22,6 @@ std::vector<TraceFrame> load_port(const std::string& path,
     frames.push_back(std::move(f));
   }
   return frames;
-}
-
-std::uint16_t ethertype_of(const std::vector<std::uint8_t>& b) {
-  return static_cast<std::uint16_t>((b[12] << 8) | b[13]);
 }
 
 }  // namespace
@@ -77,58 +73,41 @@ TraceReplayer::Stats TraceReplayer::analyze() const {
     if (s.frames == 1) s.first_ts = f.ts;
     s.last_ts = f.ts;
 
-    if (f.bytes.size() < net::kEthernetHeaderBytes) {
+    p4::PacketContext ctx;
+    ctx.data = f.bytes;
+    const bool accepted = p4::parse(ctx);
+    const p4::ParsedHeaders& hdr = ctx.hdr;
+    if (hdr.ethernet_valid) ++s.ethertypes[hdr.ethernet.ethertype];
+    if (!accepted) {
       ++s.undecodable;
       continue;
     }
-    const std::uint16_t ethertype = ethertype_of(f.bytes);
-    ++s.ethertypes[ethertype];
-    if (ethertype != net::kEtherTypeIpv4) {
+    if (!hdr.ipv4_valid) {
       ++s.non_ipv4;
       continue;
     }
-    const std::uint8_t* ip = f.bytes.data() + net::kEthernetHeaderBytes;
-    const std::size_t ip_avail = f.bytes.size() - net::kEthernetHeaderBytes;
-    if (ip_avail < 20 || (ip[0] >> 4) != 4) {
-      ++s.undecodable;
+    ++s.ipv4;
+    if (hdr.ipv4.ihl > 5) ++s.ipv4_options;
+    std::uint32_t l4_bytes = 0;
+    if (hdr.tcp_valid) {
+      ++s.tcp;
+      l4_bytes = hdr.tcp.header_bytes();
+    } else if (hdr.udp_valid) {
+      ++s.udp;
+      l4_bytes = hdr.udp.header_bytes();
+      if (hdr.quic_valid) {
+        ++s.quic;
+        if (hdr.quic.long_form) ++s.quic_long;
+      }
+    } else if (hdr.icmp_valid) {
+      ++s.icmp;
+      l4_bytes = hdr.icmp.header_bytes();
+    } else {
+      ++s.other_l4;
       continue;
     }
-    ++s.ipv4;
-    const std::size_t ihl_bytes = static_cast<std::size_t>(ip[0] & 0x0F) * 4;
-    if (ihl_bytes > 20) ++s.ipv4_options;
-    const std::uint16_t total_len =
-        static_cast<std::uint16_t>((ip[2] << 8) | ip[3]);
-    switch (ip[9]) {
-      case 6:
-        ++s.tcp;
-        // Captured payload bytes start after the TCP header (data offset).
-        if (ip_avail >= ihl_bytes + 13) {
-          const std::size_t l4 =
-              static_cast<std::size_t>(ip[ihl_bytes + 12] >> 4) * 4;
-          if (total_len > ihl_bytes + l4) ++s.with_payload;
-        }
-        break;
-      case 17: {
-        ++s.udp;
-        if (total_len > ihl_bytes + 8) ++s.with_payload;
-        // QUIC rides UDP: the fixed bit (0x40) is set on both header
-        // forms, and the captured datagram must cover at least the
-        // 13-byte short header to count.
-        const std::size_t udp_payload_off = ihl_bytes + 8;
-        if (ip_avail >= udp_payload_off + net::kQuicShortHeaderBytes &&
-            (ip[udp_payload_off] & 0x40) != 0) {
-          ++s.quic;
-          if ((ip[udp_payload_off] & 0x80) != 0) ++s.quic_long;
-        }
-        break;
-      }
-      case 1:
-        ++s.icmp;
-        if (total_len > ihl_bytes + 8) ++s.with_payload;
-        break;
-      default:
-        ++s.other_l4;
-        break;
+    if (hdr.ipv4.total_len > hdr.ipv4.header_bytes() + l4_bytes) {
+      ++s.with_payload;
     }
   }
   return s;

@@ -15,8 +15,11 @@
 //     parse+pipeline throughput benchmarking.
 //
 // Real-world captures are first-class inputs: frames with payload bytes,
-// IPv4 options or EtherTypes we never produce are counted by analyze()
-// and flow through the parser's tolerant paths — never a crash.
+// IPv4 options or EtherTypes we never produce flow through the parser's
+// tolerant paths — never a crash. analyze() classifies each frame with
+// the same parser (p4::parse) that replay feeds, so its categories are
+// exactly what the pipeline sees: `undecodable` equals the switch's
+// parse errors on replay of the same frames.
 #pragma once
 
 #include <cstdint>
@@ -41,27 +44,30 @@ struct TraceFrame {
 
 class TraceReplayer {
  public:
-  /// What a trace contains, by the categories the pipeline cares about.
-  /// "Tolerated" frame classes (foreign EtherTypes, IPv4 options, payload
-  /// bytes, undecodable headers) are counted here and simply flow through
-  /// the parser's accept/reject paths during replay.
+  /// What a trace contains, by the P4 parser's view of each frame. The
+  /// counts partition the trace: frames == undecodable + non_ipv4 + ipv4,
+  /// and ipv4 == tcp + udp + icmp + other_l4.
   struct Stats {
     std::uint64_t frames = 0;
     std::uint64_t ingress_frames = 0;
     std::uint64_t egress_frames = 0;
     std::uint64_t captured_bytes = 0;  // bytes stored in the trace
     std::uint64_t wire_bytes = 0;      // original on-wire bytes (orig_len)
-    std::uint64_t ipv4 = 0;
-    std::uint64_t non_ipv4 = 0;       // unknown EtherType: counted, skipped
-    std::uint64_t ipv4_options = 0;   // IHL > 5: options skipped by parsers
-    std::uint64_t with_payload = 0;   // captured bytes beyond the headers
+    std::uint64_t ipv4 = 0;           // accepted with a valid IPv4 header
+    std::uint64_t non_ipv4 = 0;       // accepted with only Ethernet extracted
+    std::uint64_t ipv4_options = 0;   // IHL > 5: options skipped by the parser
+    std::uint64_t with_payload = 0;   // total_len beyond the IPv4 + L4 headers
     std::uint64_t tcp = 0;
     std::uint64_t udp = 0;
-    std::uint64_t quic = 0;       // UDP frames carrying a QUIC header
+    std::uint64_t quic = 0;       // UDP frames whose QUIC header the parser
+                                  // extracted (the fixed 8-byte-CID shape)
     std::uint64_t quic_long = 0;  // of which long-header (handshake)
     std::uint64_t icmp = 0;
     std::uint64_t other_l4 = 0;       // unknown IP protocol
-    std::uint64_t undecodable = 0;    // too short for Ethernet+IPv4 headers
+    std::uint64_t undecodable = 0;    // rejected by the parser: runt, bad
+                                      // version/IHL, truncated options or L4
+    /// EtherType of every frame with a full Ethernet header, rejected
+    /// ones included.
     std::map<std::uint16_t, std::uint64_t> ethertypes;
     SimTime first_ts = 0;
     SimTime last_ts = 0;

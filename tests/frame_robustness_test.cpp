@@ -1,15 +1,18 @@
 // Frame-decoding robustness: every truncated prefix and seeded single-bit
-// corruptions of realistic frames go through both decoders — the wire
-// codec's parse_headers and the P4 switch's programmable parser — which
-// must never crash or read out of bounds (this suite runs under the
-// ASan/UBSan CI job) and must keep their validity invariants.
+// and multi-byte corruptions of realistic frames go through the P4
+// switch's programmable parser — the one decoder of header bytes, for TAP
+// copies and foreign pcap files alike — which must never crash or read
+// out of bounds (this suite runs under the ASan/UBSan CI job with several
+// P4S_SEED values) and must keep its validity invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <random>
 #include <span>
 #include <vector>
 
+#include "frame_corpus.hpp"
 #include "net/packet.hpp"
 #include "net/wire.hpp"
 #include "p4/parser.hpp"
@@ -23,44 +26,8 @@ std::uint64_t seed_from_env() {
   return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
 }
 
-std::vector<std::uint8_t> serialized(const net::Packet& pkt) {
-  std::vector<std::uint8_t> buf(net::kMaxHeaderBytes);
-  buf.resize(net::serialize_headers(pkt, buf));
-  return buf;
-}
-
-// Realistic frame corpus: every L4 protocol, options at both ends of the
-// IHL range, and header values exercising field extremes.
-std::vector<std::vector<std::uint8_t>> corpus() {
-  std::vector<std::vector<std::uint8_t>> frames;
-  frames.push_back(serialized(net::make_tcp_packet(
-      net::ipv4(10, 0, 0, 10), net::ipv4(10, 1, 0, 10), 5001, 5201,
-      0xFFFFFFFF, 0x80000000, net::tcpflags::kAck | net::tcpflags::kPsh,
-      1448, 1 << 20)));
-  frames.push_back(serialized(net::make_tcp_packet(
-      net::ipv4(255, 255, 255, 255), net::ipv4(0, 0, 0, 1), 65535, 1, 0, 0,
-      net::tcpflags::kSyn, 0, 0)));
-  frames.push_back(serialized(net::make_udp_packet(
-      net::ipv4(192, 168, 1, 1), net::ipv4(192, 168, 1, 2), 123, 123, 48)));
-  frames.push_back(serialized(net::make_icmp_packet(
-      net::ipv4(10, 0, 0, 1), net::ipv4(10, 0, 0, 2), 8, 7, 77, 56)));
-  {
-    net::Packet opt = net::make_tcp_packet(
-        net::ipv4(10, 0, 0, 10), net::ipv4(10, 1, 0, 10), 5001, 5201, 100,
-        200, net::tcpflags::kAck, 512, 4096);
-    opt.ip.ihl = 6;  // smallest options region
-    opt.ip.total_len += 4;
-    frames.push_back(serialized(opt));
-    opt.ip.ihl = 15;  // largest legal IPv4 header
-    opt.ip.total_len += 36;
-    frames.push_back(serialized(opt));
-  }
-  return frames;
-}
-
 // Validity-bit invariants that must hold after any parse attempt.
-void check_invariants(const p4::ParsedHeaders& hdr,
-                      p4::Parser::Result result) {
+void check_invariants(const p4::ParsedHeaders& hdr, bool accepted) {
   const int l4_count = int(hdr.tcp_valid) + int(hdr.udp_valid) +
                        int(hdr.icmp_valid);
   EXPECT_LE(l4_count, 1);
@@ -69,8 +36,13 @@ void check_invariants(const p4::ParsedHeaders& hdr,
     EXPECT_EQ(hdr.ipv4.version, 4);
     EXPECT_GE(hdr.ipv4.ihl, 5);
   }
-  if (l4_count > 0) EXPECT_TRUE(hdr.ipv4_valid);
-  if (result == p4::Parser::Result::kAccept) {
+  if (l4_count > 0) {
+    EXPECT_TRUE(hdr.ipv4_valid);
+  }
+  if (hdr.quic_valid) {
+    EXPECT_TRUE(hdr.udp_valid);
+  }
+  if (accepted) {
     EXPECT_TRUE(hdr.ethernet_valid);
     if (hdr.ethernet.ethertype == net::kEtherTypeIpv4) {
       EXPECT_TRUE(hdr.ipv4_valid);
@@ -78,90 +50,97 @@ void check_invariants(const p4::ParsedHeaders& hdr,
   }
 }
 
-void run_both_decoders(std::span<const std::uint8_t> bytes) {
-  (void)net::parse_headers(bytes);  // must not crash, nullopt is fine
-  p4::Parser parser;
-  p4::PacketContext ctx;
+bool parse_checked(std::span<const std::uint8_t> bytes,
+                   p4::PacketContext& ctx) {
   ctx.data = bytes;
-  const auto result = parser.parse(ctx);
-  check_invariants(ctx.hdr, result);
+  const bool accepted = p4::parse(ctx);
+  check_invariants(ctx.hdr, accepted);
+  return accepted;
 }
 
-TEST(FrameRobustness, FullFramesDecodeInBothDecoders) {
-  for (const auto& frame : corpus()) {
-    const auto pkt = net::parse_headers(frame);
-    ASSERT_TRUE(pkt.has_value());
-    p4::Parser parser;
+bool parse_checked(std::span<const std::uint8_t> bytes) {
+  p4::PacketContext ctx;
+  return parse_checked(bytes, ctx);
+}
+
+TEST(FrameRobustness, FullFramesAreAccepted) {
+  for (const auto& frame : test::frame_corpus()) {
     p4::PacketContext ctx;
-    ctx.data = frame;
-    EXPECT_EQ(parser.parse(ctx), p4::Parser::Result::kAccept);
+    EXPECT_TRUE(parse_checked(frame, ctx));
     EXPECT_TRUE(ctx.hdr.ipv4_valid);
+    EXPECT_TRUE(ctx.hdr.tcp_valid || ctx.hdr.udp_valid ||
+                ctx.hdr.icmp_valid);
   }
 }
 
 TEST(FrameRobustness, OptionsFramesKeepChecksumOverFullIhl) {
-  // IHL > 5 frames round-trip: accepted, options length preserved, and a
-  // re-serialization (End-of-Option-List padding) parses again.
+  // IHL > 5 frames: the serializer's checksum covers the full IHL, and
+  // the parser skips the options to read the TCP header at its offset.
   net::Packet opt = net::make_tcp_packet(
       net::ipv4(10, 0, 0, 10), net::ipv4(10, 1, 0, 10), 5001, 5201, 100,
       200, net::tcpflags::kAck, 512, 4096);
   opt.ip.ihl = 7;
   opt.ip.total_len += 8;
-  const auto wire = serialized(opt);
-  const auto parsed = net::parse_headers(wire);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->ip.ihl, 7);
-  EXPECT_EQ(parsed->ip.header_bytes(), 28u);
-  EXPECT_EQ(parsed->tcp().src_port, 5001);
-  // Corrupt one option byte: the checksum covers the full IHL, so the
-  // frame must now be rejected.
-  auto corrupted = wire;
-  corrupted[net::kEthernetHeaderBytes + 21] ^= 0x01;
-  EXPECT_FALSE(net::parse_headers(corrupted).has_value());
-  // Re-serialization of the parsed packet parses again.
-  const auto rewire = serialized(*parsed);
-  EXPECT_EQ(rewire.size(), wire.size());
-  EXPECT_TRUE(net::parse_headers(rewire).has_value());
+  auto wire = test::serialized(opt);
+  const auto ip_header = [&wire] {
+    return std::span<const std::uint8_t>(wire).subspan(
+        net::kEthernetHeaderBytes, 28);
+  };
+  EXPECT_EQ(net::internet_checksum(ip_header()), 0);
+  p4::PacketContext ctx;
+  ASSERT_TRUE(parse_checked(wire, ctx));
+  EXPECT_EQ(ctx.hdr.ipv4.ihl, 7);
+  EXPECT_EQ(ctx.hdr.ipv4.header_bytes(), 28u);
+  ASSERT_TRUE(ctx.hdr.tcp_valid);
+  EXPECT_EQ(ctx.hdr.tcp.src_port, 5001);
+  EXPECT_EQ(ctx.hdr.tcp.seq, 100u);
+  // The incremental TTL patch keeps the full-IHL checksum valid.
+  net::patch_ttl(wire, 3);
+  EXPECT_EQ(net::internet_checksum(ip_header()), 0);
+  // Corrupting one option byte breaks it.
+  wire[net::kEthernetHeaderBytes + 21] ^= 0x01;
+  EXPECT_NE(net::internet_checksum(ip_header()), 0);
 }
 
 TEST(FrameRobustness, EveryTruncatedPrefixIsHandled) {
-  for (const auto& frame : corpus()) {
+  for (const auto& frame : test::frame_corpus()) {
+    p4::PacketContext full;
+    ASSERT_TRUE(parse_checked(frame, full));
+    // Every header up to L4 is required; a cut QUIC header leaves plain
+    // UDP (the payload is opaque, not a parse error).
+    const std::size_t required =
+        full.hdr.quic_valid ? net::kEthernetHeaderBytes +
+                                  full.hdr.ipv4.header_bytes() +
+                                  full.hdr.udp.header_bytes()
+                            : frame.size();
     for (std::size_t len = 0; len < frame.size(); ++len) {
-      const std::span<const std::uint8_t> prefix(frame.data(), len);
-      // A strict prefix of a header-only frame can never satisfy the wire
-      // codec (it validates all header lengths).
-      EXPECT_FALSE(net::parse_headers(prefix).has_value()) << "len " << len;
-      run_both_decoders(prefix);
+      p4::PacketContext ctx;
+      const bool accepted = parse_checked({frame.data(), len}, ctx);
+      EXPECT_EQ(accepted, len >= required) << "len " << len;
+      EXPECT_FALSE(ctx.hdr.quic_valid) << "len " << len;
     }
   }
 }
 
-TEST(FrameRobustness, SeededBitFlipsNeverCrashEitherDecoder) {
-  const auto frames = corpus();
+TEST(FrameRobustness, SeededBitFlipsNeverCrashTheParser) {
+  const auto frames = test::frame_corpus();
   std::mt19937_64 rng(seed_from_env());
   for (int iter = 0; iter < 4000; ++iter) {
     auto frame = frames[rng() % frames.size()];
     const std::size_t byte = rng() % frame.size();
     frame[byte] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
-    run_both_decoders(frame);
-    // If the wire codec still accepts the flipped frame (the flip landed
-    // outside the checksummed region), its re-serialization must parse.
-    if (const auto pkt = net::parse_headers(frame)) {
-      const auto rewire = serialized(*pkt);
-      EXPECT_TRUE(net::parse_headers(rewire).has_value())
-          << "iter " << iter << " byte " << byte;
-    }
+    parse_checked(frame);
   }
 }
 
 TEST(FrameRobustness, MultiByteCorruptionAndGarbage) {
-  const auto frames = corpus();
+  const auto frames = test::frame_corpus();
   std::mt19937_64 rng(seed_from_env() + 1);
   for (int iter = 0; iter < 500; ++iter) {
     // Pure garbage of random length.
     std::vector<std::uint8_t> garbage(rng() % 128);
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng());
-    run_both_decoders(garbage);
+    parse_checked(garbage);
     // A real frame with a random window overwritten.
     auto frame = frames[static_cast<std::size_t>(iter) % frames.size()];
     const std::size_t start = rng() % frame.size();
@@ -170,7 +149,7 @@ TEST(FrameRobustness, MultiByteCorruptionAndGarbage) {
     for (std::size_t i = 0; i < span_len; ++i) {
       frame[start + i] = static_cast<std::uint8_t>(rng());
     }
-    run_both_decoders(frame);
+    parse_checked(frame);
   }
 }
 

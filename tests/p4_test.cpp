@@ -197,37 +197,33 @@ TEST(Parser, ExtractsTcp) {
       net::ipv4(1, 1, 1, 1), net::ipv4(2, 2, 2, 2), 10, 20, 777, 888,
       net::tcpflags::kSyn, 0, 1 << 16);
   PacketContext ctx = make_ctx(pkt, buf);
-  Parser parser;
-  EXPECT_EQ(parser.parse(ctx), Parser::Result::kAccept);
+  EXPECT_TRUE(parse(ctx));
   EXPECT_TRUE(ctx.hdr.ipv4_valid);
   ASSERT_TRUE(ctx.hdr.tcp_valid);
   EXPECT_FALSE(ctx.hdr.udp_valid);
   EXPECT_EQ(ctx.hdr.tcp.seq, 777u);
   EXPECT_EQ(ctx.hdr.tcp.flags, net::tcpflags::kSyn);
-  EXPECT_EQ(parser.stats().accepted, 1u);
 }
 
 TEST(Parser, ExtractsUdpAndIcmp) {
   std::array<std::uint8_t, net::kMaxHeaderBytes> buf{};
-  Parser parser;
   PacketContext u = make_ctx(net::make_udp_packet(1, 2, 7, 8, 10), buf);
-  EXPECT_EQ(parser.parse(u), Parser::Result::kAccept);
+  EXPECT_TRUE(parse(u));
   EXPECT_TRUE(u.hdr.udp_valid);
   std::array<std::uint8_t, net::kMaxHeaderBytes> buf2{};
   PacketContext ic =
       make_ctx(net::make_icmp_packet(1, 2, 8, 44, 2, 56), buf2);
-  EXPECT_EQ(parser.parse(ic), Parser::Result::kAccept);
+  EXPECT_TRUE(parse(ic));
   EXPECT_TRUE(ic.hdr.icmp_valid);
   EXPECT_EQ(ic.hdr.icmp.ident, 44);
 }
 
 TEST(Parser, RejectsTruncatedAndGarbage) {
-  Parser parser;
   const std::uint8_t garbage[] = {0xDE, 0xAD};
   PacketContext ctx;
   ctx.data = garbage;
-  EXPECT_EQ(parser.parse(ctx), Parser::Result::kReject);
-  EXPECT_EQ(parser.stats().rejected, 1u);
+  EXPECT_FALSE(parse(ctx));
+  EXPECT_FALSE(ctx.hdr.ethernet_valid);
 }
 
 TEST(Parser, RejectsTcpWithTruncatedL4) {
@@ -237,8 +233,7 @@ TEST(Parser, RejectsTcpWithTruncatedL4) {
   const std::size_t len = net::serialize_headers(pkt, buf);
   PacketContext ctx;
   ctx.data = std::span<const std::uint8_t>(buf.data(), len - 5);
-  Parser parser;
-  EXPECT_EQ(parser.parse(ctx), Parser::Result::kReject);
+  EXPECT_FALSE(parse(ctx));
 }
 
 TEST(Parser, UnknownL4AcceptedAsIpv4Only) {
@@ -249,8 +244,7 @@ TEST(Parser, UnknownL4AcceptedAsIpv4Only) {
   // does not verify the IPv4 checksum)
   PacketContext ctx;
   ctx.data = std::span<const std::uint8_t>(buf.data(), len);
-  Parser parser;
-  EXPECT_EQ(parser.parse(ctx), Parser::Result::kAccept);
+  EXPECT_TRUE(parse(ctx));
   EXPECT_TRUE(ctx.hdr.ipv4_valid);
   EXPECT_FALSE(ctx.hdr.udp_valid);
   EXPECT_FALSE(ctx.hdr.tcp_valid);

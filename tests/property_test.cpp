@@ -5,6 +5,7 @@
 #include <array>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 
 #include "controlplane/resilient_sink.hpp"
@@ -17,6 +18,7 @@
 #include "net/wire.hpp"
 #include "p4/cms.hpp"
 #include "p4/hash.hpp"
+#include "p4/parser.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "tcp/flow.hpp"
@@ -65,22 +67,48 @@ TEST_P(WireRoundTrip, SerializeParseIdentity) {
     net::Packet p = random_packet(rng);
     p.ip.id = static_cast<std::uint16_t>(rng.next_below(65536));
     p.ip.ttl = static_cast<std::uint8_t>(rng.next_below(256));
+    // Options regions up to the largest legal IHL (15 words).
+    const auto option_words = static_cast<std::uint8_t>(rng.next_below(11));
+    p.ip.ihl = static_cast<std::uint8_t>(p.ip.ihl + option_words);
+    p.ip.total_len = static_cast<std::uint16_t>(p.ip.total_len +
+                                                option_words * 4);
     std::array<std::uint8_t, net::kMaxHeaderBytes> buf{};
-    const std::size_t len = net::serialize_headers(p, buf);
-    const auto parsed = net::parse_headers({buf.data(), len});
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->ip.src, p.ip.src);
-    EXPECT_EQ(parsed->ip.dst, p.ip.dst);
-    EXPECT_EQ(parsed->ip.id, p.ip.id);
-    EXPECT_EQ(parsed->ip.ttl, p.ip.ttl);
-    EXPECT_EQ(parsed->ip.total_len, p.ip.total_len);
-    EXPECT_EQ(parsed->ip.protocol, p.ip.protocol);
-    EXPECT_EQ(parsed->five_tuple(), p.five_tuple());
+    const std::span<const std::uint8_t> frame(
+        buf.data(), net::serialize_headers(p, buf));
+    // The serializer's checksum covers the full IHL.
+    EXPECT_EQ(net::internet_checksum(frame.subspan(
+                  net::kEthernetHeaderBytes, p.ip.header_bytes())),
+              0);
+    p4::PacketContext ctx;
+    ctx.data = frame;
+    ASSERT_TRUE(p4::parse(ctx));
+    const p4::ParsedHeaders& hdr = ctx.hdr;
+    ASSERT_TRUE(hdr.ipv4_valid);
+    EXPECT_EQ(hdr.ipv4.src, p.ip.src);
+    EXPECT_EQ(hdr.ipv4.dst, p.ip.dst);
+    EXPECT_EQ(hdr.ipv4.ihl, p.ip.ihl);
+    EXPECT_EQ(hdr.ipv4.id, p.ip.id);
+    EXPECT_EQ(hdr.ipv4.ttl, p.ip.ttl);
+    EXPECT_EQ(hdr.ipv4.total_len, p.ip.total_len);
+    EXPECT_EQ(hdr.ipv4.protocol, p.ip.protocol);
     if (p.is_tcp()) {
-      EXPECT_EQ(parsed->tcp().seq, p.tcp().seq);
-      EXPECT_EQ(parsed->tcp().ack, p.tcp().ack);
-      EXPECT_EQ(parsed->tcp().flags, p.tcp().flags);
-      EXPECT_EQ(parsed->tcp().window, p.tcp().window);
+      ASSERT_TRUE(hdr.tcp_valid);
+      EXPECT_EQ(hdr.tcp.src_port, p.tcp().src_port);
+      EXPECT_EQ(hdr.tcp.dst_port, p.tcp().dst_port);
+      EXPECT_EQ(hdr.tcp.seq, p.tcp().seq);
+      EXPECT_EQ(hdr.tcp.ack, p.tcp().ack);
+      EXPECT_EQ(hdr.tcp.flags, p.tcp().flags);
+      EXPECT_EQ(hdr.tcp.window, p.tcp().window);
+    } else if (p.is_udp()) {
+      ASSERT_TRUE(hdr.udp_valid);
+      EXPECT_EQ(hdr.udp.src_port, p.udp().src_port);
+      EXPECT_EQ(hdr.udp.dst_port, p.udp().dst_port);
+      EXPECT_EQ(hdr.udp.length, p.udp().length);
+    } else {
+      ASSERT_TRUE(hdr.icmp_valid);
+      EXPECT_EQ(hdr.icmp.type, p.icmp().type);
+      EXPECT_EQ(hdr.icmp.ident, p.icmp().ident);
+      EXPECT_EQ(hdr.icmp.seq, p.icmp().seq);
     }
   }
 }

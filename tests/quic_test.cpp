@@ -1,11 +1,13 @@
 // QUIC-like transport tests: handshake + bulk transfer over the real
 // simulated path, loss recovery (packet-threshold + RTO), spin-bit
 // emission per RFC 9000 §17.4, deterministic connection-ID derivation,
-// and wire-format round trips through the frame codec.
+// and wire-format round trips: serialized headers read back by the P4
+// parser.
 #include <gtest/gtest.h>
 
 #include "net/topology.hpp"
 #include "net/wire.hpp"
+#include "p4/parser.hpp"
 #include "quic/flow.hpp"
 #include "sim/simulation.hpp"
 
@@ -22,14 +24,18 @@ TEST(QuicWire, ShortHeaderRoundTrips) {
                                           net::ipv4(10, 1, 0, 10), 40000,
                                           4433, hdr, 1200);
   std::vector<std::uint8_t> wire(net::kMaxHeaderBytes);
-  const std::size_t n = net::serialize_headers(pkt, wire);
-  const auto parsed = net::parse_headers({wire.data(), n});
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->is_quic());
-  EXPECT_FALSE(parsed->quic.long_form);
-  EXPECT_TRUE(parsed->quic.spin);
-  EXPECT_EQ(parsed->quic.dcid, hdr.dcid);
-  EXPECT_EQ(parsed->quic.packet_number, 77u);
+  wire.resize(net::serialize_headers(pkt, wire));
+  EXPECT_EQ(wire.size(), net::kEthernetHeaderBytes + 20 + 8 +
+                             net::kQuicShortHeaderBytes);
+  p4::PacketContext ctx;
+  ctx.data = wire;
+  ASSERT_TRUE(p4::parse(ctx));
+  ASSERT_TRUE(ctx.hdr.udp_valid);
+  ASSERT_TRUE(ctx.hdr.quic_valid);
+  EXPECT_FALSE(ctx.hdr.quic.long_form);
+  EXPECT_TRUE(ctx.hdr.quic.spin);
+  EXPECT_EQ(ctx.hdr.quic.dcid, hdr.dcid);
+  EXPECT_EQ(ctx.hdr.quic.packet_number, 77u);
 }
 
 TEST(QuicWire, LongHeaderRoundTrips) {
@@ -43,13 +49,18 @@ TEST(QuicWire, LongHeaderRoundTrips) {
                                           net::ipv4(10, 1, 0, 10), 40000,
                                           4433, hdr, 1200);
   std::vector<std::uint8_t> wire(net::kMaxHeaderBytes);
-  const std::size_t n = net::serialize_headers(pkt, wire);
-  const auto parsed = net::parse_headers({wire.data(), n});
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->is_quic());
-  EXPECT_TRUE(parsed->quic.long_form);
-  EXPECT_EQ(parsed->quic.dcid, hdr.dcid);
-  EXPECT_EQ(parsed->quic.scid, hdr.scid);
+  wire.resize(net::serialize_headers(pkt, wire));
+  EXPECT_EQ(wire.size(), net::kEthernetHeaderBytes + 20 + 8 +
+                             net::kMaxQuicHeaderBytes);
+  p4::PacketContext ctx;
+  ctx.data = wire;
+  ASSERT_TRUE(p4::parse(ctx));
+  ASSERT_TRUE(ctx.hdr.quic_valid);
+  EXPECT_TRUE(ctx.hdr.quic.long_form);
+  EXPECT_EQ(ctx.hdr.quic.type, hdr.type);
+  EXPECT_EQ(ctx.hdr.quic.dcid, hdr.dcid);
+  EXPECT_EQ(ctx.hdr.quic.scid, hdr.scid);
+  EXPECT_EQ(ctx.hdr.quic.packet_number, hdr.packet_number);
 }
 
 struct QuicFlowFixture : ::testing::Test {

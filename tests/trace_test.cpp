@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "frame_corpus.hpp"
 #include "net/packet.hpp"
 #include "net/wire.hpp"
 #include "p4/p4_switch.hpp"
@@ -35,11 +36,7 @@ void write_file(const std::string& path, const std::string& data) {
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
-std::vector<std::uint8_t> serialized(const net::Packet& pkt) {
-  std::vector<std::uint8_t> buf(net::kMaxHeaderBytes);
-  buf.resize(net::serialize_headers(pkt, buf));
-  return buf;
-}
+using test::serialized;
 
 // ------------------------------------------------------------- pcap layout
 
@@ -459,6 +456,76 @@ TEST(TraceReplayer, ForeignFramesFlowThroughP4SwitchWithoutCrashing) {
   // accepts with only Ethernet extracted; the runt is rejected.
   EXPECT_EQ(sw.processed_pkts(), 4u);
   EXPECT_EQ(sw.parse_errors(), 1u);
+}
+
+// analyze() and replay read frames through the same parser, so their
+// counts agree on any input: a frame is undecodable exactly when the
+// switch counts a parse error for it.
+void expect_analyze_agrees_with_replay(const trace::TraceReplayer& trace) {
+  const auto s = trace.analyze();
+  sim::Simulation sim;
+  p4::P4Switch sw(sim, "agree");
+  trace.replay_now(sim, sw, /*advance_clock=*/false);
+  EXPECT_EQ(s.undecodable, sw.parse_errors());
+  EXPECT_EQ(s.frames - s.undecodable, sw.processed_pkts());
+  EXPECT_EQ(s.frames, s.undecodable + s.non_ipv4 + s.ipv4);
+  EXPECT_EQ(s.ipv4, s.tcp + s.udp + s.icmp + s.other_l4);
+}
+
+std::vector<trace::TraceFrame> frames_of(
+    const std::vector<std::vector<std::uint8_t>>& byte_frames) {
+  std::vector<trace::TraceFrame> frames;
+  for (const auto& bytes : byte_frames) {
+    trace::TraceFrame f;
+    f.ts = 10 * (frames.size() + 1);
+    f.bytes = bytes;
+    f.orig_len = static_cast<std::uint32_t>(bytes.size());
+    frames.push_back(std::move(f));
+  }
+  return frames;
+}
+
+TEST(TraceReplayer, AnalyzeAgreesWithReplayParseErrors) {
+  // A TCP header cut by snaplen to 13 bytes.
+  const net::Packet data_pkt = net::make_tcp_packet(
+      net::ipv4(1, 2, 3, 4), net::ipv4(5, 6, 7, 8), 1, 2, 0, 0,
+      net::tcpflags::kAck, 1200, 1000);
+  auto snapped = serialized(data_pkt);
+  snapped.resize(net::kEthernetHeaderBytes + 20 + 13);
+  // A QUIC long header with a 4-byte DCID: not the fixed shape the
+  // parser extracts, so the datagram is plain UDP.
+  auto short_cid = serialized(net::make_udp_packet(
+      net::ipv4(1, 2, 3, 4), net::ipv4(5, 6, 7, 8), 40000, 4433, 1200));
+  short_cid.insert(short_cid.end(),
+                   {0xC3, 0, 0, 0, 1,                       // Initial, v1
+                    4, 0xAA, 0xBB, 0xCC, 0xDD,              // DCID
+                    8, 1, 2, 3, 4, 5, 6, 7, 8,              // SCID
+                    0, 0, 0, 1});                           // pn
+  // An IPv4 header with IHL 4.
+  auto bad_ihl = serialized(data_pkt);
+  bad_ihl[net::kEthernetHeaderBytes] = 0x44;
+
+  const auto three = trace::TraceReplayer::from_frames(
+      frames_of({snapped, short_cid, bad_ihl}));
+  const auto s = three.analyze();
+  EXPECT_EQ(s.undecodable, 2u);
+  EXPECT_EQ(s.ipv4, 1u);
+  EXPECT_EQ(s.tcp, 0u);
+  EXPECT_EQ(s.udp, 1u);
+  EXPECT_EQ(s.quic, 0u);
+  EXPECT_EQ(s.with_payload, 1u);
+  EXPECT_EQ(s.ethertypes.at(0x0800), 3u);
+  expect_analyze_agrees_with_replay(three);
+
+  // The robustness corpus with every truncated prefix.
+  std::vector<std::vector<std::uint8_t>> prefixes;
+  for (const auto& frame : test::frame_corpus()) {
+    for (std::size_t len = 0; len <= frame.size(); ++len) {
+      prefixes.emplace_back(frame.begin(), frame.begin() + len);
+    }
+  }
+  expect_analyze_agrees_with_replay(
+      trace::TraceReplayer::from_frames(frames_of(prefixes)));
 }
 
 // --------------------------------------------------------------------- CLI
