@@ -23,6 +23,7 @@
 #include <sstream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -70,15 +71,29 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
+// 64-bit FNV-1a, continuing from `h`.
+std::uint64_t fnv1a(std::string_view bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 // The 4-switch determinism scenario: every tap point monitored, three
-// concurrent transfers crossing them, 2 samples/s.
-MonitoringSystemConfig four_switch_scenario(std::size_t parallel,
-                                            std::uint64_t jitter_seed = 0) {
+// concurrent transfers crossing them, 2 samples/s. A non-empty
+// `capture_base` also captures every site's mirror streams to pcap.
+MonitoringSystemConfig four_switch_scenario(
+    std::size_t parallel, std::uint64_t jitter_seed = 0,
+    const std::string& capture_base = "") {
   MonitoringSystemConfig config;
   config.topology.bottleneck_bps = units::mbps(2);
   config.seed = 42;
   config.parallel = parallel;
   config.scheduling_jitter_seed = jitter_seed;
+  config.trace.capture = !capture_base.empty();
+  config.trace.path_base = capture_base;
   config.switches = {
       MonitoredSwitchConfig{"core", TapPoint::kCoreBottleneck},
       MonitoredSwitchConfig{"ext0", TapPoint::kWanExt0},
@@ -98,8 +113,10 @@ struct RunOutput {
 };
 
 RunOutput run_four_switch(std::size_t parallel,
-                          std::uint64_t jitter_seed = 0) {
-  MonitoringSystem system(four_switch_scenario(parallel, jitter_seed));
+                          std::uint64_t jitter_seed = 0,
+                          const std::string& capture_base = "") {
+  MonitoringSystem system(
+      four_switch_scenario(parallel, jitter_seed, capture_base));
   std::vector<Collector> sites(system.switch_count());
   // Tee each site's series out for isolated comparison while the
   // shared transport -> archiver path keeps running underneath.
@@ -127,6 +144,9 @@ RunOutput run_four_switch(std::size_t parallel,
   const auto stats = system.fabric_stats();
   out.total_mirrored = stats.mirrored;
   out.total_processed = stats.processed;
+  for (const auto& site : system.monitored_switches()) {
+    if (site->capturing()) site->trace_capture().flush();
+  }
   return out;
 }
 
@@ -156,6 +176,53 @@ TEST(ParallelFabric, ByteIdenticalOutputsAcrossWorkerCounts) {
     const RunOutput parallel = run_four_switch(workers);
     expect_same_output(serial, parallel,
                        "parallel=" + std::to_string(workers));
+  }
+}
+
+// The serial reference kept as data: the archive digest and the eight
+// pcap hashes (four sites x ingress/egress) of the four-switch scenario,
+// generated when mirror copies were still delivered by per-copy events
+// on the main timeline. Every worker count and a jittered schedule must
+// reproduce them byte for byte.
+TEST(ParallelFabric, FourSwitchRunMatchesCommittedSerialDigests) {
+  constexpr std::uint64_t kArchiveDigest = 0x3d2d0302b9bbc9a0ull;
+  // {ingress, egress} per site. The three WAN sites tap one switch, so
+  // their ingress streams are the same.
+  constexpr std::uint64_t kPcapDigests[4][2] = {
+      {0xbfa22d5e42568799ull, 0xf89d0daa14285625ull},  // core
+      {0xaeb0217d9a16d2e6ull, 0x3b435d2f5d7403e0ull},  // ext0
+      {0xaeb0217d9a16d2e6ull, 0x5dd1b6c3e85a5827ull},  // ext1
+      {0xaeb0217d9a16d2e6ull, 0x100151bff4439d48ull},  // ext2
+  };
+  const std::string base =
+      ::testing::TempDir() +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::vector<std::pair<std::size_t, std::uint64_t>> runs = {
+      {1, 0}, {2, 0}, {4, 0}, {8, 0}, {4, 0x5EEDull}};
+  for (const auto& [parallel, jitter] : runs) {
+    const std::string label = "parallel=" + std::to_string(parallel) +
+                              " jitter=" + std::to_string(jitter);
+    const std::string run_base = base + "-" + std::to_string(parallel) +
+                                 "-" + std::to_string(jitter);
+    const RunOutput out = run_four_switch(parallel, jitter, run_base);
+    std::uint64_t archive = fnv1a("");
+    for (const std::string& doc : out.archived) {
+      archive = fnv1a(doc + "\n", archive);
+    }
+    EXPECT_EQ(archive, kArchiveDigest)
+        << label << ": archive digest 0x" << std::hex << archive;
+    const char* const sites[4] = {"", ".ext0", ".ext1", ".ext2"};
+    for (std::size_t s = 0; s < 4; ++s) {
+      for (const auto point :
+           {net::MirrorPoint::kIngress, net::MirrorPoint::kEgress}) {
+        const std::string path =
+            trace::TraceCapture::port_path(run_base + sites[s], point);
+        const std::uint64_t digest = fnv1a(read_file(path));
+        EXPECT_EQ(digest, kPcapDigests[s][static_cast<int>(point)])
+            << label << ": " << path << " digest 0x" << std::hex << digest;
+        std::remove(path.c_str());
+      }
+    }
   }
 }
 
