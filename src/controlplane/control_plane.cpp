@@ -255,7 +255,7 @@ double ControlPlane::occupancy_pct(SimTime queue_delay) const {
 // The one extraction body all timers share: read each flow's value, emit
 // the metric report, run the alert/boost logic, then the entry's hooks.
 void ControlPlane::extract(std::size_t index) {
-  if (driver_sync_) driver_sync_();
+  sync_data_plane();
   ExtractorEntry& entry = extractors_[index];
   const SimTime now = sim_.now();
   double worst = 0.0;  // per-tick max, drives the boost hysteresis
@@ -312,7 +312,7 @@ void ControlPlane::check_alert(ExtractorEntry& entry,
 }
 
 void ControlPlane::poll_digests() {
-  if (driver_sync_) driver_sync_();
+  sync_data_plane();
   for (const auto& d : program_.tracker().new_flow_digests().drain()) {
     FlowState state;
     state.flow = d.flow;
@@ -357,7 +357,7 @@ void ControlPlane::poll_digests() {
 }
 
 void ControlPlane::scan_idle_flows() {
-  if (driver_sync_) driver_sync_();
+  sync_data_plane();
   const SimTime now = sim_.now();
   std::vector<std::uint16_t> expired;
   for (const auto& [slot, state] : flows_) {

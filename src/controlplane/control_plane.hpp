@@ -261,13 +261,20 @@ class ControlPlane {
 
   std::uint64_t reports_emitted() const { return reports_emitted_; }
 
-  /// Parallel-fabric hook: invoked immediately before every data-plane
-  /// register read (extraction tick, digest poll, idle scan). The fabric
-  /// installs a barrier here — "this switch's pipeline shard has executed
-  /// every mirror delivered before now" — so driver reads observe exactly
-  /// the register state the serial run would. Unset = no-op (serial).
+  /// Fabric hook: invoked immediately before every data-plane register
+  /// read (extraction tick, digest poll, idle scan) and before every
+  /// change to the switch's measurement programs. The fabric installs a
+  /// barrier here — "this switch's pipeline shard has executed every
+  /// mirror copy delivered before now" — so the driver sees exactly the
+  /// data-plane state at the current time, whoever advances the shard.
+  /// Unset = no-op (a control plane over a program it drives by hand).
   void set_driver_sync(std::function<void()> sync) {
     driver_sync_ = std::move(sync);
+  }
+  /// Run the driver sync: after this, data-plane state is the state at
+  /// the current time and safe to read or change from this thread.
+  void sync_data_plane() {
+    if (driver_sync_) driver_sync_();
   }
 
  private:

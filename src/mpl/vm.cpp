@@ -46,6 +46,9 @@ void ProgramVm::bind(cp::ControlPlane& cp) {
 }
 
 void ProgramVm::install(Program program) {
+  // programs_ is read by the pipeline shard on every copy: bring the
+  // shard up to now (and, with worker threads, to a halt) first.
+  if (cp_ != nullptr) cp_->sync_data_plane();
   const std::size_t existing = index_of(program.name);
   const bool replacing = existing < programs_.size();
   const std::size_t freed_rows =
@@ -105,6 +108,7 @@ void ProgramVm::install(Program program) {
 }
 
 bool ProgramVm::remove(std::string_view name) {
+  if (cp_ != nullptr) cp_->sync_data_plane();
   const std::size_t i = index_of(name);
   if (i >= programs_.size()) return false;
   Installed& p = *programs_[i];

@@ -83,7 +83,9 @@ class ProgramVm : public telemetry::PacketEngine {
   /// replaced atomically (its extractor is re-registered so a changed
   /// export spec takes effect). Throws std::invalid_argument when the
   /// register-row budget would be exceeded or the export metric name
-  /// collides with a different extractor.
+  /// collides with a different extractor. Both install and remove first
+  /// run the bound control plane's driver sync, so a change mid-run
+  /// lands between the copies delivered before and at the current time.
   void install(Program program);
 
   /// Remove by name; unregisters the export extractor. Returns false if

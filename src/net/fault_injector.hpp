@@ -73,7 +73,6 @@ class FaultInjector {
 
   std::uint64_t resets_injected() const { return resets_injected_; }
   std::uint64_t stalls_injected() const { return stalls_injected_; }
-  const std::vector<ScheduledFault>& script() const { return script_; }
 
  private:
   void inject(const ScheduledFault& fault);

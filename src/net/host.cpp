@@ -4,7 +4,6 @@ namespace p4s::net {
 
 void Host::send(Packet pkt) {
   pkt.ip.id = ip_id_++;
-  ++sent_pkts_;
   if (uplink_ != nullptr) uplink_->enqueue(pkt);
 }
 

@@ -40,7 +40,6 @@ class Host : public PacketSink {
   const std::string& name() const { return name_; }
   sim::Simulation& simulation() { return sim_; }
 
-  std::uint64_t sent_pkts() const { return sent_pkts_; }
   std::uint64_t received_pkts() const { return received_pkts_; }
 
   /// Pick an ephemeral source port (deterministic, never repeats within a
@@ -61,7 +60,6 @@ class Host : public PacketSink {
   std::unordered_map<std::uint64_t, Handler> handlers_;
   std::uint16_t ip_id_ = 0;
   std::uint16_t next_ephemeral_ = 49152;
-  std::uint64_t sent_pkts_ = 0;
   std::uint64_t received_pkts_ = 0;
 };
 

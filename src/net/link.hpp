@@ -72,14 +72,9 @@ class OutputPort : public PacketSink {
 
   /// Fired when a packet finishes serialization onto the wire; arguments
   /// are the packet and the queuing delay it experienced (enqueue ->
-  /// serialization end). This is where the egress TAP attaches.
-  void set_egress_hook(std::function<void(const Packet&, SimTime)> hook) {
-    egress_hooks_.clear();
-    add_egress_hook(std::move(hook));
-  }
-
-  /// Multicast variant: several TAPs can observe the same port (one per
-  /// monitored site in the fabric). Hooks fire in attachment order.
+  /// serialization end). This is where the egress TAP attaches; several
+  /// TAPs can observe the same port (one per monitored site in the
+  /// fabric). Hooks fire in attachment order.
   void add_egress_hook(std::function<void(const Packet&, SimTime)> hook) {
     if (hook) egress_hooks_.push_back(std::move(hook));
   }

@@ -88,7 +88,6 @@ class ReportChannel {
 
   bool connected() const { return connected_; }
   bool stalled() const { return sim_.now() < stalled_until_; }
-  std::uint64_t buffered_bytes() const { return buffered_bytes_; }
 
   struct Stats {
     std::uint64_t bytes_accepted = 0;   // admitted by send()

@@ -39,16 +39,9 @@ class LegacySwitch : public PacketSink {
   void on_packet(const Packet& pkt) override;
 
   /// Fired for every packet arriving at the switch, before forwarding.
-  /// This is where the ingress TAP attaches. Replaces any previously
-  /// installed hooks.
-  void set_ingress_hook(std::function<void(const Packet&)> hook) {
-    ingress_hooks_.clear();
-    add_ingress_hook(std::move(hook));
-  }
-
-  /// Multicast variant: several TAPs can observe the same switch (the
-  /// monitoring fabric attaches one pair per monitored site). Hooks fire
-  /// in attachment order.
+  /// This is where the ingress TAP attaches; several TAPs can observe the
+  /// same switch (the monitoring fabric attaches one pair per monitored
+  /// site). Hooks fire in attachment order.
   void add_ingress_hook(std::function<void(const Packet&)> hook) {
     if (hook) ingress_hooks_.push_back(std::move(hook));
   }

@@ -313,14 +313,7 @@ Segment Segment::load(const std::string& path) {
     seg.bloom_hashes_ =
         static_cast<std::uint32_t>(header.at("bloom_hashes").as_int());
     for (const auto& entry : header.at("columns").as_array()) {
-      ColumnSummary s;
-      s.count = static_cast<std::uint64_t>(entry.at("count").as_int());
-      s.min = entry.at("min").as_double();
-      s.max = entry.at("max").as_double();
-      s.sum = entry.at("sum").as_double();
-      const std::string& field = entry.at("field").as_string();
-      seg.summaries_[field] = s;
-      column_order.push_back(field);
+      column_order.push_back(entry.at("field").as_string());
     }
     if (header.contains("posting_fields")) {
       for (const auto& field : header.at("posting_fields").as_array()) {
@@ -408,11 +401,6 @@ std::size_t Segment::approx_bytes() const {
     bytes += key.size() + rows.size() * sizeof(std::uint32_t) + 64;
   }
   return bytes;
-}
-
-const ColumnSummary* Segment::column_summary(const std::string& field) const {
-  const auto it = summaries_.find(field);
-  return it == summaries_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::optional<double>> Segment::decode_column(

@@ -142,10 +142,6 @@ class Segment {
   /// Approximate decoded footprint, the block cache's charge unit.
   std::size_t approx_bytes() const;
 
-  /// Column summary for `field`, or nullptr when the field was not
-  /// encoded columnar in this segment.
-  const ColumnSummary* column_summary(const std::string& field) const;
-
   /// Decode a column to per-document values (nullopt = the document had
   /// no numeric value at that path). Returns an empty vector for
   /// non-columnar fields.
@@ -165,7 +161,6 @@ class Segment {
   SegmentInfo info_;
   std::string time_field_;
   std::vector<std::string> doc_texts_;
-  std::map<std::string, ColumnSummary> summaries_;
   std::map<std::string, std::string> column_bytes_;
   std::string bloom_bits_;
   std::uint32_t bloom_hashes_ = 0;

@@ -43,7 +43,6 @@ void WalWriter::commit() {
   if (!out_) throw StoreError("wal: write failed on " + path_);
   payload_.clear();
   pending_docs_ = 0;
-  ++batches_;
 }
 
 WalReplay replay_wal_bytes(std::string_view data) {

@@ -57,14 +57,11 @@ class WalWriter {
   /// Throws StoreError if the stream went bad.
   void commit();
 
-  std::uint64_t batches_committed() const { return batches_; }
-
  private:
   std::ofstream out_;
   std::string path_;
   std::string payload_;
   std::size_t pending_docs_ = 0;
-  std::uint64_t batches_ = 0;
 };
 
 struct WalReplay {

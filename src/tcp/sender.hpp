@@ -97,8 +97,6 @@ class TcpSender {
   std::uint64_t flight_bytes() const {
     return static_cast<std::uint32_t>(snd_nxt_ - snd_una_);
   }
-  std::uint64_t rwnd_bytes() const { return rwnd_; }
-  bool in_recovery() const { return in_recovery_; }
   const RttEstimator& rtt() const { return rtt_; }
   const CongestionControl& congestion() const { return *cc_; }
   net::FiveTuple five_tuple() const;

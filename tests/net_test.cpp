@@ -181,7 +181,7 @@ TEST(OutputPort, EgressHookReportsQueueingDelay) {
   link.set_sink(sink);
   OutputPort port(sim, 1 << 20, link);
   std::vector<SimTime> delays;
-  port.set_egress_hook(
+  port.add_egress_hook(
       [&](const Packet&, SimTime d) { delays.push_back(d); });
   const Packet p = data_packet();
   sim.at(0, [&]() {
@@ -329,7 +329,7 @@ TEST(LegacySwitch, UnrouteFallsBackToDefault) {
 TEST(LegacySwitch, IngressHookSeesEveryArrival) {
   SwitchFixture f;
   int hook_count = 0;
-  f.sw.set_ingress_hook([&](const Packet&) { ++hook_count; });
+  f.sw.add_ingress_hook([&](const Packet&) { ++hook_count; });
   f.sim.at(0, [&]() {
     f.sw.on_packet(data_packet());  // unroutable, still hooked
   });

@@ -1,6 +1,6 @@
 // Unit tests: P4 target emulation — stateful registers, CRC hash
-// engines, count-min sketch, match-action tables, programmable parser,
-// digest queue and the switch target itself.
+// engines, count-min sketch, programmable parser, digest queue and the
+// switch target itself.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,7 +12,6 @@
 #include "p4/parser.hpp"
 #include "p4/pipeline.hpp"
 #include "p4/register.hpp"
-#include "p4/table.hpp"
 
 namespace p4s::p4 {
 namespace {
@@ -140,45 +139,6 @@ TEST(Cms, DimensionsReported) {
   CountMinSketch cms(4, 512);
   EXPECT_EQ(cms.depth(), 4u);
   EXPECT_EQ(cms.width(), 512u);
-}
-
-// ---------- Match-action table ----------
-
-TEST(Table, InsertLookupErase) {
-  ExactMatchTable<std::uint32_t, int> table;
-  EXPECT_FALSE(table.lookup(5).has_value());  // miss, no default
-  table.insert(5, 50);
-  EXPECT_EQ(table.lookup(5).value(), 50);
-  EXPECT_TRUE(table.erase(5));
-  EXPECT_FALSE(table.erase(5));
-  EXPECT_FALSE(table.lookup(5).has_value());
-}
-
-TEST(Table, DefaultActionOnMiss) {
-  ExactMatchTable<std::uint32_t, int> table;
-  table.set_default(-1);
-  EXPECT_EQ(table.lookup(5).value(), -1);
-  table.insert(5, 50);
-  EXPECT_EQ(table.lookup(5).value(), 50);
-}
-
-TEST(Table, CapacityEnforced) {
-  ExactMatchTable<std::uint32_t, int> table(2);
-  EXPECT_TRUE(table.insert(1, 1));
-  EXPECT_TRUE(table.insert(2, 2));
-  EXPECT_FALSE(table.insert(3, 3));     // full
-  EXPECT_TRUE(table.insert(1, 10));     // update in place still allowed
-  EXPECT_EQ(table.lookup(1).value(), 10);
-  EXPECT_EQ(table.size(), 2u);
-}
-
-TEST(Table, HitCountersTrack) {
-  ExactMatchTable<std::uint32_t, int> table;
-  table.insert(1, 1);
-  table.lookup(1);
-  table.lookup(2);
-  EXPECT_EQ(table.lookups(), 2u);
-  EXPECT_EQ(table.hits(), 1u);
 }
 
 // ---------- Parser ----------

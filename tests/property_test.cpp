@@ -4,6 +4,7 @@
 
 #include <array>
 #include <map>
+#include <ostream>
 #include <set>
 #include <span>
 #include <string>
@@ -314,6 +315,14 @@ struct LossCase {
   double rev_loss;  // loss on the ACK path
   bool sack;
 };
+
+// Names each case by seed and SACK mode ("seed3_sack"). Without it gtest
+// prints a LossCase as a byte dump, struct padding included, and CMake's
+// test discovery puts that printout in the ctest name, so the names
+// changed between builds.
+void PrintTo(const LossCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << (c.sack ? "_sack" : "_nosack");
+}
 
 class TcpIntegrity : public ::testing::TestWithParam<LossCase> {};
 
