@@ -9,12 +9,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "controlplane/control_plane.hpp"
+#include "core/monitored_switch.hpp"
 #include "net/impairment.hpp"
 #include "net/topology.hpp"
-#include "p4/p4_switch.hpp"
 #include "tcp/flow.hpp"
-#include "telemetry/dataplane_program.hpp"
 
 using namespace p4s;
 using units::milliseconds;
@@ -49,16 +47,14 @@ IatRun run(bool with_blockage) {
     mmwave.schedule_blockage(seconds(7), seconds(2));
   }
 
-  // Passive monitoring of the ToR switch.
-  telemetry::DataPlaneProgram program;
-  p4::P4Switch p4sw(sim, "monitor");
-  p4sw.load_program(program);
-  net::OpticalTapPair taps(sim, p4sw);
-  taps.attach(sw, *duplex.reverse);
-
+  // Passive monitoring of the ToR switch's mmWave port.
   cp::ControlPlaneConfig cp_config;
   cp_config.digest_poll_interval = milliseconds(5);
-  cp::ControlPlane control(sim, program, cp_config);
+  core::FabricExecutor fabric(sim, {});
+  core::MonitoredSwitch site(sim, fabric, {sw, *duplex.reverse, mmwave_bps},
+                             {}, {}, cp_config);
+  fabric.start();
+  auto& control = site.control_plane();
   control.start();
 
   IatRun result;
@@ -73,9 +69,10 @@ IatRun run(bool with_blockage) {
   flow.start_at(seconds(1));
 
   sim.every(seconds(2), milliseconds(20), [&]() {
+    control.sync_data_plane();  // the IAT register as of now
     for (const auto& [slot, state] : control.flows()) {
       (void)state;
-      const SimTime iat = program.iat_monitor().last_iat(slot);
+      const SimTime iat = site.program().iat_monitor().last_iat(slot);
       result.iat_series.emplace_back(units::to_seconds(sim.now()),
                                      units::to_milliseconds(iat));
     }

@@ -14,12 +14,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "controlplane/control_plane.hpp"
+#include "core/monitored_switch.hpp"
 #include "net/impairment.hpp"
 #include "net/topology.hpp"
-#include "p4/p4_switch.hpp"
 #include "tcp/flow.hpp"
-#include "telemetry/dataplane_program.hpp"
 
 using namespace p4s;
 using units::milliseconds;
@@ -82,14 +80,13 @@ RunResult run(Detector detector) {
 
   // Passive P4 monitoring (present in every run; only the P4 detector
   // acts on it).
-  telemetry::DataPlaneProgram program;
-  p4::P4Switch p4sw(sim, "monitor");
-  p4sw.load_program(program);
-  net::OpticalTapPair taps(sim, p4sw);
-  taps.attach(sw, *primary.reverse);
   cp::ControlPlaneConfig cp_config;
   cp_config.digest_poll_interval = milliseconds(5);
-  cp::ControlPlane control(sim, program, cp_config);
+  core::FabricExecutor fabric(sim, {});
+  core::MonitoredSwitch site(sim, fabric, {sw, *primary.reverse, mmwave_bps},
+                             {}, {}, cp_config);
+  fabric.start();
+  auto& control = site.control_plane();
   control.start();
   if (detector == Detector::kP4) {
     control.set_on_blockage(

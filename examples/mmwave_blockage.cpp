@@ -7,12 +7,10 @@
 //   ./examples/mmwave_blockage
 #include <cstdio>
 
-#include "controlplane/control_plane.hpp"
+#include "core/monitored_switch.hpp"
 #include "net/impairment.hpp"
 #include "net/topology.hpp"
-#include "p4/p4_switch.hpp"
 #include "tcp/flow.hpp"
-#include "telemetry/dataplane_program.hpp"
 
 using namespace p4s;
 using units::milliseconds;
@@ -39,15 +37,15 @@ int main() {
   net::OutputPort backup_port(sim, units::mebibytes(8), backup_link);
   const std::size_t backup_idx = tor.add_port(backup_port);
 
-  // Passive P4 monitor on the ToR.
-  telemetry::DataPlaneProgram program;
-  p4::P4Switch p4sw(sim, "monitor");
-  p4sw.load_program(program);
-  net::OpticalTapPair taps(sim, p4sw);
-  taps.attach(tor, *primary.reverse);
+  // Passive P4 monitor on the ToR's mmWave port.
   cp::ControlPlaneConfig cp_config;
   cp_config.digest_poll_interval = milliseconds(5);
-  cp::ControlPlane control(sim, program, cp_config);
+  core::FabricExecutor fabric(sim, {});
+  core::MonitoredSwitch monitor(
+      sim, fabric, {tor, *primary.reverse, units::mbps(200)}, {}, {},
+      cp_config);
+  fabric.start();
+  auto& control = monitor.control_plane();
   control.start();
 
   bool rerouted = false;

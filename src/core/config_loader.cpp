@@ -318,7 +318,7 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
     } else if (key == "switches") {
       // Two accepted shapes: the legacy bare array of site entries, or
       // an object {"parallel": N, "sites": [...]} that also selects the
-      // sharded parallel runtime (N workers; 1 = serial).
+      // fabric executor's worker count (N threads; 1 = none, serial).
       auto parse_sites = [&](const util::Json& sites) {
         if (!sites.is_array()) reader.fail("'switches' sites must be an array");
         const auto& entries = sites.as_array();

@@ -7,8 +7,9 @@ namespace p4s::core {
 
 // One monitored switch's pipeline shard: the consumer end of the TAP
 // boundary and the ShardPool execution hook. push() runs on the main
-// thread, advance_to() on the shard's worker; the SPSC inbox and the
-// pool's grant/watermark protocol are the only points of contact.
+// thread, advance_to() on the shard's worker (on the main thread when
+// there is none); the SPSC inbox and the pool's grant/watermark
+// protocol are the only points of contact.
 class FabricExecutor::SwitchShard : public sim::ShardPool::Shard,
                                     public net::MirrorBoundary {
  public:
@@ -28,10 +29,14 @@ class FabricExecutor::SwitchShard : public sim::ShardPool::Shard,
     // has drained everything up to its watermark, so only frames due at
     // exactly frame.at stay ungrantable; a site cannot mirror a ring's
     // worth of copies in a single nanosecond, so space is guaranteed to
-    // appear.
+    // appear. Without workers the grant drains the inbox right here.
     ++blocked_pushes_;
     fabric_.pool_.publish_grant(id_, frame.at == 0 ? 0 : frame.at - 1);
     while (!inbox_.try_push(frame)) {
+      if (fabric_.pool_.worker_count() == 0) {
+        throw std::logic_error(
+            "FabricExecutor: a full inbox of copies due in one nanosecond");
+      }
       fabric_.pool_.throw_if_failed();
       std::this_thread::yield();
     }
@@ -57,16 +62,15 @@ class FabricExecutor::SwitchShard : public sim::ShardPool::Shard,
   FabricExecutor& fabric_;
   sim::Simulation& pipeline_sim_;
   net::MirrorSink& entry_;
-  sim::BoundaryQueue<net::MirrorFrame> inbox_;
+  sim::BoundaryQueue<net::MirrorFrame> inbox_{kInboxFrames};
   std::size_t id_ = 0;
   std::uint64_t blocked_pushes_ = 0;  // main-thread owned
 };
 
 FabricExecutor::FabricExecutor(sim::Simulation& main_sim, Config config)
     : main_sim_(main_sim),
-      pool_(sim::ShardPool::Config{
-          config.workers == 0 ? 1 : config.workers,
-          config.scheduling_jitter_seed}) {}
+      pool_(sim::ShardPool::Config{config.workers,
+                                   config.scheduling_jitter_seed}) {}
 
 FabricExecutor::~FabricExecutor() { stop(); }
 
@@ -90,8 +94,9 @@ void FabricExecutor::start() {
   if (started_) return;
   started_ = true;
   pool_.start();
-  // Grant pump: keep the workers trailing the main clock so pipelines
-  // overlap with topology/TCP execution between driver reads.
+  // Grant pump: keep the shards trailing the main clock — with workers,
+  // so pipelines overlap with topology/TCP execution between driver
+  // reads; without, so the inbox holds about one period of copies.
   main_sim_.every(kGrantPeriod, kGrantPeriod, [this]() {
     const SimTime now = main_sim_.now();
     pool_.publish_grant_all(now == 0 ? 0 : now - 1);

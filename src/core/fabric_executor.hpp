@@ -1,17 +1,20 @@
-// FabricExecutor — the parallel runtime of the monitoring fabric.
+// FabricExecutor — the runtime that delivers mirror copies to the
+// monitoring fabric's pipelines.
 //
-// In serial mode every monitored switch's mirror pipeline (TAP delivery
-// -> capture tee -> P4 parser -> data-plane program) executes inline on
-// the one simulation timeline. The executor moves exactly that pipeline
-// — the dominant per-packet cost, and the only part of a site that is
-// independent of every other site — onto per-switch *shards*, each
-// advancing its own sim::Simulation on a ShardPool worker thread.
-// Everything that interacts stays on the main timeline: the topology,
-// TCP, the control planes, the report transport, the archiver. That
-// split is what keeps seeded runs byte-identical at any worker count:
-// the main timeline's event order is untouched (mirror copies are handed
-// across a boundary instead of being scheduled), and a shard's outputs
-// are a pure function of its ordered boundary stream.
+// Every monitored switch's mirror pipeline (capture tee -> P4 parser ->
+// data-plane program) is a *shard* with its own sim::Simulation clock —
+// the dominant per-packet cost, and the only part of a site that is
+// independent of every other site. Everything that interacts stays on
+// the main timeline: the topology, TCP, the control planes, the report
+// transport, the archiver. The TAP pair never schedules a delivery: it
+// hands each copy across the shard's boundary, and the shard replays it
+// at its delivery time. With zero workers (the serial run) the main
+// thread does that replay itself, inside the grant pump, the driver
+// barriers and full-inbox pushes; with N workers, ShardPool threads do
+// it while the main timeline runs on. That split is what keeps seeded
+// runs byte-identical at any worker count: the main timeline's event
+// order never depends on the shards, and a shard's outputs are a pure
+// function of its ordered boundary stream.
 //
 // Protocol per shard (see sim/shard_pool.hpp for the memory-ordering
 // contract):
@@ -20,17 +23,18 @@
 //     inbox, in non-decreasing timestamp order;
 //   * a recurring *grant pump* on the main timeline publishes lookahead
 //     grants of main_now - 1 — safe because a frame mirrored at main
-//     time T cannot be delivered before T + tap_latency > T - 1;
+//     time T cannot be delivered before T + tap_latency > T - 1 — which
+//     also bounds the inbox to about one pump period of copies;
 //   * the shard drains its inbox up to the grant in FIFO order,
 //     advancing its own clock to each frame's delivery time before
-//     feeding the sink (so P4 ingress timestamps and pcap records match
-//     the serial run). Nothing else ever runs on a shard: no event is
-//     scheduled on a pipeline simulation;
-//   * a control plane about to read data-plane registers at main time T
-//     calls sync(): a barrier to T - 1, exactly the set of deliveries a
-//     serial run would have executed before a tick at T (the serial
-//     queue's FIFO rule: a driver tick armed a full interval earlier
-//     precedes a delivery at T armed only tap_latency earlier);
+//     feeding the sink (so P4 ingress timestamps and pcap records are
+//     the delivery times). Nothing else ever runs on a shard: no event
+//     is scheduled on a pipeline simulation;
+//   * a control plane about to read data-plane registers (or change
+//     its measurement programs) at main time T calls sync(): a barrier
+//     to T - 1, exactly the deliveries that precede a driver tick at T
+//     (a tick armed a full interval earlier precedes a copy due at T
+//     that was mirrored only tap_latency earlier);
 //   * run_until(t) ends with an inclusive barrier_all(t), after which
 //     reading any shard-owned state from the main thread is race-free.
 //
@@ -55,8 +59,9 @@ namespace p4s::core {
 class FabricExecutor {
  public:
   struct Config {
-    /// Worker threads advancing the shards (clamped to the shard count).
-    std::size_t workers = 2;
+    /// Worker threads advancing the shards (clamped to the shard count);
+    /// 0 = the serial run, every shard advanced on the calling thread.
+    std::size_t workers = 0;
     /// Test-only: forwarded to ShardPool (randomized worker stalls for
     /// the determinism battery).
     std::uint64_t scheduling_jitter_seed = 0;
@@ -77,7 +82,8 @@ class FabricExecutor {
   /// The producer end the TAP pair should push into.
   net::MirrorBoundary& boundary(std::size_t shard);
 
-  /// Launch the workers and schedule the grant pump. Idempotent.
+  /// Launch the workers (if any) and schedule the grant pump.
+  /// Idempotent.
   void start();
   /// Stop and join the workers (destructor calls this too).
   void stop();
@@ -90,6 +96,7 @@ class FabricExecutor {
   /// readable from the calling thread until the pump next fires.
   void barrier_all(SimTime t);
 
+  /// Running worker threads (0 before start() and in the serial run).
   std::size_t worker_count() const { return pool_.worker_count(); }
   /// Producer-side stalls on a full inbox (main-thread telemetry).
   std::uint64_t blocked_pushes() const;
@@ -99,11 +106,16 @@ class FabricExecutor {
  private:
   class SwitchShard;
 
-  /// Period of the grant pump on the main timeline. Smaller = workers
+  /// Period of the grant pump on the main timeline. Smaller = shards
   /// trail the main clock more closely; larger = fewer main-loop
   /// events. Purely a throughput constant — correctness and outputs are
   /// invariant under it.
   static constexpr SimTime kGrantPeriod = units::microseconds(500);
+  /// Capacity of each shard's inbox, in frames. The pump drains it every
+  /// kGrantPeriod — tens to a few hundred copies per site on the shipped
+  /// workloads — so this leaves room for a worker that falls behind
+  /// while keeping the ring small (a frame is ~136 bytes).
+  static constexpr std::size_t kInboxFrames = 1024;
 
   sim::Simulation& main_sim_;
   sim::ShardPool pool_;

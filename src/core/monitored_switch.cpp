@@ -25,40 +25,15 @@ TapPoint tap_point_from_name(const std::string& name) {
 
 namespace {
 
-struct TapTarget {
-  net::LegacySwitch* sw = nullptr;
-  net::OutputPort* port = nullptr;
-  std::uint64_t rate_bps = 0;
-};
-
-TapTarget resolve_tap(net::PaperTopology& topology, TapPoint tap) {
-  switch (tap) {
-    case TapPoint::kCoreBottleneck:
-      return {topology.core_switch, topology.bottleneck_port,
-              topology.config.bottleneck_bps};
-    case TapPoint::kWanExt0:
-      return {topology.wan_switch, topology.ext_dtn_links[0].forward,
-              topology.config.access_bps};
-    case TapPoint::kWanExt1:
-      return {topology.wan_switch, topology.ext_dtn_links[1].forward,
-              topology.config.access_bps};
-    case TapPoint::kWanExt2:
-      return {topology.wan_switch, topology.ext_dtn_links[2].forward,
-              topology.config.access_bps};
-  }
-  throw std::invalid_argument("unknown tap point");
-}
-
 /// Fill control-plane knowledge of the monitored switch from the tapped
 /// port unless the caller overrode it.
-cp::ControlPlaneConfig site_control_config(net::PaperTopology& topology,
+cp::ControlPlaneConfig site_control_config(const TapTarget& tap,
                                            const MonitoredSwitchConfig& site,
                                            cp::ControlPlaneConfig config) {
-  const TapTarget target = resolve_tap(topology, site.tap);
   if (config.core_buffer_bytes == 0) {
-    config.core_buffer_bytes = target.port->queue().capacity_bytes();
+    config.core_buffer_bytes = tap.port.queue().capacity_bytes();
   }
-  if (config.bottleneck_bps == 0) config.bottleneck_bps = target.rate_bps;
+  if (config.bottleneck_bps == 0) config.bottleneck_bps = tap.rate_bps;
   config.switch_id = site.id;
   return config;
 }
@@ -66,29 +41,28 @@ cp::ControlPlaneConfig site_control_config(net::PaperTopology& topology,
 }  // namespace
 
 // The mirror pipeline's components read their timestamps (P4 ingress_ts,
-// pcap records) from the pipeline clock: the main timeline when serial,
-// the shard-advanced pipeline clock when parallel — both sit at the
-// frame's delivery time at delivery, so outputs are identical.
+// pcap records) from the pipeline clock, which the shard parks at each
+// frame's delivery time before handing the frame over.
 MonitoredSwitch::MonitoredSwitch(
-    sim::Simulation& sim, net::PaperTopology& topology,
+    sim::Simulation& sim, FabricExecutor& fabric, const TapTarget& tap,
     const MonitoredSwitchConfig& config,
     const telemetry::DataPlaneProgram::Config& program_config,
     cp::ControlPlaneConfig control_config,
     const TraceCaptureConfig& trace_config,
     const std::vector<mpl::Program>& fabric_programs, SimTime tap_latency,
-    std::size_t index, sim::Simulation* pipeline_sim)
+    std::size_t index)
     : trace::SitePipeline(
-          sim, pipeline_sim != nullptr ? *pipeline_sim : sim,
+          sim, pipeline_sim,
           config.id.empty() ? "tofino-monitor" : "tofino-" + config.id,
           program_config,
-          site_control_config(topology, config, std::move(control_config)),
+          site_control_config(tap, config, std::move(control_config)),
           fabric_programs, config.programs),
       config_(config) {
   // With capture enabled the TAPs feed a pcap-writing tee that forwards
   // every mirrored frame to the P4 switch unchanged. Switch 0 keeps the
   // configured path_base (so existing captures stay byte-identical);
   // further switches get a per-site suffix.
-  entry_sink_ = &p4_switch();
+  net::MirrorSink* entry = &p4_switch();
   if (trace_config.capture) {
     std::string path_base = trace_config.path_base;
     if (index > 0) {
@@ -96,15 +70,19 @@ MonitoredSwitch::MonitoredSwitch(
           "." + (config_.id.empty() ? std::to_string(index) : config_.id);
     }
     trace_capture_ = std::make_unique<trace::TraceCapture>(
-        pipeline_sim != nullptr ? *pipeline_sim : sim, p4_switch(), path_base,
+        pipeline_sim, p4_switch(), path_base,
         trace::TraceCapture::Config{trace_config.snaplen});
-    entry_sink_ = trace_capture_.get();
+    entry = trace_capture_.get();
   }
 
-  const TapTarget target = resolve_tap(topology, config_.tap);
-  taps_ = std::make_unique<net::OpticalTapPair>(sim, *entry_sink_,
+  const std::size_t shard = fabric.add_switch(pipeline_sim, *entry);
+  taps_ = std::make_unique<net::OpticalTapPair>(sim, fabric.boundary(shard),
                                                 tap_latency);
-  taps_->attach(*target.sw, *target.port);
+  taps_->attach(tap.sw, tap.port);
+  // Driver reads and program changes see exactly the copies delivered
+  // before the current time (a tick armed a full interval earlier runs
+  // before a same-time copy mirrored only tap_latency earlier).
+  control_plane().set_driver_sync([&fabric, shard]() { fabric.sync(shard); });
 }
 
 }  // namespace p4s::core

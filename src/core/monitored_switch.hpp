@@ -1,24 +1,25 @@
-// MonitoredSwitch — one monitored site of the fabric: the site's
-// measurement stack (a trace::SitePipeline: the P4 switch running the
-// telemetry data-plane program, its VM and its control plane) fed by a
-// passive TAP pair on a chosen switch/port of the shared topology,
-// optionally through a pcap capture tee. MonitoringSystem owns N of
-// these over one simulation and one report transport; the paper's
-// single-switch deployment (Figures 3-5) is the N=1 case.
+// MonitoredSwitch — one monitored site: the site's measurement stack (a
+// trace::SitePipeline: the P4 switch running the telemetry data-plane
+// program, its VM and its control plane) fed by a passive TAP pair on a
+// given switch and port, optionally through a pcap capture tee.
+// MonitoringSystem owns N of these over one simulation and one report
+// transport; the paper's single-switch deployment (Figures 3-5) is the
+// N=1 case, and a hand-built topology (the mmWave scenarios) builds one
+// directly.
 //
-// The mirror path is the same in both execution modes: the TAP pair
-// turns each copy into a net::MirrorFrame and hands it to entry_sink()
-// through MirrorSink's one entry point. Only who delivers the frame
-// differs — the TAP's own ring on the main timeline (serial), or a
-// FabricExecutor shard on the pipeline timeline (parallel).
+// There is one mirror path: the TAP pair turns each copy into a
+// net::MirrorFrame and pushes it into this site's FabricExecutor shard,
+// which replays it on the site's pipeline clock into the capture tee or
+// the P4 switch — on a worker thread, or on the main thread when the
+// executor has none.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 
+#include "core/fabric_executor.hpp"
 #include "net/tap.hpp"
-#include "net/topology.hpp"
 #include "trace/site_pipeline.hpp"
 #include "trace/trace_capture.hpp"
 
@@ -48,6 +49,14 @@ const char* to_string(TapPoint point);
 /// std::invalid_argument on unknown names.
 TapPoint tap_point_from_name(const std::string& name);
 
+/// The switch and output port a site's TAP pair observes, and the port's
+/// line rate (the control plane's default bottleneck rate).
+struct TapTarget {
+  net::LegacySwitch& sw;
+  net::OutputPort& port;
+  std::uint64_t rate_bps = 0;
+};
+
 struct MonitoredSwitchConfig {
   /// Site identity stamped into the switch's Report_v1 stream as
   /// "switch_id". Empty = untagged (the legacy single-switch format).
@@ -59,30 +68,38 @@ struct MonitoredSwitchConfig {
   std::vector<mpl::Program> programs;
 };
 
-class MonitoredSwitch : public trace::SitePipeline {
+namespace detail {
+/// A site's pipeline clock, as a base so that it is built before the
+/// SitePipeline whose P4 switch reads it. Only its clock is used: the
+/// fabric shard advances it to each copy's delivery time, nothing is
+/// ever scheduled on it, and nothing draws from its RNG.
+struct PipelineClock {
+  sim::Simulation pipeline_sim;
+};
+}  // namespace detail
+
+class MonitoredSwitch : private detail::PipelineClock,
+                        public trace::SitePipeline {
  public:
+  /// The TAP pair attaches to `tap`, and the site's mirror pipeline —
+  /// capture tee + P4 switch, on the site's own pipeline clock — is
+  /// registered as one shard of `fabric` (call fabric.start() before
+  /// running). The TAPs and the control plane stay on `sim`; the control
+  /// plane's driver sync is the shard's barrier.
+  ///
   /// `control_config`'s core_buffer_bytes / bottleneck_bps are filled
   /// from the tapped port when left 0; its switch_id is taken from
-  /// `config.id`. `index` is the switch's position in the fabric (used
-  /// for default capture paths and --switch indexing).
-  ///
-  /// `pipeline_sim` selects the execution mode. nullptr (serial): the
-  /// whole site lives on `sim`, mirror deliveries included. Non-null
-  /// (parallel fabric): the mirror pipeline — capture tee + P4 switch —
-  /// is built on `pipeline_sim`, whose clock a FabricExecutor shard
-  /// advances to each frame's delivery time on a worker thread; the
-  /// TAPs and the control plane stay on `sim`. The caller wires
-  /// entry_sink() and taps().set_boundary() to the executor.
-  /// `fabric_programs` are installed on every site before the site's own
-  /// config.programs.
-  MonitoredSwitch(sim::Simulation& sim, net::PaperTopology& topology,
-                  const MonitoredSwitchConfig& config,
+  /// `config.id`. `fabric_programs` are installed before the site's own
+  /// config.programs. `index` is the switch's position in the fabric
+  /// (used for default capture paths).
+  MonitoredSwitch(sim::Simulation& sim, FabricExecutor& fabric,
+                  const TapTarget& tap, const MonitoredSwitchConfig& config,
                   const telemetry::DataPlaneProgram::Config& program_config,
                   cp::ControlPlaneConfig control_config,
-                  const TraceCaptureConfig& trace_config,
-                  const std::vector<mpl::Program>& fabric_programs,
-                  SimTime tap_latency, std::size_t index,
-                  sim::Simulation* pipeline_sim = nullptr);
+                  const TraceCaptureConfig& trace_config = {},
+                  const std::vector<mpl::Program>& fabric_programs = {},
+                  SimTime tap_latency = units::microseconds(1),
+                  std::size_t index = 0);
 
   MonitoredSwitch(const MonitoredSwitch&) = delete;
   MonitoredSwitch& operator=(const MonitoredSwitch&) = delete;
@@ -94,13 +111,8 @@ class MonitoredSwitch : public trace::SitePipeline {
   bool capturing() const { return trace_capture_ != nullptr; }
   trace::TraceCapture& trace_capture() { return *trace_capture_; }
 
-  /// First sink of the mirror pipeline (the capture tee when capturing,
-  /// else the P4 switch) — the shard's delivery target in parallel mode.
-  net::MirrorSink& entry_sink() { return *entry_sink_; }
-
  private:
   MonitoredSwitchConfig config_;
-  net::MirrorSink* entry_sink_ = nullptr;
   std::unique_ptr<trace::TraceCapture> trace_capture_;
   std::unique_ptr<net::OpticalTapPair> taps_;
 };

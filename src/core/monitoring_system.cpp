@@ -6,53 +6,47 @@
 
 namespace p4s::core {
 
+namespace {
+
+TapTarget resolve_tap(net::PaperTopology& topology, TapPoint tap) {
+  switch (tap) {
+    case TapPoint::kCoreBottleneck:
+      return {*topology.core_switch, *topology.bottleneck_port,
+              topology.config.bottleneck_bps};
+    case TapPoint::kWanExt0:
+      return {*topology.wan_switch, *topology.ext_dtn_links[0].forward,
+              topology.config.access_bps};
+    case TapPoint::kWanExt1:
+      return {*topology.wan_switch, *topology.ext_dtn_links[1].forward,
+              topology.config.access_bps};
+    case TapPoint::kWanExt2:
+      return {*topology.wan_switch, *topology.ext_dtn_links[2].forward,
+              topology.config.access_bps};
+  }
+  throw std::invalid_argument("unknown tap point");
+}
+
+}  // namespace
+
 MonitoringSystem::MonitoringSystem(MonitoringSystemConfig config)
     : config_(std::move(config)),
       sim_(config_.seed),
       network_(sim_),
-      topology_(net::make_paper_topology(network_, config_.topology)) {
+      topology_(net::make_paper_topology(network_, config_.topology)),
+      // parallel <= 1 is the serial run: no worker thread.
+      fabric_(sim_, {config_.parallel > 1 ? config_.parallel : 0,
+                     config_.scheduling_jitter_seed}) {
   // Build the monitoring fabric: one MonitoredSwitch per configured
   // entry, defaulting to the paper's single untagged switch on the core
-  // bottleneck. All instances share the one simulation and topology.
+  // bottleneck. All instances share the one simulation and topology;
+  // each site's mirror pipeline is one shard of the executor.
   std::vector<MonitoredSwitchConfig> switch_configs = config_.switches;
   if (switch_configs.empty()) switch_configs.push_back({});
-
-  // parallel >= 2 selects the sharded runtime: each switch's mirror
-  // pipeline gets its own simulation clock and executes on a
-  // FabricExecutor worker; control planes, transport and archiver stay
-  // on the main timeline, which is what keeps seeded outputs
-  // byte-identical to the serial path at any worker count.
-  if (config_.parallel > 1) {
-    FabricExecutor::Config fabric_config;
-    fabric_config.workers = config_.parallel;
-    fabric_config.scheduling_jitter_seed = config_.scheduling_jitter_seed;
-    fabric_ = std::make_unique<FabricExecutor>(sim_, fabric_config);
-  }
-
   for (std::size_t i = 0; i < switch_configs.size(); ++i) {
-    sim::Simulation* pipeline_sim = nullptr;
-    if (fabric_) {
-      // Per-shard RNG stream: decorrelated from the root seed (the
-      // pipeline itself draws no randomness, but the stream is the
-      // shard's to use).
-      pipeline_sims_.push_back(std::make_unique<sim::Simulation>(
-          config_.seed ^ (0x9E3779B97F4A7C15ull * (i + 1))));
-      pipeline_sim = pipeline_sims_.back().get();
-    }
     switches_.push_back(std::make_unique<MonitoredSwitch>(
-        sim_, topology_, switch_configs[i], config_.program, config_.control,
-        config_.trace, config_.programs, config_.tap_latency, i,
-        pipeline_sim));
-    if (fabric_) {
-      const std::size_t shard =
-          fabric_->add_switch(*pipeline_sim, switches_[i]->entry_sink());
-      switches_[i]->taps().set_boundary(&fabric_->boundary(shard));
-      // Driver reads observe exactly the deliveries a serial run would
-      // have executed before a tick at the current time (ticks beat
-      // same-timestamp deliveries in the serial queue's FIFO order).
-      switches_[i]->control_plane().set_driver_sync(
-          [this, shard]() { fabric_->sync(shard); });
-    }
+        sim_, fabric_, resolve_tap(topology_, switch_configs[i].tap),
+        switch_configs[i], config_.program, config_.control, config_.trace,
+        config_.programs, config_.tap_latency, i));
   }
 
   psonar_ =
@@ -126,33 +120,24 @@ MonitoringSystem::MonitoringSystem(MonitoringSystemConfig config)
   }
 }
 
-MonitoringSystem::~MonitoringSystem() {
-  // Stop the workers before any shard-owned state (pipeline sims,
-  // captures, programs) goes away.
-  if (fabric_) fabric_->stop();
-}
-
 void MonitoringSystem::run_until(SimTime t) {
   sim_.run_until(t);
   // Inclusive merge barrier: every shard executes its deliveries with
-  // timestamp <= t and parks its clock at t — the state a serial
-  // run_until(t) leaves. Deliveries still in flight (mirrored within
-  // tap_latency of t) stay pending in both modes.
-  if (fabric_) fabric_->barrier_all(t);
+  // timestamp <= t and parks its clock at t. Deliveries still in flight
+  // (mirrored within tap_latency of t) stay pending.
+  fabric_.barrier_all(t);
 }
 
 MonitoringSystem::FabricStats MonitoringSystem::fabric_stats() {
   FabricStats stats;
   stats.at = sim_.now();
-  if (fabric_) {
-    // Merge barrier first: the watermark acquire inside makes every
-    // worker-side counter write visible to this thread, so the reads
-    // below are race-free and the totals are the serial run's.
-    fabric_->barrier_all(sim_.now());
-    stats.workers = fabric_->worker_count();
-    stats.barrier_waits = fabric_->barrier_waits();
-    stats.blocked_pushes = fabric_->blocked_pushes();
-  }
+  // Merge barrier first: the watermark acquire inside makes every
+  // worker-side counter write visible to this thread, so the reads below
+  // are race-free and the totals are the same at every worker count.
+  fabric_.barrier_all(sim_.now());
+  stats.workers = fabric_.worker_count();
+  stats.barrier_waits = fabric_.barrier_waits();
+  stats.blocked_pushes = fabric_.blocked_pushes();
   for (auto& monitored : switches_) {
     FabricSiteStats site;
     site.id = monitored->id();
@@ -174,7 +159,7 @@ MonitoringSystem::FabricStats MonitoringSystem::fabric_stats() {
 }
 
 void MonitoringSystem::start() {
-  if (fabric_) fabric_->start();
+  fabric_.start();
   if (fault_injector_) fault_injector_->arm();
   for (auto& monitored : switches_) monitored->control_plane().start();
   for (auto& generator : workloads_) generator->start();

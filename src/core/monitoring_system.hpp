@@ -111,11 +111,12 @@ struct MonitoringSystemConfig {
   /// site's VM before the per-site MonitoredSwitchConfig.programs. The
   /// config loader fills this from the top-level "programs" section.
   std::vector<mpl::Program> programs;
-  /// Parallel fabric execution (the config loader's switches.parallel
-  /// knob): number of worker threads advancing per-switch pipeline
-  /// shards. 1 (or 0) = the serial in-timeline path, bit-for-bit the
-  /// legacy behavior; >= 2 = sharded execution via a FabricExecutor.
-  /// Seeded outputs are byte-identical at every value.
+  /// Worker threads of the fabric executor (the config loader's
+  /// switches.parallel knob). Each monitored switch's mirror pipeline is
+  /// one executor shard either way: 1 (or 0) = no worker thread, the
+  /// main thread advances the shards (the serial run); >= 2 = that many
+  /// workers advance them alongside the main timeline. Seeded outputs
+  /// are byte-identical at every value.
   std::size_t parallel = 1;
   /// Test-only: randomized worker stalls (see ShardPool::Config) for the
   /// parallel determinism battery. 0 = off.
@@ -133,7 +134,6 @@ class MonitoringSystem {
  public:
   explicit MonitoringSystem(MonitoringSystemConfig config);
   MonitoringSystem() : MonitoringSystem(MonitoringSystemConfig{}) {}
-  ~MonitoringSystem();
 
   MonitoringSystem(const MonitoringSystem&) = delete;
   MonitoringSystem& operator=(const MonitoringSystem&) = delete;
@@ -167,11 +167,9 @@ class MonitoringSystem {
   /// std::invalid_argument on unknown names.
   net::Host& host_by_name(const std::string& name);
 
-  /// Advance the run to `t`. In parallel mode this ends with an
-  /// inclusive fabric barrier at `t`, after which every shard's clock
-  /// sits at `t` and shard-owned state (P4 counters, captures) is
-  /// readable from the calling thread — matching what a serial
-  /// run_until(t) leaves behind.
+  /// Advance the run to `t`. This ends with an inclusive fabric barrier
+  /// at `t`, after which every shard's clock sits at `t` and shard-owned
+  /// state (P4 counters, captures) is readable from the calling thread.
   void run_until(SimTime t);
 
   sim::Simulation& simulation() { return sim_; }
@@ -190,19 +188,17 @@ class MonitoringSystem {
     return switches_;
   }
 
-  /// Whether the sharded parallel runtime is active (config.parallel
-  /// >= 2).
-  bool parallel_fabric() const { return fabric_ != nullptr; }
-  /// The parallel runtime (only with parallel_fabric()).
-  FabricExecutor& fabric_executor() { return *fabric_; }
+  /// Whether worker threads advance the shards (config.parallel >= 2).
+  bool parallel_fabric() const { return config_.parallel > 1; }
+  /// The runtime delivering mirror copies to every site's pipeline.
+  FabricExecutor& fabric_executor() { return fabric_; }
 
-  /// Cross-switch counters, snapshotted at a merge barrier. In parallel
-  /// mode the per-site P4/capture counters are worker-owned and may be
-  /// mid-flush at any instant; this is the ONLY race-free way to read
-  /// them while the fabric runs — it barriers every shard to the
-  /// current main time first, so the totals are exactly the serial
-  /// run's (no torn or partial values). In serial mode it is a plain
-  /// read of the same counters.
+  /// Cross-switch counters, snapshotted at a merge barrier. With worker
+  /// threads the per-site P4/capture counters are worker-owned and may
+  /// be mid-flush at any instant; this is the ONLY race-free way to read
+  /// them while the fabric runs — it barriers every shard to the current
+  /// main time first, so the totals are the same at every worker count
+  /// (no torn or partial values).
   struct FabricSiteStats {
     std::string id;              // config id ("" for the legacy switch)
     std::uint64_t mirrored = 0;  // copies the TAP pair took
@@ -219,7 +215,7 @@ class MonitoringSystem {
     std::uint64_t processed = 0;
     std::uint64_t parse_errors = 0;
     std::uint64_t reports_emitted = 0;
-    // Parallel-runtime telemetry (0 in serial mode).
+    // Worker-thread telemetry (0 in the serial run).
     std::size_t workers = 0;
     std::uint64_t barrier_waits = 0;
     std::uint64_t blocked_pushes = 0;
@@ -280,9 +276,6 @@ class MonitoringSystem {
   sim::Simulation sim_;
   net::Network network_;
   net::PaperTopology topology_;
-  // Parallel mode only: one pipeline clock per monitored switch, owned
-  // here so they outlive both the switches and the executor's workers.
-  std::vector<std::unique_ptr<sim::Simulation>> pipeline_sims_;
   std::vector<std::unique_ptr<MonitoredSwitch>> switches_;
   std::unique_ptr<store::Store> store_;  // before psonar_: archiver backend
   std::unique_ptr<ps::StoreServer> store_server_;
@@ -293,9 +286,10 @@ class MonitoringSystem {
   std::vector<std::unique_ptr<tcp::TcpFlow>> flows_;
   std::vector<std::unique_ptr<quic::QuicFlow>> quic_flows_;
   std::vector<std::unique_ptr<workload::TrafficGenerator>> workloads_;
-  // Declared last: destroyed first, stopping the workers while every
-  // shard's simulation and sinks are still alive.
-  std::unique_ptr<FabricExecutor> fabric_;
+  // Declared last: built before the switches register their shards in
+  // the constructor body, and destroyed first, stopping the workers
+  // while every shard's clock and sinks are still alive.
+  FabricExecutor fabric_;
 };
 
 }  // namespace p4s::core

@@ -26,9 +26,10 @@
 // Determinism: the VM holds the per-program export state (prev value,
 // prev extraction time, last computed metric) itself, NOT in the control
 // plane's FlowState, and wipes it in clear_slot — so a recycled slot can
-// never leak another flow's rate baseline, and a serial and a sharded
-// run observe identical values (the fabric's driver_sync barrier runs
-// before every extractor tick, VM extractors included).
+// never leak another flow's rate baseline, and runs at every worker
+// count observe identical values (the fabric's driver_sync barrier runs
+// before every extractor tick, VM extractors included, and before every
+// install or remove).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "net/tap.hpp"
 
-#include <cassert>
-
 namespace p4s::net {
 
 void MirrorSink::on_mirrored(const Packet& pkt, MirrorPoint point) {
@@ -31,30 +29,10 @@ void OpticalTapPair::mirror(const Packet& pkt, MirrorPoint point) {
       static_cast<std::uint32_t>(kEthernetHeaderBytes + pkt.ip.total_len);
   frame.point = point;
   frame.len = serialize_shared(pkt, frame.bytes);
-  if (boundary_ != nullptr) {
-    // Parallel fabric: the copy crosses to a pipeline shard instead of
-    // being scheduled on this timeline. Frames leave in mirror order at
-    // a constant latency, so `at` is non-decreasing as BoundaryQueue
-    // requires; nothing is scheduled here, which is what keeps the main
-    // timeline's event order identical to the serial run.
-    boundary_->push(frame);
-    return;
-  }
-  ring_push() = frame;
-  // The delay is the same for every copy, so deliveries pop in FIFO
-  // order; the event captures only `this` (fits std::function's inline
-  // storage — no per-copy closure allocation).
-  sim_.after(tap_latency_, [this]() { deliver_front(); });
-}
-
-void OpticalTapPair::deliver_front() {
-  assert(ring_count_ > 0);
-  const MirrorFrame& front = ring_[ring_head_];
-  ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
-  --ring_count_;
-  // `front` stays valid during delivery: pushes from inside the sink go
-  // to other slots (the ring only grows when full, and we just freed one).
-  front.deliver_to(sink_);
+  // Frames leave in mirror order at a constant latency, so `at` is
+  // non-decreasing as the boundary requires. Nothing is scheduled here:
+  // the main timeline's event order never depends on the mirror path.
+  boundary_.push(frame);
 }
 
 std::uint8_t OpticalTapPair::serialize_shared(
@@ -80,22 +58,6 @@ std::uint8_t OpticalTapPair::serialize_shared(
   }
   std::copy_n(entry.bytes.data(), entry.len, out.data());
   return entry.len;
-}
-
-MirrorFrame& OpticalTapPair::ring_push() {
-  if (ring_count_ == ring_.size()) ring_grow();
-  MirrorFrame& slot = ring_[(ring_head_ + ring_count_) & (ring_.size() - 1)];
-  ++ring_count_;
-  return slot;
-}
-
-void OpticalTapPair::ring_grow() {
-  std::vector<MirrorFrame> bigger(ring_.empty() ? 64 : ring_.size() * 2);
-  for (std::size_t i = 0; i < ring_count_; ++i) {
-    bigger[i] = ring_[(ring_head_ + i) & (ring_.size() - 1)];
-  }
-  ring_ = std::move(bigger);
-  ring_head_ = 0;
 }
 
 }  // namespace p4s::net

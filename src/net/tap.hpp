@@ -8,21 +8,21 @@
 // reaches the monitor after a fixed (equal) TAP-to-switch latency. Equal
 // latencies are what let the P4 program recover the queuing delay from
 // the two copies' arrival-time difference. The frame is the only thing
-// that travels, on either execution path, and MirrorSink has the one
-// entry point that takes it.
+// that travels, and MirrorSink has the one entry point that takes it.
 //
-// Hot-path design: a frame is written into a reusable ring (no per-copy
-// closure capturing the packet) and the delivery event captures only
-// `this` — the constant TAP latency makes deliveries strictly FIFO. Each
-// packet's wire bytes are serialized once and shared between its ingress
-// and egress copies through a small uid-keyed cache; the copies differ
-// only in the TTL the core switch decremented, which is patched in place
-// with an incremental checksum update instead of re-serializing.
+// Hot-path design: the TAP schedules nothing. It stamps each frame with
+// its delivery time and pushes it across a MirrorBoundary (the fabric
+// executor's per-switch shard), which replays it at that time; the
+// constant TAP latency makes the stream non-decreasing in time, which
+// is all the boundary needs. Each packet's wire bytes are serialized
+// once and shared between its ingress and egress copies through a small
+// uid-keyed cache; the copies differ only in the TTL the core switch
+// decremented, which is patched in place with an incremental checksum
+// update instead of re-serializing.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -56,9 +56,8 @@ class MirrorSink {
 
 /// One mirror copy as a monitor port receives it: the serialized header
 /// bytes, the mirror point, the original on-wire frame length and the
-/// delivery timestamp (mirror time + TAP latency — on the parallel path
-/// also the conservative lookahead bound). The serial path queues these
-/// on the TAP's own ring; the parallel path pushes them across a shard
+/// delivery timestamp (mirror time + TAP latency, also the fabric's
+/// conservative lookahead bound). The TAP pushes these across a shard
 /// boundary, whose FIFO order is the frame order.
 struct MirrorFrame {
   SimTime at = 0;
@@ -84,23 +83,18 @@ class MirrorBoundary {
 
 class OpticalTapPair {
  public:
-  /// `tap_latency` models the fiber + TAP path to the monitor; it is the
-  /// same for both mirror points, so it cancels in delay differences.
-  OpticalTapPair(sim::Simulation& sim, MirrorSink& sink,
+  /// Every copy goes to `boundary`, stamped for delivery `tap_latency`
+  /// after the mirror time on `sim`'s clock. The latency models the
+  /// fiber + TAP path to the monitor; it is the same for both mirror
+  /// points, so it cancels in delay differences.
+  OpticalTapPair(sim::Simulation& sim, MirrorBoundary& boundary,
                  SimTime tap_latency = units::microseconds(1))
-      : sim_(sim), sink_(sink), tap_latency_(tap_latency) {}
+      : sim_(sim), boundary_(boundary), tap_latency_(tap_latency) {}
 
   /// Attach the ingress-side TAP to a switch (mirrors every arrival) and
   /// the egress-side TAP to one of its output ports (mirrors every
   /// departure on the monitored link).
   void attach(LegacySwitch& sw, OutputPort& monitored_port);
-
-  /// Parallel-fabric mode: route mirror copies across `boundary` instead
-  /// of scheduling deliveries on this timeline. The shard on the other
-  /// side replays each frame at `frame.at` against its own clock and
-  /// feeds it to the sink. Pass nullptr to return to in-timeline
-  /// delivery (the serial path, bit-for-bit unchanged).
-  void set_boundary(MirrorBoundary* boundary) { boundary_ = boundary; }
 
   std::uint64_t mirrored_pkts() const { return mirrored_pkts_; }
   /// Copies whose wire bytes were reused from the serialize-once cache
@@ -119,25 +113,14 @@ class OpticalTapPair {
   static constexpr std::size_t kCacheSlots = 1024;
 
   void mirror(const Packet& pkt, MirrorPoint point);
-  void deliver_front();
   std::uint8_t serialize_shared(const Packet& pkt,
                                 std::array<std::uint8_t, kMaxHeaderBytes>& out);
 
-  MirrorFrame& ring_push();
-  void ring_grow();
-
   sim::Simulation& sim_;
-  MirrorSink& sink_;
+  MirrorBoundary& boundary_;
   SimTime tap_latency_;
-  MirrorBoundary* boundary_ = nullptr;
   std::uint64_t mirrored_pkts_ = 0;
   std::uint64_t cache_hits_ = 0;
-
-  // Growable power-of-two ring of frames awaiting delivery; slots are
-  // reused, so steady state allocates nothing.
-  std::vector<MirrorFrame> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t ring_count_ = 0;
 
   std::vector<CacheEntry> cache_ = std::vector<CacheEntry>(kCacheSlots);
 };

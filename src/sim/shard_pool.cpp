@@ -18,8 +18,8 @@ std::size_t ShardPool::add_shard(Shard& shard) {
 void ShardPool::start() {
   if (started_) return;
   started_ = true;
-  const std::size_t n =
-      std::min(std::max<std::size_t>(config_.workers, 1), shards_.size());
+  const std::size_t n = std::min(config_.workers, shards_.size());
+  if (n == 0) return;  // zero workers: callers advance the shards
   for (std::size_t w = 0; w < n; ++w) {
     workers_.push_back(std::make_unique<Worker>());
   }
@@ -52,6 +52,11 @@ void ShardPool::publish_grant(std::size_t shard, SimTime grant) {
   ShardState& s = *shards_[shard];
   if (s.grant.load(std::memory_order_relaxed) >= grant) return;
   s.grant.store(grant, std::memory_order_seq_cst);
+  if (workers_.empty()) {
+    // No worker thread runs: the caller advances the shard itself.
+    pump_one(s);
+    return;
+  }
   wake_worker(s.worker);
 }
 
@@ -62,8 +67,8 @@ void ShardPool::publish_grant_all(SimTime grant) {
 }
 
 void ShardPool::barrier(std::size_t shard, SimTime grant) {
-  if (!started_) return;
   publish_grant(shard, grant);
+  if (workers_.empty()) return;  // advanced inline by publish_grant
   ShardState& s = *shards_[shard];
   // Fast path: the worker usually keeps up (it had the whole inter-read
   // window to drain); spin briefly before arming the blocking channel.
@@ -111,7 +116,6 @@ void ShardPool::record_failure(const char* what) {
 }
 
 void ShardPool::wake_worker(std::size_t worker_index) {
-  if (workers_.empty()) return;
   Worker& w = *workers_[worker_index];
   if (!w.parked.load(std::memory_order_seq_cst)) return;
   std::lock_guard<std::mutex> lock(w.mu);

@@ -20,6 +20,10 @@
 // release/acquire ordering, so a barrier is also the happens-before
 // edge that lets the main thread read shard-owned state race-free.
 //
+// Zero workers is the serial run: no thread is started, and the grant,
+// barrier and full-inbox paths advance the shard on the calling thread
+// before they return — the same protocol, executed inline.
+//
 // Determinism: a shard's execution depends only on its boundary stream
 // (in the FIFO order of its BoundaryQueue), never on worker count or
 // scheduling; the `scheduling_jitter_seed` test knob injects random
@@ -42,10 +46,11 @@ namespace p4s::sim {
 
 class ShardPool {
  public:
-  /// One shard of the parallel fabric. advance_to() is only ever called
-  /// from the shard's owning worker thread. A worker runs a shard only
-  /// when its grant moves past its watermark: every piece of boundary
-  /// work is covered by a grant published after it was handed over.
+  /// One shard of the fabric. advance_to() is only ever called from the
+  /// shard's owning worker thread, or from the thread publishing the
+  /// grant when no worker runs. A shard runs only when its grant moves
+  /// past its watermark: every piece of boundary work is covered by a
+  /// grant published after it was handed over.
   class Shard {
    public:
     virtual ~Shard() = default;
@@ -55,6 +60,7 @@ class ShardPool {
   };
 
   struct Config {
+    /// Worker threads (clamped to the shard count); 0 = none.
     std::size_t workers = 1;
     /// Test-only chaos knob: seed for per-worker random yields/naps
     /// between pump iterations. Outputs must be invariant under it —
@@ -72,7 +78,7 @@ class ShardPool {
   /// are assigned to workers round-robin by id.
   std::size_t add_shard(Shard& shard);
 
-  /// Launch the worker threads. Idempotent.
+  /// Launch the worker threads (none with zero workers). Idempotent.
   void start();
 
   /// Stop and join all workers. Idempotent; called by the destructor.
@@ -80,7 +86,8 @@ class ShardPool {
 
   // ---- Producer (main-timeline) protocol ------------------------------
   /// Raise a shard's grant (monotonic: smaller values are ignored) and
-  /// wake its worker.
+  /// wake its worker — or, while no worker runs, advance the shard to
+  /// the grant on the calling thread.
   void publish_grant(std::size_t shard, SimTime grant);
   /// Raise every shard's grant.
   void publish_grant_all(SimTime grant);

@@ -297,8 +297,8 @@ TEST(ConfigLoader, SwitchesSection) {
 }
 
 // The object form of "switches" carries the parallel-execution knob next
-// to the site list: {"parallel": N, "sites": [...]}. parallel=1 is the
-// serial path; the bare-array legacy shape stays accepted above.
+// to the site list: {"parallel": N, "sites": [...]}. parallel=1 runs no
+// worker thread; the bare-array legacy shape stays accepted above.
 TEST(ConfigLoader, SwitchesObjectFormWithParallelKnob) {
   const auto config = core::config_from_text(R"({
     "switches": {

@@ -208,14 +208,14 @@ TEST(Integration, BlockageDetectedOnMmWaveScenario) {
   net::MmWaveLink mmwave(sim, *duplex.reverse_link);
   mmwave.schedule_blockage(units::seconds(4), units::seconds(1));
 
-  telemetry::DataPlaneProgram program;
-  p4::P4Switch p4sw(sim, "mon");
-  p4sw.load_program(program);
-  net::OpticalTapPair taps(sim, p4sw);
-  taps.attach(sw, *duplex.reverse);
   cp::ControlPlaneConfig cp_config;
   cp_config.digest_poll_interval = units::milliseconds(5);
-  cp::ControlPlane control(sim, program, cp_config);
+  core::FabricExecutor fabric(sim, {});
+  core::MonitoredSwitch site(sim, fabric,
+                             {sw, *duplex.reverse, units::mbps(200)}, {}, {},
+                             cp_config);
+  fabric.start();
+  auto& control = site.control_plane();
   control.start();
   std::vector<SimTime> detections;
   control.set_on_blockage([&](const telemetry::BlockageDigest& d) {

@@ -427,18 +427,15 @@ TEST(Host, EphemeralPortsDoNotRepeatQuickly) {
 
 // ---------- TAP pair ----------
 
+// Records every frame a TAP pair pushes, in push order.
+struct RecordingBoundary : MirrorBoundary {
+  std::vector<MirrorFrame> frames;
+  void push(const MirrorFrame& frame) override { frames.push_back(frame); }
+};
+
 TEST(OpticalTapPair, MirrorsIngressAndEgressWithEqualLatency) {
   sim::Simulation sim;
-  struct Mirror : MirrorSink {
-    std::vector<std::pair<MirrorPoint, SimTime>> events;
-    sim::Simulation& sim;
-    explicit Mirror(sim::Simulation& s) : sim(s) {}
-    void on_mirrored_bytes(std::span<const std::uint8_t>, MirrorPoint point,
-                           std::uint32_t) override {
-      events.emplace_back(point, sim.now());
-    }
-  } mirror(sim);
-
+  RecordingBoundary boundary;
   Collector sink(sim);
   Link link(sim, units::mbps(100), 0);
   link.set_sink(sink);
@@ -447,51 +444,36 @@ TEST(OpticalTapPair, MirrorsIngressAndEgressWithEqualLatency) {
   sw.add_port(port);
   sw.route(ipv4(10, 0, 0, 2), 0);
 
-  OpticalTapPair taps(sim, mirror, units::microseconds(3));
+  OpticalTapPair taps(sim, boundary, units::microseconds(3));
   taps.attach(sw, port);
 
   const Packet p = data_packet();
   sim.at(0, [&]() { sw.on_packet(p); });
   sim.run();
 
-  ASSERT_EQ(mirror.events.size(), 2u);
-  EXPECT_EQ(mirror.events[0].first, MirrorPoint::kIngress);
-  EXPECT_EQ(mirror.events[1].first, MirrorPoint::kEgress);
-  // Copy-pair time difference == time in switch (tap latency cancels).
+  ASSERT_EQ(boundary.frames.size(), 2u);
+  EXPECT_EQ(boundary.frames[0].point, MirrorPoint::kIngress);
+  EXPECT_EQ(boundary.frames[1].point, MirrorPoint::kEgress);
+  // Each copy is due one TAP latency after its mirror time, so the
+  // copy-pair difference is the time in the switch (the latency cancels).
+  EXPECT_EQ(boundary.frames[0].at, units::microseconds(3));
   const SimTime tx = units::transmission_time(p.wire_bytes(),
                                               units::mbps(100));
-  EXPECT_EQ(mirror.events[1].second - mirror.events[0].second, tx);
+  EXPECT_EQ(boundary.frames[1].at - boundary.frames[0].at, tx);
   EXPECT_EQ(taps.mirrored_pkts(), 2u);
 }
 
 TEST(OpticalTapPair, WireBytesMatchFreshSerializationOfEachCopy) {
   // The TAP serializes each packet once and patches the TTL for the
   // egress copy (the core switch decremented it in between). Every
-  // delivered frame must equal a from-scratch serialization of the
-  // packet as the switch's own ingress/egress hooks saw it, with that
-  // packet's on-wire length — i.e. the cache + patch path is invisible.
-  // Deliveries are FIFO at a constant latency, so the k-th frame is the
-  // k-th packet the hooks recorded.
+  // pushed frame must equal a from-scratch serialization of the packet
+  // as the switch's own ingress/egress hooks saw it, with that packet's
+  // on-wire length — i.e. the cache + patch path is invisible. Frames
+  // are pushed in mirror order, so the k-th frame is the k-th packet the
+  // hooks recorded.
   sim::Simulation sim;
-  struct WireMirror : MirrorSink {
-    std::vector<Packet> seen;  // in mirror order, from the switch hooks
-    std::size_t wire_deliveries = 0;
-    void on_mirrored_bytes(std::span<const std::uint8_t> bytes,
-                           MirrorPoint point,
-                           std::uint32_t wire_len) override {
-      ASSERT_LT(wire_deliveries, seen.size());
-      const Packet& pkt = seen[wire_deliveries];
-      EXPECT_EQ(point, wire_deliveries % 2 == 0 ? MirrorPoint::kIngress
-                                                : MirrorPoint::kEgress);
-      ++wire_deliveries;
-      std::array<std::uint8_t, kMaxHeaderBytes> fresh{};
-      const std::size_t len = serialize_headers(pkt, fresh);
-      ASSERT_EQ(bytes.size(), len);
-      EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), fresh.begin()));
-      EXPECT_EQ(wire_len, kEthernetHeaderBytes + pkt.ip.total_len);
-    }
-  } mirror;
-
+  RecordingBoundary boundary;
+  std::vector<Packet> seen;  // in mirror order, from the switch hooks
   Collector sink(sim);
   Link link(sim, units::mbps(100), 0);
   link.set_sink(sink);
@@ -500,11 +482,11 @@ TEST(OpticalTapPair, WireBytesMatchFreshSerializationOfEachCopy) {
   sw.add_port(port);
   sw.route(ipv4(10, 0, 0, 2), 0);
 
-  OpticalTapPair taps(sim, mirror, units::microseconds(3));
+  OpticalTapPair taps(sim, boundary, units::microseconds(3));
   taps.attach(sw, port);
-  sw.add_ingress_hook([&mirror](const Packet& p) { mirror.seen.push_back(p); });
+  sw.add_ingress_hook([&seen](const Packet& p) { seen.push_back(p); });
   port.add_egress_hook(
-      [&mirror](const Packet& p, SimTime) { mirror.seen.push_back(p); });
+      [&seen](const Packet& p, SimTime) { seen.push_back(p); });
 
   constexpr int kPackets = 50;
   for (int i = 0; i < kPackets; ++i) {
@@ -513,7 +495,20 @@ TEST(OpticalTapPair, WireBytesMatchFreshSerializationOfEachCopy) {
   }
   sim.run();
 
-  EXPECT_EQ(mirror.wire_deliveries, 2u * kPackets);
+  ASSERT_EQ(boundary.frames.size(), 2u * kPackets);
+  ASSERT_EQ(seen.size(), boundary.frames.size());
+  for (std::size_t k = 0; k < seen.size(); ++k) {
+    const MirrorFrame& frame = boundary.frames[k];
+    EXPECT_EQ(frame.point,
+              k % 2 == 0 ? MirrorPoint::kIngress : MirrorPoint::kEgress);
+    std::array<std::uint8_t, kMaxHeaderBytes> fresh{};
+    const std::size_t len = serialize_headers(seen[k], fresh);
+    ASSERT_EQ(frame.len, len) << "frame " << k;
+    EXPECT_TRUE(std::equal(frame.bytes.begin(), frame.bytes.begin() + len,
+                           fresh.begin()))
+        << "frame " << k;
+    EXPECT_EQ(frame.wire_len, kEthernetHeaderBytes + seen[k].ip.total_len);
+  }
   // Every egress copy reuses the ingress copy's serialization.
   EXPECT_EQ(taps.serialize_cache_hits(), static_cast<std::uint64_t>(kPackets));
 }

@@ -3,7 +3,9 @@
 //
 //   * Byte-identity: the same seeded scenario produces byte-identical
 //     Report_v1 series, archive contents and pcap captures at
-//     parallel = 1 / 2 / 4 / 8 — the serial path IS the specification.
+//     parallel = 1 / 2 / 4 / 8, and they match the committed digests
+//     of the serial per-copy-event path that preceded the executor —
+//     that reference, kept as data, is the specification.
 //   * The committed single-switch golden (fig9.reports.txt) holds
 //     unchanged under parallel execution.
 //   * Outputs are invariant under randomized worker scheduling (the
@@ -228,25 +230,30 @@ TEST(ParallelFabric, FourSwitchRunMatchesCommittedSerialDigests) {
 }
 
 // config-P4 --install-program / --remove-program change a program table
-// the pipeline shard reads on every copy. Installing byte_counter at 3 s
-// and removing it at 5 s must give the same archive with and without
-// worker threads (the VM syncs the shard before each change), and the
-// archive the per-copy-event serial path produced (its digest).
+// the pipeline shard reads on every copy. Installing byte_counter and
+// later removing it must give the same archive with and without worker
+// threads (the VM syncs the shard before each change), and the archive
+// the per-copy-event serial path produced (its digest). The 100 Mbit/s
+// bottleneck and the off-period times leave copies in flight at both
+// changes, so a change that skipped the sync would count them.
 std::vector<std::string> run_program_churn(std::size_t parallel) {
   const std::string program =
       std::string(P4S_EXAMPLES_DIR) + "/programs/byte_counter.mpl.json";
-  MonitoringSystem system(four_switch_scenario(parallel));
+  MonitoringSystemConfig config = four_switch_scenario(parallel);
+  config.topology.bottleneck_bps = units::mbps(100);
+  MonitoringSystem system(config);
   auto& psconfig = system.psonar().psconfig();
   psconfig.execute("psconfig config-P4 --samples_per_second 2");
   system.start();
   system.add_transfer(0).start_at(seconds(1));
   system.add_transfer(1).start_at(seconds(2));
-  system.simulation().at(seconds(3), [&psconfig, &program]() {
+  const SimTime off_period = units::microseconds(250);
+  system.simulation().at(seconds(3) + off_period, [&psconfig, &program]() {
     const auto result =
         psconfig.execute("psconfig config-P4 --install-program " + program);
     EXPECT_TRUE(result.ok) << result.message;
   });
-  system.simulation().at(seconds(5), [&psconfig]() {
+  system.simulation().at(seconds(5) + off_period, [&psconfig]() {
     const auto result =
         psconfig.execute("psconfig config-P4 --remove-program byte_counter");
     EXPECT_TRUE(result.ok) << result.message;
@@ -271,7 +278,7 @@ TEST(ParallelFabric, MidRunProgramInstallAndRemoveAreParallelInvariant) {
       << "the installed program exported nothing";
   std::uint64_t digest = fnv1a("");
   for (const std::string& doc : serial) digest = fnv1a(doc + "\n", digest);
-  EXPECT_EQ(digest, 0x9e92d6e49449d441ull)
+  EXPECT_EQ(digest, 0xd711ccb3060354f4ull)
       << "archive digest 0x" << std::hex << digest;
   EXPECT_EQ(serial, run_program_churn(2));
 }
@@ -464,6 +471,26 @@ TEST(ShardPool, BarrierWaitsForWatermark) {
   pool.stop();
 }
 
+// Zero workers is the serial run: no thread starts, and publishing a
+// grant advances the shard on the publishing thread before returning.
+TEST(ShardPool, ZeroWorkersAdvanceShardsOnTheCallingThread) {
+  sim::ShardPool pool(sim::ShardPool::Config{0, 0});
+  CountingShard shards[2];
+  for (auto& s : shards) pool.add_shard(s);
+  pool.start();
+  EXPECT_EQ(pool.worker_count(), 0u);
+  pool.publish_grant(0, 100);
+  EXPECT_EQ(shards[0].executed_to.load(), 100u);
+  EXPECT_EQ(pool.watermark(0), 100u);
+  EXPECT_EQ(shards[1].calls, 0u);
+  pool.barrier_all(300);
+  for (const auto& s : shards) EXPECT_EQ(s.executed_to.load(), 300u);
+  pool.barrier(0, 200);  // already past: no call
+  EXPECT_EQ(shards[0].calls, 2u);
+  EXPECT_EQ(pool.barrier_waits(), 0u);
+  pool.stop();
+}
+
 struct ThrowingShard : sim::ShardPool::Shard {
   void advance_to(SimTime grant) override {
     if (grant >= 500) throw std::runtime_error("shard exploded");
@@ -572,39 +599,62 @@ struct YieldingSink : net::MirrorSink {
 
 TEST(FabricExecutor, FullInboxPushBlocksUntilTheWorkerDrains) {
   // Nothing runs the main timeline, so no grant pump fires: the only
-  // grants the worker ever sees are the ones a full-inbox push
-  // publishes, and they alone must wake it. Four frames share each
+  // grants the shard ever sees are the ones a full-inbox push
+  // publishes. With a worker they alone must wake it; with zero workers
+  // they drain the inbox on the pushing thread. Four frames share each
   // delivery nanosecond.
-  constexpr std::uint32_t kFrames = 3 * 8192 + 5;
-  constexpr SimTime kFirstAt = 1000;
-  auto at = [](std::uint32_t i) { return kFirstAt + i / 4; };
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{0}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    constexpr std::uint32_t kFrames = 3 * 8192 + 5;
+    constexpr SimTime kFirstAt = 1000;
+    auto at = [](std::uint32_t i) { return kFirstAt + i / 4; };
+    sim::Simulation main_sim;
+    sim::Simulation pipeline_sim;
+    YieldingSink sink(pipeline_sim);
+    core::FabricExecutor fabric(main_sim,
+                                core::FabricExecutor::Config{workers, 0});
+    const std::size_t shard = fabric.add_switch(pipeline_sim, sink);
+    fabric.start();
+
+    {
+      HangWatchdog watchdog("FabricExecutor push");
+      net::MirrorFrame frame{};
+      for (std::uint32_t i = 0; i < kFrames; ++i) {
+        frame.at = at(i);
+        frame.wire_len = i;  // tags the push order
+        fabric.boundary(shard).push(frame);
+        watchdog.progress(i + 1);
+      }
+      fabric.barrier_all(at(kFrames - 1));
+      watchdog.progress(kFrames + 1);
+    }
+
+    EXPECT_GT(fabric.blocked_pushes(), 0u);
+    ASSERT_EQ(sink.seen.size(), kFrames);
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      ASSERT_EQ(sink.seen[i].first, i) << "frame delivered out of order";
+      ASSERT_EQ(sink.seen[i].second, at(i)) << "frame " << i;
+    }
+    fabric.stop();
+  }
+}
+
+// With zero workers nothing can drain an inbox full of copies due in the
+// same nanosecond (no grant may cover them yet): the push throws rather
+// than spin forever.
+TEST(FabricExecutor, ZeroWorkerInboxFullOfOneInstantThrows) {
   sim::Simulation main_sim;
   sim::Simulation pipeline_sim;
   YieldingSink sink(pipeline_sim);
-  core::FabricExecutor fabric(main_sim, core::FabricExecutor::Config{1, 0});
+  core::FabricExecutor fabric(main_sim, core::FabricExecutor::Config{});
   const std::size_t shard = fabric.add_switch(pipeline_sim, sink);
   fabric.start();
-
-  {
-    HangWatchdog watchdog("FabricExecutor push");
-    net::MirrorFrame frame{};
-    for (std::uint32_t i = 0; i < kFrames; ++i) {
-      frame.at = at(i);
-      frame.wire_len = i;  // tags the push order
-      fabric.boundary(shard).push(frame);
-      watchdog.progress(i + 1);
-    }
-    fabric.barrier_all(at(kFrames - 1));
-    watchdog.progress(kFrames + 1);
-  }
-
-  EXPECT_GT(fabric.blocked_pushes(), 0u);
-  ASSERT_EQ(sink.seen.size(), kFrames);
-  for (std::uint32_t i = 0; i < kFrames; ++i) {
-    ASSERT_EQ(sink.seen[i].first, i) << "frame delivered out of order";
-    ASSERT_EQ(sink.seen[i].second, at(i)) << "frame " << i;
-  }
-  fabric.stop();
+  net::MirrorFrame frame{};
+  frame.at = 1000;
+  EXPECT_THROW(
+      for (int i = 0; i < 1 << 20; ++i) fabric.boundary(shard).push(frame),
+      std::logic_error);
+  EXPECT_TRUE(sink.seen.empty());
 }
 
 }  // namespace
