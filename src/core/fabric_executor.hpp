@@ -40,10 +40,11 @@
 //
 // A full inbox never deadlocks: push() publishes the maximal safe grant
 // (frame.at - 1 — every later frame is mirrored no earlier than this
-// one, so its delivery is no earlier either), which wakes the worker,
-// and waits for space; only frames due at exactly the same nanosecond
-// can remain ungrantable, and a site cannot mirror a ring's worth of
-// copies in one instant.
+// one, so its delivery is no earlier either), which wakes the worker
+// (with zero workers: drains the inbox on the spot), and waits for
+// space; only frames due at exactly the same nanosecond can remain
+// ungrantable, and a site cannot mirror a ring's worth of copies in one
+// instant (with zero workers push() throws rather than spin if it did).
 #pragma once
 
 #include <cstdint>
@@ -111,10 +112,11 @@ class FabricExecutor {
   /// events. Purely a throughput constant — correctness and outputs are
   /// invariant under it.
   static constexpr SimTime kGrantPeriod = units::microseconds(500);
-  /// Capacity of each shard's inbox, in frames. The pump drains it every
-  /// kGrantPeriod — tens to a few hundred copies per site on the shipped
-  /// workloads — so this leaves room for a worker that falls behind
-  /// while keeping the ring small (a frame is ~136 bytes).
+  /// Capacity of each shard's inbox, in frames (136 bytes each; a ring's
+  /// pages are touched only as frames reach them). Without workers the
+  /// pump drains it every kGrantPeriod: at most ~210 copies were queued
+  /// on the shipped single-site workloads. A worker that falls behind
+  /// leaves more: up to ~830 on fabric16 (16 sites, 3 workers).
   static constexpr std::size_t kInboxFrames = 1024;
 
   sim::Simulation& main_sim_;

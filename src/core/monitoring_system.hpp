@@ -215,7 +215,8 @@ class MonitoringSystem {
     std::uint64_t processed = 0;
     std::uint64_t parse_errors = 0;
     std::uint64_t reports_emitted = 0;
-    // Worker-thread telemetry (0 in the serial run).
+    // Executor telemetry: worker threads (0 in the serial run), barriers
+    // that had to block, and pushes that found an inbox full.
     std::size_t workers = 0;
     std::uint64_t barrier_waits = 0;
     std::uint64_t blocked_pushes = 0;

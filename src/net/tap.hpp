@@ -24,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "net/link.hpp"
@@ -58,12 +59,14 @@ class MirrorSink {
 /// bytes, the mirror point, the original on-wire frame length and the
 /// delivery timestamp (mirror time + TAP latency, also the fabric's
 /// conservative lookahead bound). The TAP pushes these across a shard
-/// boundary, whose FIFO order is the frame order.
+/// boundary, whose FIFO order is the frame order. Trivially constructible
+/// (`MirrorFrame frame{}` zeroes it) so that a boundary's ring of frames
+/// is not written at construction.
 struct MirrorFrame {
-  SimTime at = 0;
-  std::uint32_t wire_len = 0;
-  std::uint8_t len = 0;
-  MirrorPoint point = MirrorPoint::kIngress;
+  SimTime at;
+  std::uint32_t wire_len;
+  std::uint8_t len;
+  MirrorPoint point;
   std::array<std::uint8_t, kMaxHeaderBytes> bytes;
 
   void deliver_to(MirrorSink& sink) const {
@@ -71,6 +74,7 @@ struct MirrorFrame {
                            point, wire_len);
   }
 };
+static_assert(std::is_trivially_default_constructible_v<MirrorFrame>);
 
 /// Producer end of a shard boundary. Implemented by the fabric's
 /// per-switch shard; push() must accept frames in non-decreasing `at`

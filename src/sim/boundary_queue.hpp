@@ -21,8 +21,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
-#include <vector>
 
 namespace p4s::sim {
 
@@ -37,10 +37,14 @@ template <typename T>
 class BoundaryQueue {
  public:
   /// `capacity` is rounded up to a power of two (minimum 2).
-  explicit BoundaryQueue(std::size_t capacity = 8192) {
+  explicit BoundaryQueue(std::size_t capacity) {
     std::size_t cap = 2;
     while (cap < capacity) cap *= 2;
-    ring_.resize(cap);
+    // Slots are written before they are read, so they are left
+    // uninitialized: for a trivial T the ring's pages stay untouched
+    // until the producer first reaches them, and a large ring costs no
+    // set-up time.
+    ring_ = std::make_unique_for_overwrite<T[]>(cap);
     mask_ = cap - 1;
   }
 
@@ -86,7 +90,7 @@ class BoundaryQueue {
   std::size_t capacity() const { return mask_ + 1; }
 
  private:
-  std::vector<T> ring_;
+  std::unique_ptr<T[]> ring_;
   std::size_t mask_ = 0;
   // Producer-owned cursor + its cached view of the consumer's, on their
   // own cache line so pushes never ping-pong with pops.

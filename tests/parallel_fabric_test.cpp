@@ -84,6 +84,23 @@ std::uint64_t fnv1a(std::string_view bytes,
   return h;
 }
 
+// Every archived document across all indices, in archive order.
+std::vector<std::string> archived_docs(MonitoringSystem& system) {
+  std::vector<std::string> docs;
+  auto& archiver = system.psonar().archiver();
+  for (const auto& index : archiver.indices()) {
+    for (const auto& doc : archiver.search(index)) docs.push_back(doc.dump());
+  }
+  return docs;
+}
+
+// FNV-1a over the documents, one line each.
+std::uint64_t archive_digest(const std::vector<std::string>& docs) {
+  std::uint64_t digest = fnv1a("");
+  for (const std::string& doc : docs) digest = fnv1a(doc + "\n", digest);
+  return digest;
+}
+
 // The 4-switch determinism scenario: every tap point monitored, three
 // concurrent transfers crossing them, 2 samples/s. A non-empty
 // `capture_base` also captures every site's mirror streams to pcap.
@@ -138,12 +155,7 @@ RunOutput run_four_switch(std::size_t parallel,
 
   RunOutput out;
   for (auto& site : sites) out.site_reports.push_back(std::move(site.lines));
-  auto& archiver = system.psonar().archiver();
-  for (const auto& index : archiver.indices()) {
-    for (const auto& doc : archiver.search(index)) {
-      out.archived.push_back(doc.dump());
-    }
-  }
+  out.archived = archived_docs(system);
   const auto stats = system.fabric_stats();
   out.total_mirrored = stats.mirrored;
   out.total_processed = stats.processed;
@@ -208,10 +220,7 @@ TEST(ParallelFabric, FourSwitchRunMatchesCommittedSerialDigests) {
     const std::string run_base = base + "-" + std::to_string(parallel) +
                                  "-" + std::to_string(jitter);
     const RunOutput out = run_four_switch(parallel, jitter, run_base);
-    std::uint64_t archive = fnv1a("");
-    for (const std::string& doc : out.archived) {
-      archive = fnv1a(doc + "\n", archive);
-    }
+    const std::uint64_t archive = archive_digest(out.archived);
     EXPECT_EQ(archive, kArchiveDigest)
         << label << ": archive digest 0x" << std::hex << archive;
     const char* const sites[4] = {"", ".ext0", ".ext1", ".ext2"};
@@ -259,28 +268,24 @@ std::vector<std::string> run_program_churn(std::size_t parallel) {
     EXPECT_TRUE(result.ok) << result.message;
   });
   system.run_until(seconds(7));
-  std::vector<std::string> archived;
-  auto& archiver = system.psonar().archiver();
-  for (const auto& index : archiver.indices()) {
-    for (const auto& doc : archiver.search(index)) {
-      archived.push_back(doc.dump());
-    }
-  }
-  return archived;
+  return archived_docs(system);
 }
 
 TEST(ParallelFabric, MidRunProgramInstallAndRemoveAreParallelInvariant) {
-  const std::vector<std::string> serial = run_program_churn(1);
-  const auto from_program = [](const std::string& doc) {
-    return doc.find("\"vm_throughput\"") != std::string::npos;
-  };
-  ASSERT_TRUE(std::any_of(serial.begin(), serial.end(), from_program))
-      << "the installed program exported nothing";
-  std::uint64_t digest = fnv1a("");
-  for (const std::string& doc : serial) digest = fnv1a(doc + "\n", digest);
-  EXPECT_EQ(digest, 0xd711ccb3060354f4ull)
-      << "archive digest 0x" << std::hex << digest;
-  EXPECT_EQ(serial, run_program_churn(2));
+  constexpr std::uint64_t kArchiveDigest = 0xd711ccb3060354f4ull;
+  for (const std::size_t parallel : {1u, 2u}) {
+    const std::vector<std::string> docs = run_program_churn(parallel);
+    ASSERT_TRUE(std::any_of(docs.begin(), docs.end(),
+                            [](const std::string& doc) {
+                              return doc.find("\"vm_throughput\"") !=
+                                     std::string::npos;
+                            }))
+        << "the installed program exported nothing";
+    const std::uint64_t digest = archive_digest(docs);
+    EXPECT_EQ(digest, kArchiveDigest)
+        << "parallel=" << parallel << ": archive digest 0x" << std::hex
+        << digest;
+  }
 }
 
 // Same battery under randomized worker scheduling: shard interleavings
