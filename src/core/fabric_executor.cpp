@@ -1,7 +1,7 @@
 #include "core/fabric_executor.hpp"
 
+#include <deque>
 #include <stdexcept>
-#include <thread>
 
 namespace p4s::core {
 
@@ -21,24 +21,25 @@ class FabricExecutor::SwitchShard : public sim::ShardPool::Shard,
 
   // ---- main thread ----------------------------------------------------
   void push(const net::MirrorFrame& frame) override {
-    if (inbox_.try_push(frame)) return;
-    // Inbox full. Publish the maximal safe grant — every frame mirrored
-    // after this one is delivered at or after frame.at, so frame.at - 1
-    // can never be invalidated — and wait for the worker to drain. A
-    // larger grant is what wakes a parked worker, and a parked worker
-    // has drained everything up to its watermark, so only frames due at
-    // exactly frame.at stay ungrantable; a site cannot mirror a ring's
-    // worth of copies in a single nanosecond, so space is guaranteed to
-    // appear. Without workers the grant drains the inbox right here.
+    if (overflow_.empty() && inbox_.try_push(frame)) return;
+    // Inbox full (or frames already wait outside it): queue the copy
+    // here, in order, and grant what the main clock allows — a grant
+    // past main_now - 1 could let the shard deliver copies a driver
+    // read at main_now must not see yet.
     ++blocked_pushes_;
-    fabric_.pool_.publish_grant(id_, frame.at == 0 ? 0 : frame.at - 1);
-    while (!inbox_.try_push(frame)) {
-      if (fabric_.pool_.worker_count() == 0) {
-        throw std::logic_error(
-            "FabricExecutor: a full inbox of copies due in one nanosecond");
-      }
-      fabric_.pool_.throw_if_failed();
-      std::this_thread::yield();
+    overflow_.push_back(frame);
+    const SimTime now = fabric_.main_sim_.now();
+    grant(now == 0 ? 0 : now - 1, /*wait=*/false);
+  }
+
+  // Hand the shard every copy due at or before `limit` and grant it
+  // `limit`; with `wait`, return only once the shard has delivered them.
+  void grant(SimTime limit, bool wait) {
+    hand_over(limit);
+    if (wait) {
+      fabric_.pool_.barrier(id_, limit);
+    } else {
+      fabric_.pool_.publish_grant(id_, limit);
     }
   }
 
@@ -59,10 +60,32 @@ class FabricExecutor::SwitchShard : public sim::ShardPool::Shard,
   }
 
  private:
+  // Move overflow into the inbox until every copy due at or before
+  // `limit` is in it. Where the inbox is full, the shard is first run
+  // up to just before the oldest waiting copy — a grant no copy still
+  // outside the inbox can fall under — which frees the inbox unless it
+  // holds only copies due in that same nanosecond.
+  void hand_over(SimTime limit) {
+    for (;;) {
+      while (!overflow_.empty() && inbox_.try_push(overflow_.front())) {
+        overflow_.pop_front();
+      }
+      if (overflow_.empty() || overflow_.front().at > limit) return;
+      const SimTime due = overflow_.front().at;
+      if (due > 0) fabric_.pool_.barrier(id_, due - 1);
+      if (inbox_.size_approx() == inbox_.capacity()) {
+        throw std::logic_error(
+            "FabricExecutor: a full inbox of copies due in one nanosecond");
+      }
+    }
+  }
+
   FabricExecutor& fabric_;
   sim::Simulation& pipeline_sim_;
   net::MirrorSink& entry_;
   sim::BoundaryQueue<net::MirrorFrame> inbox_{kInboxFrames};
+  // Copies that found the inbox full, oldest first (main-thread owned).
+  std::deque<net::MirrorFrame> overflow_;
   std::size_t id_ = 0;
   std::uint64_t blocked_pushes_ = 0;  // main-thread owned
 };
@@ -99,7 +122,9 @@ void FabricExecutor::start() {
   // reads; without, so the inbox holds about one period of copies.
   main_sim_.every(kGrantPeriod, kGrantPeriod, [this]() {
     const SimTime now = main_sim_.now();
-    pool_.publish_grant_all(now == 0 ? 0 : now - 1);
+    for (auto& shard : shards_) {
+      shard->grant(now == 0 ? 0 : now - 1, /*wait=*/false);
+    }
     return true;
   });
 }
@@ -108,10 +133,12 @@ void FabricExecutor::stop() { pool_.stop(); }
 
 void FabricExecutor::sync(std::size_t shard) {
   const SimTime now = main_sim_.now();
-  pool_.barrier(shard, now == 0 ? 0 : now - 1);
+  shards_.at(shard)->grant(now == 0 ? 0 : now - 1, /*wait=*/true);
 }
 
-void FabricExecutor::barrier_all(SimTime t) { pool_.barrier_all(t); }
+void FabricExecutor::barrier_all(SimTime t) {
+  for (auto& shard : shards_) shard->grant(t, /*wait=*/true);
+}
 
 std::uint64_t FabricExecutor::blocked_pushes() const {
   std::uint64_t total = 0;

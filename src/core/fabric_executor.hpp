@@ -10,7 +10,7 @@
 // hands each copy across the shard's boundary, and the shard replays it
 // at its delivery time. With zero workers (the serial run) the main
 // thread does that replay itself, inside the grant pump, the driver
-// barriers and full-inbox pushes; with N workers, ShardPool threads do
+// barriers and overflow handovers; with N workers, ShardPool threads do
 // it while the main timeline runs on. That split is what keeps seeded
 // runs byte-identical at any worker count: the main timeline's event
 // order never depends on the shards, and a shard's outputs are a pure
@@ -38,13 +38,15 @@
 //   * run_until(t) ends with an inclusive barrier_all(t), after which
 //     reading any shard-owned state from the main thread is race-free.
 //
-// A full inbox never deadlocks: push() publishes the maximal safe grant
-// (frame.at - 1 — every later frame is mirrored no earlier than this
-// one, so its delivery is no earlier either), which wakes the worker
-// (with zero workers: drains the inbox on the spot), and waits for
-// space; only frames due at exactly the same nanosecond can remain
-// ungrantable, and a site cannot mirror a ring's worth of copies in one
-// instant (with zero workers push() throws rather than spin if it did).
+// A full inbox never stalls a grant past the main clock: a copy that
+// finds it full waits, in order, in a main-thread overflow queue, and
+// every grant is capped so that no copy still outside the inbox falls
+// under it. Handing the overflow over means first running the shard up
+// to just before the oldest waiting copy (on the worker, or inline with
+// zero workers) — back-pressure on the main thread only once such a
+// copy is due. A read at main time T thus sees exactly the copies due
+// before T at any mirror rate and any tap latency. Only an inbox full
+// of copies due in one nanosecond cannot be drained; that throws.
 #pragma once
 
 #include <cstdint>
@@ -99,7 +101,8 @@ class FabricExecutor {
 
   /// Running worker threads (0 before start() and in the serial run).
   std::size_t worker_count() const { return pool_.worker_count(); }
-  /// Producer-side stalls on a full inbox (main-thread telemetry).
+  /// Pushes that found the inbox full or copies already waiting outside
+  /// it (main-thread telemetry).
   std::uint64_t blocked_pushes() const;
   /// Barriers that had to block on a trailing worker.
   std::uint64_t barrier_waits() const { return pool_.barrier_waits(); }
@@ -116,7 +119,9 @@ class FabricExecutor {
   /// pages are touched only as frames reach them). Without workers the
   /// pump drains it every kGrantPeriod: at most ~210 copies were queued
   /// on the shipped single-site workloads. A worker that falls behind
-  /// leaves more: up to ~830 on fabric16 (16 sites, 3 workers).
+  /// leaves more: up to ~830 on fabric16 (16 sites, 3 workers). Copies
+  /// beyond it wait in the shard's overflow queue; outputs never depend
+  /// on the capacity.
   static constexpr std::size_t kInboxFrames = 1024;
 
   sim::Simulation& main_sim_;

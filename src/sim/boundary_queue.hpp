@@ -13,9 +13,9 @@
 // is the delivery order — and can replay it without a barrier.
 //
 // Capacity is fixed at construction (power of two). try_push fails when
-// the ring is full; the producer decides how to make room (the fabric
-// publishes a fresh lookahead grant and waits for the consumer to
-// drain — see ShardPool).
+// the ring is full; the producer decides what to do with the message
+// (the fabric queues it and hands it over once the consumer has
+// drained — see core/fabric_executor.hpp).
 #pragma once
 
 #include <atomic>

@@ -20,9 +20,9 @@
 // release/acquire ordering, so a barrier is also the happens-before
 // edge that lets the main thread read shard-owned state race-free.
 //
-// Zero workers is the serial run: no thread is started, and the grant,
-// barrier and full-inbox paths advance the shard on the calling thread
-// before they return — the same protocol, executed inline.
+// Zero workers is the serial run: no thread is started, and the grant
+// and barrier paths advance the shard on the calling thread before they
+// return — the same protocol, executed inline.
 //
 // Determinism: a shard's execution depends only on its boundary stream
 // (in the FIFO order of its BoundaryQueue), never on worker count or

@@ -603,11 +603,12 @@ struct YieldingSink : net::MirrorSink {
 };
 
 TEST(FabricExecutor, FullInboxPushBlocksUntilTheWorkerDrains) {
-  // Nothing runs the main timeline, so no grant pump fires: the only
-  // grants the shard ever sees are the ones a full-inbox push
-  // publishes. With a worker they alone must wake it; with zero workers
-  // they drain the inbox on the pushing thread. Four frames share each
-  // delivery nanosecond.
+  // The main timeline mirrors four copies per nanosecond with a 1 ns
+  // TAP latency; no grant pump fires this early, so the only grants the
+  // shard sees are the ones full-inbox pushes publish. Once a copy
+  // waiting outside the inbox falls due, the push blocks until the
+  // shard has drained up to it: on the worker, or with zero workers on
+  // the pushing thread.
   for (const std::size_t workers : {std::size_t{1}, std::size_t{0}}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     constexpr std::uint32_t kFrames = 3 * 8192 + 5;
@@ -623,13 +624,18 @@ TEST(FabricExecutor, FullInboxPushBlocksUntilTheWorkerDrains) {
 
     {
       HangWatchdog watchdog("FabricExecutor push");
-      net::MirrorFrame frame{};
-      for (std::uint32_t i = 0; i < kFrames; ++i) {
-        frame.at = at(i);
-        frame.wire_len = i;  // tags the push order
-        fabric.boundary(shard).push(frame);
-        watchdog.progress(i + 1);
-      }
+      std::uint32_t pushed = 0;
+      main_sim.every(kFirstAt - 1, 1, [&]() {
+        net::MirrorFrame frame{};
+        for (int k = 0; k < 4 && pushed < kFrames; ++k, ++pushed) {
+          frame.at = main_sim.now() + 1;
+          frame.wire_len = pushed;  // tags the push order
+          fabric.boundary(shard).push(frame);
+          watchdog.progress(pushed + 1);
+        }
+        return pushed < kFrames;
+      });
+      main_sim.run_until(at(kFrames - 1));
       fabric.barrier_all(at(kFrames - 1));
       watchdog.progress(kFrames + 1);
     }
@@ -644,22 +650,68 @@ TEST(FabricExecutor, FullInboxPushBlocksUntilTheWorkerDrains) {
   }
 }
 
-// With zero workers nothing can drain an inbox full of copies due in the
-// same nanosecond (no grant may cover them yet): the push throws rather
-// than spin forever.
-TEST(FabricExecutor, ZeroWorkerInboxFullOfOneInstantThrows) {
-  sim::Simulation main_sim;
-  sim::Simulation pipeline_sim;
-  YieldingSink sink(pipeline_sim);
-  core::FabricExecutor fabric(main_sim, core::FabricExecutor::Config{});
-  const std::size_t shard = fabric.add_switch(pipeline_sim, sink);
-  fabric.start();
-  net::MirrorFrame frame{};
-  frame.at = 1000;
-  EXPECT_THROW(
-      for (int i = 0; i < 1 << 20; ++i) fabric.boundary(shard).push(frame),
-      std::logic_error);
-  EXPECT_TRUE(sink.seen.empty());
+// More copies than the inbox holds are in flight at once (a long TAP
+// latency): the ones that do not fit wait outside it, and a driver read
+// at main time T still sees exactly the copies due before T — never one
+// due at or after T — whoever advances the shard.
+TEST(FabricExecutor, SyncAfterAFullInboxSeesOnlyCopiesDueBeforeNow) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{0}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    constexpr std::uint32_t kFrames = 3000;
+    constexpr SimTime kReadAt = 2500;
+    auto at = [](std::uint32_t i) { return SimTime{2000} + i / 2; };
+    sim::Simulation main_sim;
+    sim::Simulation pipeline_sim;
+    YieldingSink sink(pipeline_sim);
+    core::FabricExecutor fabric(main_sim,
+                                core::FabricExecutor::Config{workers, 0});
+    const std::size_t shard = fabric.add_switch(pipeline_sim, sink);
+    fabric.start();
+
+    main_sim.run_until(1000);
+    net::MirrorFrame frame{};
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      frame.at = at(i);
+      frame.wire_len = i;
+      fabric.boundary(shard).push(frame);
+    }
+    EXPECT_GT(fabric.blocked_pushes(), 0u);
+
+    main_sim.run_until(kReadAt);
+    fabric.sync(shard);
+    ASSERT_EQ(sink.seen.size(), 2 * (kReadAt - at(0)));
+    EXPECT_LT(sink.seen.back().second, kReadAt);
+
+    fabric.barrier_all(at(kFrames - 1));
+    ASSERT_EQ(sink.seen.size(), kFrames);
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      ASSERT_EQ(sink.seen[i].first, i) << "frame delivered out of order";
+      ASSERT_EQ(sink.seen[i].second, at(i)) << "frame " << i;
+    }
+    fabric.stop();
+  }
+}
+
+// Nothing can drain an inbox full of copies due in the same nanosecond
+// (no grant may cover them while more of that instant wait outside):
+// handing them over throws rather than spin forever.
+TEST(FabricExecutor, InboxFullOfOneInstantThrowsWhenDue) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{0}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    sim::Simulation main_sim;
+    sim::Simulation pipeline_sim;
+    YieldingSink sink(pipeline_sim);
+    core::FabricExecutor fabric(main_sim,
+                                core::FabricExecutor::Config{workers, 0});
+    const std::size_t shard = fabric.add_switch(pipeline_sim, sink);
+    fabric.start();
+    net::MirrorFrame frame{};
+    frame.at = 1000;
+    for (int i = 0; i < 2048; ++i) fabric.boundary(shard).push(frame);
+    EXPECT_THROW(fabric.barrier_all(1000), std::logic_error);
+    EXPECT_TRUE(sink.seen.empty());
+    fabric.stop();
+  }
 }
 
 }  // namespace
