@@ -33,7 +33,7 @@ void cca_identification() {
         config.topology.bottleneck_bps, units::milliseconds(50));
     core::MonitoringSystem system(config);
     system.start();
-    cp::CcaIdentifier ident(system.simulation(), system.program());
+    cp::CcaIdentifier ident(system.control_plane());
     ident.start();
     tcp::TcpFlow::Config fc;
     fc.sender.congestion_control = cc;

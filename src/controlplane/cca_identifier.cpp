@@ -17,37 +17,38 @@ const char* to_string(CcaClass cca) {
   return "?";
 }
 
-CcaIdentifier::CcaIdentifier(sim::Simulation& sim,
-                             telemetry::DataPlaneProgram& program,
-                             Config config)
-    : sim_(sim), program_(program), config_(config) {}
+CcaIdentifier::CcaIdentifier(ControlPlane& control, Config config)
+    : control_(control), config_(config) {}
 
 void CcaIdentifier::start() {
   if (started_) return;
   started_ = true;
-  sim_.every(sim_.now() + config_.sample_interval, config_.sample_interval,
-             [this]() {
-               sample();
-               return true;
-             });
+  sim::Simulation& sim = control_.simulation();
+  sim.every(sim.now() + config_.sample_interval, config_.sample_interval,
+            [this]() {
+              sample();
+              return true;
+            });
 }
 
 void CcaIdentifier::sample() {
   // Sample the flight register of every occupied slot; drop histories of
   // released slots.
+  control_.sync_data_plane();
+  const telemetry::DataPlaneProgram& program = control_.program();
   for (auto it = history_.begin(); it != history_.end();) {
-    if (!program_.tracker().occupied(it->first)) {
+    if (!program.tracker().occupied(it->first)) {
       it = history_.erase(it);
     } else {
       ++it;
     }
   }
   for (std::uint16_t slot = 0; slot < telemetry::kFlowSlots; ++slot) {
-    if (!program_.tracker().occupied(slot)) continue;
+    if (!program.tracker().occupied(slot)) continue;
     auto& h = history_[slot];
     h.flight.push_back(static_cast<double>(
-        program_.limit_classifier().flight_bytes(slot)));
-    h.losses.push_back(program_.rtt_loss().losses(slot));
+        program.limit_classifier().flight_bytes(slot)));
+    h.losses.push_back(program.rtt_loss().losses(slot));
     if (h.flight.size() > config_.window) {
       h.flight.pop_front();
       h.losses.pop_front();

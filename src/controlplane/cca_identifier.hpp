@@ -21,8 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulation.hpp"
-#include "telemetry/dataplane_program.hpp"
+#include "controlplane/control_plane.hpp"
 
 namespace p4s::cp {
 
@@ -51,10 +50,11 @@ class CcaIdentifier {
     std::size_t min_samples = 40;
   };
 
-  CcaIdentifier(sim::Simulation& sim, telemetry::DataPlaneProgram& program,
-                Config config);
-  CcaIdentifier(sim::Simulation& sim, telemetry::DataPlaneProgram& program)
-      : CcaIdentifier(sim, program, Config{}) {}
+  /// Samples the data plane `control` drives, on its clock, after its
+  /// driver sync (so every sample is the register state at that time).
+  CcaIdentifier(ControlPlane& control, Config config);
+  explicit CcaIdentifier(ControlPlane& control)
+      : CcaIdentifier(control, Config{}) {}
 
   /// Start the sampling timer.
   void start();
@@ -86,8 +86,7 @@ class CcaIdentifier {
   void sample();
   static CcaClass classify_features(const Features& f);
 
-  sim::Simulation& sim_;
-  telemetry::DataPlaneProgram& program_;
+  ControlPlane& control_;
   Config config_;
   bool started_ = false;
   struct History {

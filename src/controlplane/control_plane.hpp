@@ -101,6 +101,10 @@ class ControlPlane {
   /// Timer/alert configuration of a live extractor.
   MetricConfig& extractor_config(std::string_view metric);
   const ControlPlaneConfig& config() const { return config_; }
+  sim::Simulation& simulation() { return sim_; }
+  /// The data plane this control plane drives; call sync_data_plane()
+  /// before reading its registers.
+  const telemetry::DataPlaneProgram& program() const { return program_; }
 
   // ---- Observability for experiments and tests ------------------------
   struct FlowState {

@@ -172,7 +172,7 @@ TEST_P(CcaIdent, ClassifiesTheRunningCca) {
       units::bdp_bytes(units::mbps(200), units::milliseconds(50));
   core::MonitoringSystem system(config);
   system.start();
-  cp::CcaIdentifier ident(system.simulation(), system.program());
+  cp::CcaIdentifier ident(system.control_plane());
   ident.start();
 
   tcp::TcpFlow::Config fc;
@@ -203,7 +203,7 @@ TEST(CcaIdentifier, UnknownBeforeEnoughSamples) {
   config.topology.bottleneck_bps = units::mbps(100);
   core::MonitoringSystem system(config);
   system.start();
-  cp::CcaIdentifier ident(system.simulation(), system.program());
+  cp::CcaIdentifier ident(system.control_plane());
   ident.start();
   auto& flow = system.add_transfer(0);
   flow.start_at(units::milliseconds(100));
@@ -213,6 +213,45 @@ TEST(CcaIdentifier, UnknownBeforeEnoughSamples) {
     (void)slot;
     EXPECT_EQ(verdict, cp::CcaClass::kUnknown);
   }
+}
+
+// Every sample is the flight register as of the sample time: the same
+// value a reader that runs the control plane's driver sync at that
+// instant sees, whoever advances the pipeline shard.
+TEST(CcaIdentifier, SamplesTheRegistersAsOfEachSampleTime) {
+  core::MonitoringSystemConfig config;
+  config.topology.bottleneck_bps = units::mbps(100);
+  core::MonitoringSystem system(config);
+  system.start();
+  cp::CcaIdentifier ident(system.control_plane());
+  ident.start();
+  auto& sim = system.simulation();
+  std::vector<double> flights;
+  sim.every(sim.now() + units::milliseconds(25), units::milliseconds(25),
+            [&]() {
+              system.control_plane().sync_data_plane();
+              const auto& program = system.control_plane().program();
+              for (std::uint16_t slot = 0; slot < telemetry::kFlowSlots;
+                   ++slot) {
+                if (!program.tracker().occupied(slot)) continue;
+                flights.push_back(static_cast<double>(
+                    program.limit_classifier().flight_bytes(slot)));
+              }
+              return true;
+            });
+  auto& flow = system.add_transfer(0);
+  flow.start_at(units::milliseconds(100));
+  system.run_until(units::seconds(3));
+
+  const auto verdicts = ident.classify_all();
+  ASSERT_EQ(verdicts.size(), 1u);
+  const auto f = ident.features(verdicts.begin()->first);
+  ASSERT_EQ(f.samples, flights.size());
+  double sum = 0.0;
+  for (double v : flights) sum += v;
+  const double mean = sum / static_cast<double>(flights.size());
+  ASSERT_GT(mean, 0.0);
+  EXPECT_NEAR(f.mean_flight, mean, mean * 1e-12);
 }
 
 TEST(CcaIdentifier, Names) {
