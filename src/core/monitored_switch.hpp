@@ -49,6 +49,9 @@ const char* to_string(TapPoint point);
 /// std::invalid_argument on unknown names.
 TapPoint tap_point_from_name(const std::string& name);
 
+/// Fiber + TAP path from a mirror point to the monitor, unless configured.
+inline constexpr SimTime kDefaultTapLatency = units::microseconds(1);
+
 /// The switch and output port a site's TAP pair observes, and the port's
 /// line rate (the control plane's default bottleneck rate).
 struct TapTarget {
@@ -98,7 +101,7 @@ class MonitoredSwitch : private detail::PipelineClock,
                   cp::ControlPlaneConfig control_config,
                   const TraceCaptureConfig& trace_config = {},
                   const std::vector<mpl::Program>& fabric_programs = {},
-                  SimTime tap_latency = units::microseconds(1),
+                  SimTime tap_latency = kDefaultTapLatency,
                   std::size_t index = 0);
 
   MonitoredSwitch(const MonitoredSwitch&) = delete;

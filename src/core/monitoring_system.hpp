@@ -126,7 +126,7 @@ struct MonitoringSystemConfig {
   /// benign elephant/mice mix, resolved against topology host names and
   /// started with the system.
   std::vector<workload::WorkloadSpec> workloads;
-  SimTime tap_latency = units::microseconds(1);
+  SimTime tap_latency = kDefaultTapLatency;
   std::uint64_t seed = 1;
 };
 

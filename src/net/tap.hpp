@@ -92,7 +92,7 @@ class OpticalTapPair {
   /// fiber + TAP path to the monitor; it is the same for both mirror
   /// points, so it cancels in delay differences.
   OpticalTapPair(sim::Simulation& sim, MirrorBoundary& boundary,
-                 SimTime tap_latency = units::microseconds(1))
+                 SimTime tap_latency)
       : sim_(sim), boundary_(boundary), tap_latency_(tap_latency) {}
 
   /// Attach the ingress-side TAP to a switch (mirrors every arrival) and
