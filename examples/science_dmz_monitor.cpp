@@ -84,10 +84,15 @@ int main() {
   // Live dashboard every 5 s.
   system.simulation().every(seconds(5), seconds(5), [&]() {
     const auto& cp = system.control_plane();
-    std::printf("t=%4.0fs | util %4.0f%% fair %.2f | %zu flows |",
+    char fairness[16] = "-";  // undefined while the link is idle
+    if (cp.aggregates().fairness.has_value()) {
+      std::snprintf(fairness, sizeof fairness, "%.2f",
+                    *cp.aggregates().fairness);
+    }
+    std::printf("t=%4.0fs | util %4.0f%% fair %s | %zu flows |",
                 units::to_seconds(system.simulation().now()),
-                cp.aggregates().link_utilization * 100.0,
-                cp.aggregates().fairness, cp.flows().size());
+                cp.aggregates().link_utilization * 100.0, fairness,
+                cp.flows().size());
     for (const auto& [slot, st] : cp.flows()) {
       (void)slot;
       std::printf(" %s %.0fMbps/%.0fms/%s",

@@ -14,15 +14,16 @@
 #include "net/packet.hpp"
 #include "net/queue.hpp"
 #include "sim/simulation.hpp"
+#include "util/chunked_fifo.hpp"
 
 namespace p4s::net {
 
 class Link {
  public:
   /// `bits_per_second` must be > 0. The sink may be set after construction
-  /// (topology wiring is two-phase).
-  Link(sim::Simulation& sim, std::uint64_t bits_per_second, SimTime delay)
-      : sim_(sim), rate_bps_(bits_per_second), delay_(delay) {}
+  /// (topology wiring is two-phase). Deliveries run on an event lane that
+  /// captures `this`, so the link must outlive its simulation's runs.
+  Link(sim::Simulation& sim, std::uint64_t bits_per_second, SimTime delay);
 
   void set_sink(PacketSink& sink) { sink_ = &sink; }
 
@@ -38,7 +39,8 @@ class Link {
   double loss_rate() const { return loss_rate_; }
 
   /// Begin serializing `pkt` now; returns the time serialization finishes.
-  /// The caller (OutputPort) guarantees one transmission at a time.
+  /// The caller (OutputPort) guarantees one transmission at a time, so
+  /// deliveries are due in transmit order (the lane requires it).
   /// Delivery to the sink happens at completion + propagation delay unless
   /// the loss gate fires.
   SimTime transmit(const Packet& pkt);
@@ -47,11 +49,15 @@ class Link {
   std::uint64_t lost_pkts() const { return lost_pkts_; }
 
  private:
+  void deliver_next();
+
   sim::Simulation& sim_;
   std::uint64_t rate_bps_;
   SimTime delay_;
   double loss_rate_ = 0.0;
   PacketSink* sink_ = nullptr;
+  util::ChunkedFifo<Packet> in_flight_;  // due at the sink, in order
+  std::uint32_t lane_;
   std::uint64_t delivered_pkts_ = 0;
   std::uint64_t lost_pkts_ = 0;
 };
@@ -82,13 +88,14 @@ class OutputPort : public PacketSink {
   Link& link() { return link_; }
 
  private:
-  void start_transmission(DropTailQueue::Entry entry);
+  void start_next();  // the queue must not be empty
   void on_transmit_done();
 
   sim::Simulation& sim_;
   DropTailQueue queue_;
   Link& link_;
   bool transmitting_ = false;
+  DropTailQueue::Entry sending_{};  // valid while transmitting_
   std::vector<std::function<void(const Packet&, SimTime)>> egress_hooks_;
 };
 

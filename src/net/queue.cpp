@@ -15,14 +15,14 @@ bool DropTailQueue::try_enqueue(const Packet& pkt, SimTime now) {
   stats_.peak_bytes = std::max(stats_.peak_bytes, occupancy_bytes_);
   ++stats_.enqueued_pkts;
   stats_.enqueued_bytes += bytes;
-  entries_.push_back(Entry{pkt, now});
+  entries_.push(Entry{pkt, now});
   return true;
 }
 
 std::optional<DropTailQueue::Entry> DropTailQueue::dequeue() {
   if (entries_.empty()) return std::nullopt;
   Entry e = std::move(entries_.front());
-  entries_.pop_front();
+  entries_.pop();
   occupancy_bytes_ -= e.pkt.wire_bytes();
   ++stats_.dequeued_pkts;
   return e;

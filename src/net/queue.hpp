@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "net/packet.hpp"
+#include "util/chunked_fifo.hpp"
 #include "util/units.hpp"
 
 namespace p4s::net {
@@ -54,7 +54,7 @@ class DropTailQueue {
  private:
   std::uint64_t capacity_bytes_;
   std::uint64_t occupancy_bytes_ = 0;
-  std::deque<Entry> entries_;
+  util::ChunkedFifo<Entry> entries_;
   Stats stats_;
 };
 

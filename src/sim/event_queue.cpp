@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -22,7 +23,33 @@ void EventQueue::schedule_at(SimTime at, EventFn fn) {
 
   heap_.push_back(HeapEntry{at, next_seq_++, slot});
   sift_up(heap_.size() - 1);
-  if (heap_.size() > peak_live_) peak_live_ = heap_.size();
+  peak_live_ = std::max(peak_live_, pending_events());
+}
+
+std::uint32_t EventQueue::add_lane(EventFn fn) {
+  lanes_.emplace_back(std::move(fn));
+  return static_cast<std::uint32_t>(lanes_.size() - 1);
+}
+
+void EventQueue::schedule_lane(std::uint32_t lane, SimTime at) {
+  if (at < now_) {
+    throw std::invalid_argument("EventQueue: scheduling into the past");
+  }
+  Lane& l = lanes_[lane];
+  if (at < l.tail) {
+    throw std::invalid_argument(
+        "EventQueue: lane entry earlier than the lane's tail");
+  }
+  l.tail = at;
+  if (l.in_heap) {
+    l.backlog.push(LaneEntry{at, next_seq_++});
+    ++lane_backlog_;
+  } else {
+    l.in_heap = true;
+    heap_.push_back(HeapEntry{at, next_seq_++, lane | kLaneBit});
+    sift_up(heap_.size() - 1);
+  }
+  peak_live_ = std::max(peak_live_, pending_events());
 }
 
 void EventQueue::sift_up(std::size_t i) {
@@ -59,8 +86,27 @@ void EventQueue::pop_entry() {
 bool EventQueue::pop_and_run() {
   if (heap_.empty()) return false;
   const HeapEntry top = heap_.front();
-  pop_entry();
   assert(top.time >= now_);
+  if ((top.slot & kLaneBit) != 0) {
+    // The lane's next entry (later than this one) takes over its heap
+    // entry, so one sift_down replaces a pop and a push.
+    Lane& lane = lanes_[top.slot & ~kLaneBit];
+    if (lane.backlog.empty()) {
+      lane.in_heap = false;
+      pop_entry();
+    } else {
+      const LaneEntry next = lane.backlog.front();
+      lane.backlog.pop();
+      --lane_backlog_;
+      heap_.front() = HeapEntry{next.time, next.seq, top.slot};
+      sift_down(0);
+    }
+    now_ = top.time;
+    ++executed_;
+    lane.fn();
+    return true;
+  }
+  pop_entry();
   now_ = top.time;
   // Move the callback out and free its slot before running: the callback
   // may schedule into (and reuse) the slot it just vacated.

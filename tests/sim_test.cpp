@@ -1,31 +1,16 @@
-// Unit tests: discrete-event engine (event queue, periodic scheduling,
-// deterministic PRNG).
+// Unit tests: discrete-event engine (event queue and its lanes, periodic
+// scheduling, deterministic PRNG).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "sim/timer.hpp"
-
-// Global allocation counter backing the steady-state no-allocation
-// assertion below. Replacing operator new is per-binary, so only this
-// test executable pays for the bookkeeping.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_heap_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace p4s::sim {
 namespace {
@@ -238,6 +223,133 @@ TEST(EventQueue, NoPerEventHeapAllocationInSteadyState) {
   }
   EXPECT_EQ(g_heap_allocs.load(), before_rearm);
   EXPECT_EQ(expiries, 17);
+
+  // A lane holding a sliding window of entries, as a link's deliveries
+  // do: each firing schedules one more entry 600 ns out, so the lane's
+  // FIFO drains chunks at the head while it fills them at the tail.
+  std::uint64_t lane_fired = 0;
+  std::uint32_t lane = 0;
+  lane = q.add_lane([&]() {
+    ++lane_fired;
+    q.schedule_lane(lane, q.now() + 600);
+  });
+  const SimTime start = q.now();
+  for (SimTime t = 1; t <= 600; ++t) q.schedule_lane(lane, start + t);
+  for (int i = 0; i < 5000; ++i) ASSERT_TRUE(q.step());
+  const std::uint64_t before_lane = g_heap_allocs.load();
+  for (int i = 0; i < 20000; ++i) ASSERT_TRUE(q.step());
+  EXPECT_EQ(g_heap_allocs.load(), before_lane);
+  EXPECT_EQ(lane_fired, 25000u);
+  EXPECT_EQ(q.pending_events(), 600u);
+}
+
+// ---------- Lanes: FIFO event streams beside the heap ----------
+
+// A lane's owner keeps what each entry is for; these tests keep a tag
+// per entry, consumed in firing order as Link consumes its packets.
+struct TaggedLane {
+  explicit TaggedLane(EventQueue& queue, std::vector<int>& order)
+      : q(queue), out(order) {
+    id = q.add_lane([this]() { out.push_back(tags[next++]); });
+  }
+  void schedule(SimTime at, int tag) {
+    tags.push_back(tag);
+    q.schedule_lane(id, at);
+  }
+  EventQueue& q;
+  std::vector<int>& out;
+  std::vector<int> tags;
+  std::size_t next = 0;
+  std::uint32_t id = 0;
+};
+
+TEST(EventQueueLane, TiesWithHeapEventsFireInSchedulingOrder) {
+  // Same timestamp throughout: heap before lane (1, 2), lane before heap
+  // (2, 3), and lane entries waiting behind the lane's heap entry (4, 5)
+  // against heap events scheduled between and after them (6).
+  EventQueue q;
+  std::vector<int> order;
+  TaggedLane lane(q, order);
+  q.schedule_at(10, [&]() { order.push_back(1); });
+  lane.schedule(10, 2);
+  q.schedule_at(10, [&]() { order.push_back(3); });
+  lane.schedule(10, 4);
+  lane.schedule(10, 5);
+  q.schedule_at(10, [&]() { order.push_back(6); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(EventQueueLane, LanesAndHeapFireInOneHeapOrder) {
+  // Two lanes with non-decreasing times and heap events at any time fire
+  // exactly in (time, seq) order: the order a single heap gives the same
+  // schedule calls.
+  EventQueue q;
+  std::vector<int> order;
+  TaggedLane a(q, order);
+  TaggedLane b(q, order);
+  std::vector<std::pair<SimTime, int>> expected;  // (time, tag) by seq
+  Rng rng(7);
+  SimTime tail_a = 0, tail_b = 0;
+  int tag = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const auto pick = rng.next_below(3);
+    if (pick == 0) {
+      tail_a += rng.next_below(4);
+      a.schedule(tail_a, tag);
+      expected.emplace_back(tail_a, tag);
+    } else if (pick == 1) {
+      tail_b += rng.next_below(4);
+      b.schedule(tail_b, tag);
+      expected.emplace_back(tail_b, tag);
+    } else {
+      const SimTime at = rng.next_below(1501);
+      q.schedule_at(at, [&order, tag]() { order.push_back(tag); });
+      expected.emplace_back(at, tag);
+    }
+    ++tag;
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& x, const auto& y) {
+                     return x.first < y.first;
+                   });
+  q.run();
+  ASSERT_EQ(order.size(), expected.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(order[i], expected[i].second) << "at position " << i;
+  }
+}
+
+TEST(EventQueueLane, EntryEarlierThanTheLaneTailThrows) {
+  EventQueue q;
+  std::vector<int> order;
+  TaggedLane lane(q, order);
+  lane.schedule(20, 1);
+  EXPECT_THROW(q.schedule_lane(lane.id, 19), std::invalid_argument);
+  EXPECT_EQ(q.pending_events(), 1u);  // the refused entry left no trace
+  lane.schedule(20, 2);               // equal to the tail is in order
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  // An emptied lane's tail is in the past, which throws as well.
+  EXPECT_THROW(q.schedule_lane(lane.id, 10), std::invalid_argument);
+}
+
+TEST(EventQueueLane, PendingEventsCountLaneEntries) {
+  EventQueue q;
+  std::vector<int> order;
+  TaggedLane lane(q, order);
+  lane.schedule(5, 1);
+  lane.schedule(6, 2);
+  lane.schedule(7, 3);
+  q.schedule_at(6, []() {});
+  EXPECT_EQ(q.pending_events(), 4u);
+  EXPECT_EQ(q.peak_pending_events(), 4u);
+  EXPECT_TRUE(q.step());
+  EXPECT_EQ(q.pending_events(), 3u);
+  q.run();
+  EXPECT_EQ(q.pending_events(), 0u);
+  EXPECT_EQ(q.executed_events(), 4u);
+  EXPECT_EQ(q.peak_pending_events(), 4u);
 }
 
 // ---------- Timer: one moving deadline, at most one live event ----------
