@@ -113,6 +113,17 @@ net::MirrorBoundary& FabricExecutor::boundary(std::size_t shard) {
   return *shards_.at(shard);
 }
 
+net::OpticalTapPair& FabricExecutor::tap_pair(net::LegacySwitch& sw,
+                                              net::OutputPort& port,
+                                              SimTime tap_latency) {
+  auto& pair = tap_pairs_[{&sw, &port, tap_latency}];
+  if (pair == nullptr) {
+    pair = std::make_unique<net::OpticalTapPair>(main_sim_, tap_latency);
+    pair->attach(sw, port);
+  }
+  return *pair;
+}
+
 void FabricExecutor::start() {
   if (started_) return;
   started_ = true;

@@ -6,15 +6,17 @@
 // the dominant per-packet cost, and the only part of a site that is
 // independent of every other site. Everything that interacts stays on
 // the main timeline: the topology, TCP, the control planes, the report
-// transport, the archiver. The TAP pair never schedules a delivery: it
-// hands each copy across the shard's boundary, and the shard replays it
-// at its delivery time. With zero workers (the serial run) the main
-// thread does that replay itself, inside the grant pump, the driver
-// barriers and overflow handovers; with N workers, ShardPool threads do
-// it while the main timeline runs on. That split is what keeps seeded
-// runs byte-identical at any worker count: the main timeline's event
-// order never depends on the shards, and a shard's outputs are a pure
-// function of its ordered boundary stream.
+// transport, the archiver. The executor owns one TAP pair per tapped
+// port, shared by every site on it. The pair never schedules a
+// delivery: it hands each copy across the boundary of each of those
+// sites' shards, and each shard replays it at its delivery time. With
+// zero workers (the serial run) the main thread does that replay
+// itself, inside the grant pump, the driver barriers and overflow
+// handovers; with N workers, ShardPool threads do it while the main
+// timeline runs on. That split is what keeps seeded runs byte-identical
+// at any worker count: the main timeline's event order never depends on
+// the shards, and a shard's outputs are a pure function of its ordered
+// boundary stream.
 //
 // Protocol per shard (see sim/shard_pool.hpp for the memory-ordering
 // contract):
@@ -50,7 +52,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "net/tap.hpp"
@@ -84,6 +88,12 @@ class FabricExecutor {
 
   /// The producer end the TAP pair should push into.
   net::MirrorBoundary& boundary(std::size_t shard);
+
+  /// The TAP pair on `port` of `sw` at `tap_latency` on the main clock,
+  /// built and attached on first request. Every site on that port shares
+  /// it, so each copy is serialized once; add the site's boundary to it.
+  net::OpticalTapPair& tap_pair(net::LegacySwitch& sw, net::OutputPort& port,
+                                SimTime tap_latency);
 
   /// Launch the workers (if any) and schedule the grant pump.
   /// Idempotent.
@@ -127,6 +137,10 @@ class FabricExecutor {
   sim::Simulation& main_sim_;
   sim::ShardPool pool_;
   std::vector<std::unique_ptr<SwitchShard>> shards_;
+  std::map<std::tuple<const net::LegacySwitch*, const net::OutputPort*,
+                      SimTime>,
+           std::unique_ptr<net::OpticalTapPair>>
+      tap_pairs_;
   bool started_ = false;
 };
 

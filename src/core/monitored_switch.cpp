@@ -76,9 +76,8 @@ MonitoredSwitch::MonitoredSwitch(
   }
 
   const std::size_t shard = fabric.add_switch(pipeline_sim, *entry);
-  taps_ = std::make_unique<net::OpticalTapPair>(sim, fabric.boundary(shard),
-                                                tap_latency);
-  taps_->attach(tap.sw, tap.port);
+  taps_ = &fabric.tap_pair(tap.sw, tap.port, tap_latency);
+  taps_->add_boundary(fabric.boundary(shard));
   // Driver reads and program changes see exactly the copies delivered
   // before the current time (a tick armed a full interval earlier runs
   // before a same-time copy mirrored only tap_latency earlier).

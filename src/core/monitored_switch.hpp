@@ -7,8 +7,9 @@
 // N=1 case, and a hand-built topology (the mmWave scenarios) builds one
 // directly.
 //
-// There is one mirror path: the TAP pair turns each copy into a
-// net::MirrorFrame and pushes it into this site's FabricExecutor shard,
+// There is one mirror path: the TAP pair on the tapped port (owned by
+// the FabricExecutor and shared by every site on that port) turns each
+// copy into a net::MirrorFrame and pushes it into this site's shard,
 // which replays it on the site's pipeline clock into the capture tee or
 // the P4 switch — on a worker thread, or on the main thread when the
 // executor has none.
@@ -84,11 +85,12 @@ struct PipelineClock {
 class MonitoredSwitch : private detail::PipelineClock,
                         public trace::SitePipeline {
  public:
-  /// The TAP pair attaches to `tap`, and the site's mirror pipeline —
-  /// capture tee + P4 switch, on the site's own pipeline clock — is
-  /// registered as one shard of `fabric` (call fabric.start() before
-  /// running). The TAPs and the control plane stay on `sim`; the control
-  /// plane's driver sync is the shard's barrier.
+  /// The site's mirror pipeline — capture tee + P4 switch, on the site's
+  /// own pipeline clock — is registered as one shard of `fabric` (call
+  /// fabric.start() before running) and fed by `fabric`'s TAP pair on
+  /// `tap`, shared with every other site on that port. The TAPs and the
+  /// control plane stay on `sim`, the fabric's main simulation; the
+  /// control plane's driver sync is the shard's barrier.
   ///
   /// `control_config`'s core_buffer_bytes / bottleneck_bps are filled
   /// from the tapped port when left 0; its switch_id is taken from
@@ -117,7 +119,7 @@ class MonitoredSwitch : private detail::PipelineClock,
  private:
   MonitoredSwitchConfig config_;
   std::unique_ptr<trace::TraceCapture> trace_capture_;
-  std::unique_ptr<net::OpticalTapPair> taps_;
+  net::OpticalTapPair* taps_;  // owned by the FabricExecutor
 };
 
 }  // namespace p4s::core

@@ -47,13 +47,6 @@ FiveTuple Packet::five_tuple() const {
   return t;
 }
 
-namespace {
-std::uint64_t next_uid() {
-  static std::uint64_t uid = 0;
-  return ++uid;
-}
-}  // namespace
-
 Packet make_tcp_packet(Ipv4Address src, Ipv4Address dst,
                        std::uint16_t src_port, std::uint16_t dst_port,
                        std::uint32_t seq, std::uint32_t ack,
@@ -74,7 +67,6 @@ Packet make_tcp_packet(Ipv4Address src, Ipv4Address dst,
   p.ip.total_len =
       static_cast<std::uint16_t>(p.ip.header_bytes() + tcp.header_bytes() +
                                  payload);
-  p.uid = next_uid();
   return p;
 }
 
@@ -92,7 +84,6 @@ Packet make_udp_packet(Ipv4Address src, Ipv4Address dst,
   p.l4 = udp;
   p.ip.total_len = static_cast<std::uint16_t>(p.ip.header_bytes() +
                                               udp.length);
-  p.uid = next_uid();
   return p;
 }
 
@@ -110,7 +101,6 @@ Packet make_icmp_packet(Ipv4Address src, Ipv4Address dst, std::uint8_t type,
   p.l4 = icmp;
   p.ip.total_len = static_cast<std::uint16_t>(
       p.ip.header_bytes() + icmp.header_bytes() + payload);
-  p.uid = next_uid();
   return p;
 }
 
@@ -131,7 +121,6 @@ Packet make_quic_packet(Ipv4Address src, Ipv4Address dst,
       static_cast<std::uint16_t>(p.ip.header_bytes() + udp.length);
   p.quic = hdr;
   p.has_quic = true;
-  p.uid = next_uid();
   return p;
 }
 

@@ -194,8 +194,6 @@ struct Packet {
   QuicHeader quic;
   QuicFrames quic_frames;
   bool has_quic = false;
-  /// Simulator-unique id for tracing; not visible to the P4 pipeline.
-  std::uint64_t uid = 0;
 
   bool is_tcp() const { return std::holds_alternative<TcpHeader>(l4); }
   bool is_udp() const { return std::holds_alternative<UdpHeader>(l4); }

@@ -10,15 +10,12 @@
 // the two copies' arrival-time difference. The frame is the only thing
 // that travels, and MirrorSink has the one entry point that takes it.
 //
-// Hot-path design: the TAP schedules nothing. It stamps each frame with
-// its delivery time and pushes it across a MirrorBoundary (the fabric
-// executor's per-switch shard), which replays it at that time; the
-// constant TAP latency makes the stream non-decreasing in time, which
-// is all the boundary needs. Each packet's wire bytes are serialized
-// once and shared between its ingress and egress copies through a small
-// uid-keyed cache; the copies differ only in the TTL the core switch
-// decremented, which is patched in place with an incremental checksum
-// update instead of re-serializing.
+// Hot-path design: the TAP schedules nothing. It serializes each copy
+// once, stamps the frame with its delivery time and pushes that same
+// frame across every MirrorBoundary it feeds (one per monitoring site on
+// the tapped port: the fabric executor's per-site shards), each of which
+// replays it at that time; the constant TAP latency makes the stream
+// non-decreasing in time, which is all a boundary needs.
 #pragma once
 
 #include <array>
@@ -87,46 +84,40 @@ class MirrorBoundary {
 
 class OpticalTapPair {
  public:
-  /// Every copy goes to `boundary`, stamped for delivery `tap_latency`
-  /// after the mirror time on `sim`'s clock. The latency models the
-  /// fiber + TAP path to the monitor; it is the same for both mirror
-  /// points, so it cancels in delay differences.
-  OpticalTapPair(sim::Simulation& sim, MirrorBoundary& boundary,
-                 SimTime tap_latency)
-      : sim_(sim), boundary_(boundary), tap_latency_(tap_latency) {}
+  /// Every copy is stamped for delivery `tap_latency` after the mirror
+  /// time on `sim`'s clock. The latency models the fiber + TAP path to
+  /// the monitor; it is the same for both mirror points, so it cancels in
+  /// delay differences.
+  OpticalTapPair(sim::Simulation& sim, SimTime tap_latency)
+      : sim_(sim), tap_latency_(tap_latency) {}
+
+  // attach() hands the switch and port hooks holding `this`.
+  OpticalTapPair(const OpticalTapPair&) = delete;
+  OpticalTapPair& operator=(const OpticalTapPair&) = delete;
+
+  /// Every copy also goes to `boundary`, after the boundaries added
+  /// before it.
+  void add_boundary(MirrorBoundary& boundary) {
+    boundaries_.push_back(&boundary);
+  }
 
   /// Attach the ingress-side TAP to a switch (mirrors every arrival) and
   /// the egress-side TAP to one of its output ports (mirrors every
   /// departure on the monitored link).
   void attach(LegacySwitch& sw, OutputPort& monitored_port);
 
+  /// Copies taken, each counted once however many boundaries it feeds.
   std::uint64_t mirrored_pkts() const { return mirrored_pkts_; }
-  /// Copies whose wire bytes were reused from the serialize-once cache
-  /// (the egress copy of every packet both TAPs saw).
-  std::uint64_t serialize_cache_hits() const { return cache_hits_; }
+  /// Always 0 (no serialize cache); kept only for bench/e2e/rep.cpp.
+  std::uint64_t serialize_cache_hits() const { return 0; }
 
  private:
-  struct CacheEntry {
-    std::uint64_t uid = 0;  // 0 = empty (real packets have uid > 0)
-    std::array<std::uint8_t, kMaxHeaderBytes> bytes;
-    std::uint8_t len = 0;
-    std::uint8_t ttl = 0;
-  };
-  // Direct-mapped: must comfortably cover the packets in flight between
-  // a packet's two mirror points (bounded by the core switch's queue).
-  static constexpr std::size_t kCacheSlots = 1024;
-
   void mirror(const Packet& pkt, MirrorPoint point);
-  std::uint8_t serialize_shared(const Packet& pkt,
-                                std::array<std::uint8_t, kMaxHeaderBytes>& out);
 
   sim::Simulation& sim_;
-  MirrorBoundary& boundary_;
   SimTime tap_latency_;
+  std::vector<MirrorBoundary*> boundaries_;
   std::uint64_t mirrored_pkts_ = 0;
-  std::uint64_t cache_hits_ = 0;
-
-  std::vector<CacheEntry> cache_ = std::vector<CacheEntry>(kCacheSlots);
 };
 
 }  // namespace p4s::net

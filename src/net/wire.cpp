@@ -48,28 +48,6 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> bytes) {
   return static_cast<std::uint16_t>(~sum);
 }
 
-void patch_ttl(std::span<std::uint8_t> frame, std::uint8_t new_ttl) {
-  const std::size_t ip = kEthernetHeaderBytes;
-  const std::uint8_t old_ttl = frame[ip + 8];
-  if (old_ttl == new_ttl) return;
-  // The checksum covers 16-bit words; TTL shares its word with the
-  // protocol byte. HC' = ~(~HC + ~m + m') per RFC 1624.
-  const std::uint16_t old_word =
-      static_cast<std::uint16_t>((old_ttl << 8) | frame[ip + 9]);
-  const std::uint16_t new_word =
-      static_cast<std::uint16_t>((new_ttl << 8) | frame[ip + 9]);
-  frame[ip + 8] = new_ttl;
-  const std::uint16_t old_csum =
-      static_cast<std::uint16_t>((frame[ip + 10] << 8) | frame[ip + 11]);
-  std::uint32_t sum = static_cast<std::uint16_t>(~old_csum);
-  sum += static_cast<std::uint16_t>(~old_word);
-  sum += new_word;
-  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
-  const std::uint16_t csum = static_cast<std::uint16_t>(~sum);
-  frame[ip + 10] = static_cast<std::uint8_t>(csum >> 8);
-  frame[ip + 11] = static_cast<std::uint8_t>(csum & 0xFF);
-}
-
 void mac_for(Ipv4Address addr, std::span<std::uint8_t> out) {
   out[0] = 0x02;  // locally administered, unicast
   out[1] = 0x00;

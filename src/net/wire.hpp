@@ -47,10 +47,4 @@ std::size_t serialize_headers(const Packet& pkt, std::span<std::uint8_t> out);
 /// RFC 1071 ones'-complement checksum over a byte span.
 std::uint16_t internet_checksum(std::span<const std::uint8_t> bytes);
 
-/// Rewrite the TTL of a serialized frame (Ethernet + IPv4 + L4) in place,
-/// updating the IPv4 header checksum incrementally (RFC 1624 eqn. 3).
-/// Lets the TAP reuse one serialization across the core switch's ingress
-/// and egress mirror copies, which differ only in the decremented TTL.
-void patch_ttl(std::span<std::uint8_t> frame, std::uint8_t new_ttl);
-
 }  // namespace p4s::net

@@ -444,7 +444,8 @@ TEST(OpticalTapPair, MirrorsIngressAndEgressWithEqualLatency) {
   sw.add_port(port);
   sw.route(ipv4(10, 0, 0, 2), 0);
 
-  OpticalTapPair taps(sim, boundary, units::microseconds(3));
+  OpticalTapPair taps(sim, units::microseconds(3));
+  taps.add_boundary(boundary);
   taps.attach(sw, port);
 
   const Packet p = data_packet();
@@ -464,15 +465,17 @@ TEST(OpticalTapPair, MirrorsIngressAndEgressWithEqualLatency) {
 }
 
 TEST(OpticalTapPair, WireBytesMatchFreshSerializationOfEachCopy) {
-  // The TAP serializes each packet once and patches the TTL for the
-  // egress copy (the core switch decremented it in between). Every
-  // pushed frame must equal a from-scratch serialization of the packet
-  // as the switch's own ingress/egress hooks saw it, with that packet's
-  // on-wire length — i.e. the cache + patch path is invisible. Frames
-  // are pushed in mirror order, so the k-th frame is the k-th packet the
+  // The TAP serializes each copy once and pushes the same frame to every
+  // boundary it feeds (one per site on the tapped port). Every boundary
+  // must receive the identical frame sequence, and every frame must
+  // equal a from-scratch serialization of the packet as the switch's own
+  // ingress/egress hooks saw it (the egress copy carries the TTL the
+  // switch decremented), with that packet's on-wire length. Frames are
+  // pushed in mirror order, so the k-th frame is the k-th packet the
   // hooks recorded.
   sim::Simulation sim;
   RecordingBoundary boundary;
+  RecordingBoundary second;
   std::vector<Packet> seen;  // in mirror order, from the switch hooks
   Collector sink(sim);
   Link link(sim, units::mbps(100), 0);
@@ -482,7 +485,9 @@ TEST(OpticalTapPair, WireBytesMatchFreshSerializationOfEachCopy) {
   sw.add_port(port);
   sw.route(ipv4(10, 0, 0, 2), 0);
 
-  OpticalTapPair taps(sim, boundary, units::microseconds(3));
+  OpticalTapPair taps(sim, units::microseconds(3));
+  taps.add_boundary(boundary);
+  taps.add_boundary(second);
   taps.attach(sw, port);
   sw.add_ingress_hook([&seen](const Packet& p) { seen.push_back(p); });
   port.add_egress_hook(
@@ -497,6 +502,7 @@ TEST(OpticalTapPair, WireBytesMatchFreshSerializationOfEachCopy) {
 
   ASSERT_EQ(boundary.frames.size(), 2u * kPackets);
   ASSERT_EQ(seen.size(), boundary.frames.size());
+  ASSERT_EQ(second.frames.size(), boundary.frames.size());
   for (std::size_t k = 0; k < seen.size(); ++k) {
     const MirrorFrame& frame = boundary.frames[k];
     EXPECT_EQ(frame.point,
@@ -508,9 +514,17 @@ TEST(OpticalTapPair, WireBytesMatchFreshSerializationOfEachCopy) {
                            fresh.begin()))
         << "frame " << k;
     EXPECT_EQ(frame.wire_len, kEthernetHeaderBytes + seen[k].ip.total_len);
+    const MirrorFrame& twin = second.frames[k];
+    EXPECT_EQ(twin.at, frame.at) << "frame " << k;
+    EXPECT_EQ(twin.point, frame.point) << "frame " << k;
+    EXPECT_EQ(twin.wire_len, frame.wire_len) << "frame " << k;
+    ASSERT_EQ(twin.len, frame.len) << "frame " << k;
+    EXPECT_TRUE(std::equal(frame.bytes.begin(), frame.bytes.begin() + len,
+                           twin.bytes.begin()))
+        << "frame " << k;
   }
-  // Every egress copy reuses the ingress copy's serialization.
-  EXPECT_EQ(taps.serialize_cache_hits(), static_cast<std::uint64_t>(kPackets));
+  // Each copy is counted once, however many boundaries it feeds.
+  EXPECT_EQ(taps.mirrored_pkts(), 2u * kPackets);
 }
 
 // ---------- Impairments ----------
