@@ -11,6 +11,10 @@ namespace p4s::util {
 std::int64_t Json::as_int() const {
   if (const auto* i = std::get_if<std::int64_t>(&value_)) return *i;
   if (const auto* d = std::get_if<double>(&value_)) {
+    // int64 holds [-2^63, 2^63); casting anything else (or NaN) is UB.
+    if (!(*d >= -0x1p63 && *d < 0x1p63)) {
+      throw JsonError("Json: number out of int64 range");
+    }
     return static_cast<std::int64_t>(*d);
   }
   throw JsonError("Json: not a number");
@@ -154,8 +158,13 @@ struct Dumper {
 };
 
 struct Parser {
+  // Containers nest by recursion, so deeper input is refused instead of
+  // exhausting the stack. Shipped documents nest fewer than 10 levels.
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text;
   std::size_t pos = 0;
+  int depth = 0;
 
   [[noreturn]] void fail(const std::string& what) {
     throw JsonError("Json parse error at offset " + std::to_string(pos) +
@@ -200,8 +209,15 @@ struct Parser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);

@@ -163,6 +163,12 @@ TEST(ConfigLoader, MalformedJsonThrowsJsonError) {
   EXPECT_THROW(core::config_from_text("{nope"), util::JsonError);
 }
 
+TEST(ConfigLoader, DeeplyNestedJsonThrowsJsonError) {
+  // 100 KB of '[' used to overflow the parser's stack (SIGSEGV).
+  EXPECT_THROW(core::config_from_text(std::string(100000, '[')),
+               util::JsonError);
+}
+
 TEST(ConfigLoader, TransportSection) {
   const auto config = core::config_from_text(R"({
     "transport": {

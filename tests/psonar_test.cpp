@@ -236,6 +236,15 @@ TEST(Logstash, TcpInputCountsParseFailures) {
   EXPECT_EQ(archiver.doc_count("p4sonar-ok"), 1u);
 }
 
+TEST(Logstash, DeeplyNestedLineIsAParseFailure) {
+  Archiver archiver;
+  Logstash logstash(archiver);
+  logstash.tcp_input(std::string(100000, '[') +
+                     "\n{\"report\":\"ok\",\"ts_ns\":1}\n");
+  EXPECT_EQ(logstash.parse_failures(), 1u);
+  EXPECT_EQ(archiver.doc_count("p4sonar-ok"), 1u);
+}
+
 TEST(Logstash, TcpInputBuffersPartialLineAtEveryByteOffset) {
   // Regression: the seed parsed a trailing fragment immediately and
   // mis-counted it as a _jsonparsefailure. A Report_v1 line split at ANY
