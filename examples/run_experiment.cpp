@@ -20,6 +20,7 @@
 #include "core/monitoring_system.hpp"
 #include "core/svg_chart.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 using namespace p4s;
 using units::seconds_f;
@@ -73,6 +74,10 @@ int main(int argc, char** argv) {
     text << in.rdbuf();
     try {
       config = core::config_from_text(text.str());
+    } catch (const util::JsonError& e) {
+      // Not JSON at all: name the file, as the loader's own errors do.
+      std::fprintf(stderr, "config: %s: %s\n", path->c_str(), e.what());
+      return 2;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;

@@ -1,7 +1,8 @@
 #include "psonar/archiver.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+
+#include "store/segment.hpp"
 
 namespace p4s::ps {
 
@@ -48,23 +49,35 @@ Archiver::Aggregation Archiver::aggregate(const std::string& index_name,
   if (auto fast = backend_->aggregate_fast(index_name, field, query)) {
     return *fast;
   }
-  Aggregation agg;
+  store::ColumnSummary agg;
   for_each(index_name, query, [&](const util::Json& doc) {
-    auto value = field_at(doc, field);
-    if (!value.has_value() || !value->is_number()) return true;
-    const double v = value->as_double();
-    if (agg.count == 0) {
-      agg.min = agg.max = v;
-    } else {
-      agg.min = std::min(agg.min, v);
-      agg.max = std::max(agg.max, v);
-    }
-    agg.sum += v;
-    ++agg.count;
+    const auto value = field_at(doc, field);
+    if (value.has_value() && value->is_number()) agg.add(value->as_double());
     return true;
   });
-  if (agg.count > 0) agg.avg = agg.sum / static_cast<double>(agg.count);
-  return agg;
+  return Aggregation::of(agg);
+}
+
+std::optional<util::Json> Archiver::latest_value(
+    const std::string& index_name, const std::string& field,
+    const Query& query) const {
+  Query newest = query;
+  newest.newest_first = true;
+  newest.limit = 1;
+  std::optional<util::Json> out;
+  for_each(index_name, newest, [&](const util::Json& doc) {
+    out = field_at(doc, field);
+    return false;
+  });
+  return out;
+}
+
+std::optional<util::Json> Archiver::field_at(const util::Json& doc,
+                                             const std::string& path) {
+  // The store's resolver is the canonical one: the write path (columns,
+  // bloom keys) and the query path must agree on what a dotted path
+  // means.
+  return store::json_field_at(doc, path);
 }
 
 std::uint64_t Archiver::doc_count(const std::string& index_name) const {

@@ -63,15 +63,20 @@ class Archiver {
                         const std::string& field,
                         const Query& query = {}) const;
 
+  /// The newest matching document's `field` (the dashboards'
+  /// latest-value idiom: newest first, size 1). nullopt when nothing
+  /// matches or the newest match lacks the field.
+  std::optional<util::Json> latest_value(const std::string& index_name,
+                                         const std::string& field,
+                                         const Query& query = {}) const;
+
   std::uint64_t doc_count(const std::string& index_name) const;
   std::vector<std::string> indices() const;
   std::uint64_t total_docs() const;
 
   /// Resolve a dotted path ("flow.dst_ip") inside a document.
   static std::optional<util::Json> field_at(const util::Json& doc,
-                                            const std::string& path) {
-    return archiver_field_at(doc, path);
-  }
+                                            const std::string& path);
 
  private:
   std::unique_ptr<ArchiverBackend> backend_;

@@ -1,25 +1,15 @@
 #include "psonar/archiver_backend.hpp"
 
-#include "store/segment.hpp"
-
 namespace p4s::ps {
-
-std::optional<util::Json> archiver_field_at(const util::Json& doc,
-                                            const std::string& path) {
-  // The store's resolver is the canonical one: the write path (columns,
-  // bloom keys) and the query path must agree on what a dotted path
-  // means.
-  return store::json_field_at(doc, path);
-}
 
 bool archiver_query_matches(const util::Json& doc,
                             const ArchiverQuery& query) {
   for (const auto& [path, expected] : query.terms) {
-    auto value = archiver_field_at(doc, path);
+    auto value = store::json_field_at(doc, path);
     if (!value.has_value() || !(*value == expected)) return false;
   }
   if (!query.range_field.empty()) {
-    auto value = archiver_field_at(doc, query.range_field);
+    auto value = store::json_field_at(doc, query.range_field);
     if (!value.has_value() || !value->is_number()) return false;
     const double v = value->as_double();
     if (query.range_min.has_value() && v < *query.range_min) return false;

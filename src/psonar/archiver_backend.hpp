@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "store/segment.hpp"
 #include "util/json.hpp"
 
 namespace p4s::ps {
@@ -44,11 +45,11 @@ struct ArchiverAggregation {
   double max = 0.0;
   double avg = 0.0;
   double sum = 0.0;
-};
 
-/// Resolve a dotted path ("flow.dst_ip") inside a document.
-std::optional<util::Json> archiver_field_at(const util::Json& doc,
-                                            const std::string& path);
+  static ArchiverAggregation of(const store::ColumnSummary& s) {
+    return {s.count, s.min, s.max, s.mean(), s.sum};
+  }
+};
 
 /// Full query predicate (terms + range); backends re-check every visited
 /// document with this, so pruning can only ever over-approximate.

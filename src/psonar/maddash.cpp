@@ -1,6 +1,7 @@
 #include "psonar/maddash.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 namespace p4s::ps {
@@ -15,12 +16,46 @@ const char* MadDash::status_name(Status status) {
   return "?";
 }
 
-template <typename Classify>
+namespace {
+
+/// One archived document's contribution to a grid: its cell and value.
+struct Reading {
+  std::string src;
+  std::string dst;
+  double value = 0.0;
+};
+
+/// The reading of a pscheduler document: "source" x "destination",
+/// valued by the numeric `field`.
+std::optional<Reading> pair_reading(const util::Json& doc,
+                                    const std::string& field) {
+  const auto src = Archiver::field_at(doc, "source");
+  const auto dst = Archiver::field_at(doc, "destination");
+  const auto value = Archiver::field_at(doc, field);
+  if (!src || !dst || !value || !value->is_number()) return std::nullopt;
+  return Reading{src->as_string(), dst->as_string(), value->as_double()};
+}
+
+/// Two-threshold check. kCritical past `crit`, kWarn past `warn`, where
+/// "past" means above when higher values are worse, below otherwise.
+MadDash::Status grade(double value, double warn, double crit,
+                      bool higher_is_worse) {
+  const auto past = [&](double limit) {
+    return higher_is_worse ? value > limit : value < limit;
+  };
+  if (past(crit)) return MadDash::Status::kCritical;
+  if (past(warn)) return MadDash::Status::kWarn;
+  return MadDash::Status::kOk;
+}
+
+}  // namespace
+
+template <typename Read>
 MadDash::Grid MadDash::build(const std::string& index,
-                             const std::string& field,
                              const std::string& title,
-                             const std::string& unit,
-                             Classify&& classify) const {
+                             const std::string& unit, Read&& read,
+                             double warn, double crit,
+                             bool higher_is_worse) const {
   Grid grid;
   grid.title = title;
   grid.unit = unit;
@@ -30,18 +65,14 @@ MadDash::Grid MadDash::build(const std::string& index,
   Archiver::Query newest;
   newest.newest_first = true;
   archiver_.for_each(index, newest, [&](const util::Json& doc) {
-    const auto src = Archiver::field_at(doc, "source");
-    const auto dst = Archiver::field_at(doc, "destination");
-    const auto value = Archiver::field_at(doc, field);
-    if (!src || !dst || !value || !value->is_number()) return true;
-    const std::string s = src->as_string();
-    const std::string d = dst->as_string();
-    rows.insert(s);
-    cols.insert(d);
-    Cell& cell = grid.cells[{s, d}];
+    const std::optional<Reading> reading = read(doc);
+    if (!reading) return true;
+    rows.insert(reading->src);
+    cols.insert(reading->dst);
+    Cell& cell = grid.cells[{reading->src, reading->dst}];
     if (cell.samples == 0) {
-      cell.value = value->as_double();
-      cell.status = classify(cell.value);
+      cell.value = reading->value;
+      cell.status = grade(cell.value, warn, crit, higher_is_worse);
     }
     ++cell.samples;
     return true;
@@ -53,99 +84,52 @@ MadDash::Grid MadDash::build(const std::string& index,
 
 MadDash::Grid MadDash::throughput_grid(double warn_below_bps,
                                        double crit_below_bps) const {
-  return build("pscheduler-throughput", "throughput_bps",
-               "throughput (iperf3)", "Mbps",
-               [=](double bps) {
-                 if (bps < crit_below_bps) return Status::kCritical;
-                 if (bps < warn_below_bps) return Status::kWarn;
-                 return Status::kOk;
-               });
+  return build(
+      "pscheduler-throughput", "throughput (iperf3)", "Mbps",
+      [](const util::Json& doc) { return pair_reading(doc, "throughput_bps"); },
+      warn_below_bps, crit_below_bps, /*higher_is_worse=*/false);
 }
 
 MadDash::Grid MadDash::loss_grid(double warn_above_pct,
                                  double crit_above_pct) const {
-  // Loss derives from sent/received of the latest latency doc per pair;
-  // compute via a synthetic classify on the received ratio.
-  Grid grid;
-  grid.title = "echo loss (ping)";
-  grid.unit = "%";
-  std::set<std::string> rows, cols;
-  Archiver::Query newest;
-  newest.newest_first = true;
-  archiver_.for_each("pscheduler-latency", newest, [&](const util::Json& doc) {
+  // Loss derives from sent/received of the latest latency doc per pair.
+  const auto read = [](const util::Json& doc) -> std::optional<Reading> {
     const auto src = Archiver::field_at(doc, "source");
     const auto dst = Archiver::field_at(doc, "destination");
     const auto sent = Archiver::field_at(doc, "sent");
     const auto received = Archiver::field_at(doc, "received");
-    if (!src || !dst || !sent || !received) return true;
+    if (!src || !dst || !sent || !received) return std::nullopt;
     const double total = sent->as_double();
-    if (total <= 0) return true;
-    const std::string s = src->as_string();
-    const std::string d = dst->as_string();
-    rows.insert(s);
-    cols.insert(d);
-    Cell& cell = grid.cells[{s, d}];
-    if (cell.samples == 0) {
-      const double loss_pct =
-          100.0 * (total - received->as_double()) / total;
-      cell.value = loss_pct;
-      cell.status = loss_pct > crit_above_pct   ? Status::kCritical
-                    : loss_pct > warn_above_pct ? Status::kWarn
-                                                : Status::kOk;
-    }
-    ++cell.samples;
-    return true;
-  });
-  grid.rows.assign(rows.begin(), rows.end());
-  grid.cols.assign(cols.begin(), cols.end());
-  return grid;
+    if (total <= 0) return std::nullopt;
+    return Reading{src->as_string(), dst->as_string(),
+                   100.0 * (total - received->as_double()) / total};
+  };
+  return build("pscheduler-latency", "echo loss (ping)", "%", read,
+               warn_above_pct, crit_above_pct, /*higher_is_worse=*/true);
 }
 
 MadDash::Grid MadDash::owd_grid(double warn_above_ms,
                                 double crit_above_ms) const {
-  return build("pscheduler-latencybg", "mean_owd_ms",
-               "one-way delay (owping)", "ms",
-               [=](double ms) {
-                 if (ms > crit_above_ms) return Status::kCritical;
-                 if (ms > warn_above_ms) return Status::kWarn;
-                 return Status::kOk;
-               });
+  return build(
+      "pscheduler-latencybg", "one-way delay (owping)", "ms",
+      [](const util::Json& doc) { return pair_reading(doc, "mean_owd_ms"); },
+      warn_above_ms, crit_above_ms, /*higher_is_worse=*/true);
 }
 
 MadDash::Grid MadDash::site_grid(double warn_below_bps,
                                  double crit_below_bps) const {
-  Grid grid;
-  grid.title = "P4 throughput by site";
-  grid.unit = "Mbps";
-  std::set<std::string> rows, cols;
-  Archiver::Query newest;
-  newest.newest_first = true;
-  archiver_.for_each(
-      "p4sonar-throughput", newest, [&](const util::Json& doc) {
-        const auto site = Archiver::field_at(doc, "switch_id");
-        const auto dst = Archiver::field_at(doc, "flow.dst_ip");
-        const auto value = Archiver::field_at(doc, "throughput_bps");
-        if (!dst || !value || !value->is_number()) return true;
-        const std::string s =
-            site && site->is_string() && !site->as_string().empty()
-                ? site->as_string()
-                : "core";
-        const std::string d = dst->as_string();
-        rows.insert(s);
-        cols.insert(d);
-        Cell& cell = grid.cells[{s, d}];
-        if (cell.samples == 0) {
-          cell.value = value->as_double();
-          cell.status = cell.value < crit_below_bps   ? Status::kCritical
-                        : cell.value < warn_below_bps ? Status::kWarn
-                                                      : Status::kOk;
-        }
-        ++cell.samples;
-        return true;
-      });
-  grid.rows.assign(rows.begin(), rows.end());
-  grid.cols.assign(cols.begin(), cols.end());
-  return grid;
+  const auto read = [](const util::Json& doc) -> std::optional<Reading> {
+    const auto site = Archiver::field_at(doc, "switch_id");
+    const auto dst = Archiver::field_at(doc, "flow.dst_ip");
+    const auto value = Archiver::field_at(doc, "throughput_bps");
+    if (!dst || !value || !value->is_number()) return std::nullopt;
+    return Reading{site && site->is_string() && !site->as_string().empty()
+                       ? site->as_string()
+                       : "core",
+                   dst->as_string(), value->as_double()};
+  };
+  return build("p4sonar-throughput", "P4 throughput by site", "Mbps", read,
+               warn_below_bps, crit_below_bps, /*higher_is_worse=*/false);
 }
 
 void MadDash::render(const Grid& grid, std::ostream& out) {

@@ -65,10 +65,13 @@ class MadDash {
   static const char* status_name(Status status);
 
  private:
-  template <typename Classify>
-  Grid build(const std::string& index, const std::string& field,
-             const std::string& title, const std::string& unit,
-             Classify&& classify) const;
+  /// The grid of `index`: `read` turns a document into its (src, dst,
+  /// value) cell reading, or nullopt to skip it; the newest reading per
+  /// cell is graded against `warn`/`crit`.
+  template <typename Read>
+  Grid build(const std::string& index, const std::string& title,
+             const std::string& unit, Read&& read, double warn, double crit,
+             bool higher_is_worse) const;
 
   const Archiver& archiver_;
 };

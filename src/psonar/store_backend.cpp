@@ -2,10 +2,9 @@
 
 namespace p4s::ps {
 
-void snapshot_for_each(const store::Snapshot& snapshot,
-                       const std::string& index_name,
-                       const ArchiverQuery& query,
-                       const std::function<bool(const util::Json&)>& visit) {
+void StoreBackend::for_each(
+    const std::string& index_name, const ArchiverQuery& query,
+    const std::function<bool(const util::Json&)>& visit) const {
   store::ScanOptions options;
   options.range_field = query.range_field;
   options.range_min = query.range_min;
@@ -19,7 +18,7 @@ void snapshot_for_each(const store::Snapshot& snapshot,
     }
   }
   std::size_t matched = 0;
-  snapshot.scan(index_name, options, [&](const util::Json& doc) {
+  store_.scan(index_name, options, [&](const util::Json& doc) {
     if (!archiver_query_matches(doc, query)) return true;
     ++matched;
     if (!visit(doc)) return false;
@@ -27,35 +26,16 @@ void snapshot_for_each(const store::Snapshot& snapshot,
   });
 }
 
-std::optional<ArchiverAggregation> snapshot_aggregate_fast(
-    const store::Snapshot& snapshot, const std::string& index_name,
-    const std::string& field, const ArchiverQuery& query) {
-  // The columnar path can't apply term filters or honor a limit; those
-  // queries fall back to the generic scan-based aggregation.
-  if (!query.terms.empty() || query.limit != 0) return std::nullopt;
-  const auto agg = snapshot.aggregate_column(index_name, field,
-                                             query.range_field,
-                                             query.range_min, query.range_max);
-  if (!agg.has_value()) return std::nullopt;
-  ArchiverAggregation out;
-  out.count = agg->count;
-  out.min = agg->min;
-  out.max = agg->max;
-  out.sum = agg->sum;
-  if (out.count > 0) out.avg = out.sum / static_cast<double>(out.count);
-  return out;
-}
-
-void StoreBackend::for_each(
-    const std::string& index_name, const ArchiverQuery& query,
-    const std::function<bool(const util::Json&)>& visit) const {
-  snapshot_for_each(store_.snapshot(), index_name, query, visit);
-}
-
 std::optional<ArchiverAggregation> StoreBackend::aggregate_fast(
     const std::string& index_name, const std::string& field,
     const ArchiverQuery& query) const {
-  return snapshot_aggregate_fast(store_.snapshot(), index_name, field, query);
+  // The columnar path can't apply term filters or honor a limit; those
+  // queries fall back to the generic scan-based aggregation.
+  if (!query.terms.empty() || query.limit != 0) return std::nullopt;
+  const auto agg = store_.aggregate_column(
+      index_name, field, query.range_field, query.range_min, query.range_max);
+  if (!agg.has_value()) return std::nullopt;
+  return ArchiverAggregation::of(*agg);
 }
 
 }  // namespace p4s::ps

@@ -1,39 +1,20 @@
 // StoreBackend: the durable archiver backend.
 //
 // Runs every ArchiverQuery against a store::Store — sealed segments plus
-// the memtable — translating the query's range filter and exact-match
-// terms into the store's pruning hints (segment min/max column stats,
-// term bloom filters). Pruning only skips segments that *cannot* match;
-// every visited document is still re-checked with the full predicate, so
-// results are identical to MemoryBackend's, just durable and cheaper on
-// time-windowed queries. Aggregations over columnar fields are answered
-// from per-segment column summaries without parsing document JSON.
+// the memtable, on one pinned snapshot per call — translating the query's
+// range filter and exact-match terms into the store's pruning hints
+// (segment min/max column stats, term bloom filters). Pruning only skips
+// segments that *cannot* match; every visited document is still
+// re-checked with the full predicate, so results are identical to
+// MemoryBackend's, just durable and cheaper on time-windowed queries.
+// Aggregations over columnar fields are answered from per-segment column
+// summaries without parsing document JSON.
 #pragma once
 
 #include "psonar/archiver_backend.hpp"
 #include "store/store.hpp"
 
 namespace p4s::ps {
-
-// ---- snapshot query execution ------------------------------------------
-//
-// The archiver-query-over-snapshot translation, shared by StoreBackend
-// (below) and StoreServer (store_server.hpp). Taking the Snapshot as a
-// parameter keeps one query on one pinned view end to end — a serving
-// thread's search never straddles a seal or compaction.
-
-/// Visit matching documents in the query's order, at most query.limit of
-/// them; the visitor returns false to stop early.
-void snapshot_for_each(const store::Snapshot& snapshot,
-                       const std::string& index_name,
-                       const ArchiverQuery& query,
-                       const std::function<bool(const util::Json&)>& visit);
-
-/// Columnar aggregation fast path over the snapshot; nullopt = the
-/// caller falls back to the generic for_each-based aggregation.
-std::optional<ArchiverAggregation> snapshot_aggregate_fast(
-    const store::Snapshot& snapshot, const std::string& index_name,
-    const std::string& field, const ArchiverQuery& query);
 
 class StoreBackend final : public ArchiverBackend {
  public:

@@ -1,11 +1,11 @@
 #include "psonar/store_server.hpp"
 
-#include <algorithm>
+#include "psonar/store_backend.hpp"
 
 namespace p4s::ps {
 
 StoreServer::StoreServer(store::Store& store, StoreServerConfig config)
-    : store_(store), config_(config) {
+    : archiver_(std::make_unique<StoreBackend>(store)), config_(config) {
   readers_.reserve(config_.reader_threads);
   for (std::size_t i = 0; i < config_.reader_threads; ++i) {
     readers_.emplace_back([this] { worker_loop(); });
@@ -52,93 +52,56 @@ void StoreServer::enqueue(std::function<void()> task) const {
   queue_cv_.notify_one();
 }
 
+template <typename Query>
+auto StoreServer::submit(Query query) const
+    -> std::future<decltype(query())> {
+  auto task = std::make_shared<std::packaged_task<decltype(query())()>>(
+      std::move(query));
+  auto future = task->get_future();
+  enqueue([task] { (*task)(); });
+  return future;
+}
+
 std::vector<util::Json> StoreServer::search(const std::string& index_name,
                                             const ArchiverQuery& query) const {
   searches_.fetch_add(1, std::memory_order_relaxed);
-  const store::Snapshot snapshot = store_.snapshot();
-  std::vector<util::Json> out;
-  snapshot_for_each(snapshot, index_name, query, [&](const util::Json& doc) {
-    out.push_back(doc);
-    return true;
-  });
-  return out;
+  return archiver_.search(index_name, query);
 }
 
 ArchiverAggregation StoreServer::aggregate(const std::string& index_name,
                                            const std::string& field,
                                            const ArchiverQuery& query) const {
   aggregates_.fetch_add(1, std::memory_order_relaxed);
-  const store::Snapshot snapshot = store_.snapshot();
-  if (auto fast =
-          snapshot_aggregate_fast(snapshot, index_name, field, query)) {
-    return *fast;
-  }
-  ArchiverAggregation agg;
-  snapshot_for_each(snapshot, index_name, query, [&](const util::Json& doc) {
-    const auto value = archiver_field_at(doc, field);
-    if (!value.has_value() || !value->is_number()) return true;
-    const double v = value->as_double();
-    if (agg.count == 0) {
-      agg.min = agg.max = v;
-    } else {
-      agg.min = std::min(agg.min, v);
-      agg.max = std::max(agg.max, v);
-    }
-    agg.sum += v;
-    ++agg.count;
-    return true;
-  });
-  if (agg.count > 0) agg.avg = agg.sum / static_cast<double>(agg.count);
-  return agg;
+  return archiver_.aggregate(index_name, field, query);
 }
 
 std::optional<util::Json> StoreServer::latest_value(
     const std::string& index_name, const std::string& field,
     const ArchiverQuery& query) const {
   latest_queries_.fetch_add(1, std::memory_order_relaxed);
-  const store::Snapshot snapshot = store_.snapshot();
-  ArchiverQuery newest = query;
-  newest.newest_first = true;
-  newest.limit = 1;
-  std::optional<util::Json> out;
-  snapshot_for_each(snapshot, index_name, newest, [&](const util::Json& doc) {
-    out = archiver_field_at(doc, field);
-    return false;
-  });
-  return out;
+  return archiver_.latest_value(index_name, field, query);
 }
 
 std::future<std::vector<util::Json>> StoreServer::submit_search(
     const std::string& index_name, const ArchiverQuery& query) const {
-  auto task = std::make_shared<std::packaged_task<std::vector<util::Json>()>>(
+  return submit(
       [this, index_name, query] { return search(index_name, query); });
-  auto future = task->get_future();
-  enqueue([task] { (*task)(); });
-  return future;
 }
 
 std::future<ArchiverAggregation> StoreServer::submit_aggregate(
     const std::string& index_name, const std::string& field,
     const ArchiverQuery& query) const {
-  auto task = std::make_shared<std::packaged_task<ArchiverAggregation()>>(
-      [this, index_name, field, query] {
-        return aggregate(index_name, field, query);
-      });
-  auto future = task->get_future();
-  enqueue([task] { (*task)(); });
-  return future;
+  return submit([this, index_name, field, query] {
+    return aggregate(index_name, field, query);
+  });
 }
 
 std::future<std::optional<util::Json>> StoreServer::submit_latest(
     const std::string& index_name, const std::string& field,
     const ArchiverQuery& query) const {
-  auto task = std::make_shared<std::packaged_task<std::optional<util::Json>()>>(
-      [this, index_name, field, query] {
-        return latest_value(index_name, field, query);
-      });
-  auto future = task->get_future();
-  enqueue([task] { (*task)(); });
-  return future;
+  return submit([this, index_name, field, query] {
+    return latest_value(index_name, field, query);
+  });
 }
 
 StoreServerStats StoreServer::stats() const {

@@ -1,9 +1,11 @@
 // StoreServer: a thread-safe, high-QPS query front end for the durable
 // store.
 //
-// Every query pins its own store::Snapshot, so it sees one frozen,
-// consistent view for its whole lifetime while the single writer keeps
-// appending, sealing, and compacting underneath. Two ways in:
+// Every query's result comes from one pinned store::Snapshot, so it sees
+// one frozen, consistent view while the single writer keeps appending,
+// sealing, and compacting underneath. (An aggregate whose columnar fast
+// path declines scans a snapshot of its own; the declined path read no
+// document.) Two ways in:
 //
 //   - Synchronous: search()/aggregate()/latest_value() run on the
 //     calling thread. Safe to call from any number of threads at once.
@@ -12,11 +14,11 @@
 //     (StoreServerConfig::reader_threads, the "serving" config section)
 //     and return a std::future.
 //
-// Results match ps::Archiver over a StoreBackend query for query —
-// search is Archiver::search, aggregate is Archiver::aggregate with the
-// same columnar fast path, latest_value is the newest-first/size-1
-// OpenSearch idiom — because all of them run through the same
-// snapshot_for_each/snapshot_aggregate_fast translation.
+// The queries themselves are ps::Archiver's: the server holds a
+// query-only Archiver over a StoreBackend of the store and forwards
+// search, aggregate and latest_value to it, so results match an Archiver
+// over the same store query for query. The server adds the reader pool
+// and its own query counters.
 #pragma once
 
 #include <atomic>
@@ -31,7 +33,7 @@
 #include <thread>
 #include <vector>
 
-#include "psonar/store_backend.hpp"
+#include "psonar/archiver.hpp"
 #include "store/store.hpp"
 
 namespace p4s::ps {
@@ -72,9 +74,7 @@ class StoreServer {
                                 const std::string& field,
                                 const ArchiverQuery& query = {}) const;
 
-  /// Newest matching document's `field` (the dashboards' latest-value
-  /// idiom: newest_first, size 1). nullopt when nothing matches or the
-  /// newest match lacks the field.
+  /// See Archiver::latest_value.
   std::optional<util::Json> latest_value(const std::string& index_name,
                                          const std::string& field,
                                          const ArchiverQuery& query = {}) const;
@@ -97,8 +97,12 @@ class StoreServer {
  private:
   void worker_loop();
   void enqueue(std::function<void()> task) const;
+  /// Run `query` on the reader pool; its result arrives in the future.
+  template <typename Query>
+  auto submit(Query query) const -> std::future<decltype(query())>;
 
-  store::Store& store_;
+  /// Query-only: the server never indexes through it.
+  Archiver archiver_;
   StoreServerConfig config_;
 
   mutable std::atomic<std::uint64_t> searches_{0};

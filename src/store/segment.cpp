@@ -144,14 +144,7 @@ SegmentBuildResult write_segment(const std::string& path,
         continue;
       }
       const double v = value->as_double();
-      if (summary.count == 0) {
-        summary.min = summary.max = v;
-      } else {
-        summary.min = std::min(summary.min, v);
-        summary.max = std::max(summary.max, v);
-      }
-      summary.sum += v;
-      ++summary.count;
+      summary.add(v);
       if (value->is_int()) {
         const std::int64_t i = value->as_int();
         encoded.push_back(static_cast<char>(kTagInt));

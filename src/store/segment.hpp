@@ -36,6 +36,7 @@
 // "truncated tail" tolerance (that's the WAL's job).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -54,12 +55,31 @@ inline constexpr std::uint32_t kSegmentMagic = 0x47533450;  // "P4SG" LE
 inline constexpr std::uint32_t kSegmentVersion = 2;
 
 /// Numeric statistics for one hot column, over the documents that carry
-/// the field as a number (count says how many did).
+/// the field as a number (count says how many did). The same fold serves
+/// column aggregates and rollup buckets.
 struct ColumnSummary {
   std::uint64_t count = 0;
   double min = 0.0;
   double max = 0.0;
   double sum = 0.0;
+
+  void add(double v) {
+    min = count == 0 ? v : std::min(min, v);
+    max = count == 0 ? v : std::max(max, v);
+    sum += v;
+    ++count;
+  }
+  /// Fold in another summary; an empty one changes nothing.
+  void merge(const ColumnSummary& s) {
+    if (s.count == 0) return;
+    min = count == 0 ? s.min : std::min(min, s.min);
+    max = count == 0 ? s.max : std::max(max, s.max);
+    sum += s.sum;
+    count += s.count;
+  }
+  double mean() const {
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
 };
 
 struct SegmentInfo {

@@ -226,28 +226,6 @@ std::optional<ColumnAggregate> Snapshot::aggregate_column(
     return true;
   };
   ColumnAggregate agg;
-  const auto fold = [&](double v) {
-    if (agg.count == 0) {
-      agg.min = agg.max = v;
-    } else {
-      agg.min = std::min(agg.min, v);
-      agg.max = std::max(agg.max, v);
-    }
-    agg.sum += v;
-    ++agg.count;
-  };
-  const auto fold_summary = [&](const ColumnSummary& s) {
-    if (s.count == 0) return;
-    if (agg.count == 0) {
-      agg.min = s.min;
-      agg.max = s.max;
-    } else {
-      agg.min = std::min(agg.min, s.min);
-      agg.max = std::max(agg.max, s.max);
-    }
-    agg.sum += s.sum;
-    agg.count += s.count;
-  };
 
   const auto* state = find_index(index);
   if (state == nullptr) return agg;
@@ -256,7 +234,7 @@ std::optional<ColumnAggregate> Snapshot::aggregate_column(
     const ColumnSummary& fs =
         fit == handle->summaries.end() ? ColumnSummary{} : fit->second;
     if (!ranged) {
-      fold_summary(fs);
+      agg.merge(fs);
       continue;
     }
     const auto rit = handle->summaries.find(range_field);
@@ -268,7 +246,7 @@ std::optional<ColumnAggregate> Snapshot::aggregate_column(
         (!range_max.has_value() || rs.max <= *range_max);
     if (fully_inside && range_field == field) {
       // Every document carrying the field passes the filter on it.
-      fold_summary(fs);
+      agg.merge(fs);
       continue;
     }
     if (rs.max < range_min.value_or(rs.max) ||
@@ -284,7 +262,7 @@ std::optional<ColumnAggregate> Snapshot::aggregate_column(
     for (std::size_t i = 0; i < field_vals.size(); ++i) {
       if (!range_vals[i].has_value() || !in_range(*range_vals[i])) continue;
       if (!field_vals[i].has_value()) continue;
-      fold(*field_vals[i]);
+      agg.add(*field_vals[i]);
     }
   }
   // Memtable rows are walked directly (they are already parsed JSON).
@@ -299,7 +277,7 @@ std::optional<ColumnAggregate> Snapshot::aggregate_column(
       }
       const auto fv = json_field_at(*doc, field);
       if (!fv.has_value() || !fv->is_number()) continue;
-      fold(fv->as_double());
+      agg.add(fv->as_double());
     }
   }
   return agg;

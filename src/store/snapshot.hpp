@@ -51,12 +51,7 @@ struct ScanOptions {
   bool newest_first = false;
 };
 
-struct ColumnAggregate {
-  std::uint64_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-};
+using ColumnAggregate = ColumnSummary;
 
 namespace detail {
 

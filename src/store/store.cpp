@@ -1,6 +1,7 @@
 #include "store/store.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -25,14 +26,6 @@ std::function<void(std::string_view)> g_failpoint_hook;
 
 void failpoint(std::string_view name) {
   if (g_failpoint_hook) g_failpoint_hook(name);
-}
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 /// Index names appear in segment file names; keep them filesystem-safe.
@@ -63,13 +56,172 @@ util::Json summary_to_json(const ColumnSummary& s) {
   return j;
 }
 
-ColumnSummary summary_from_json(const util::Json& j) {
-  ColumnSummary s;
-  s.count = static_cast<std::uint64_t>(j.at("count").as_int());
-  s.min = j.at("min").as_double();
-  s.max = j.at("max").as_double();
-  s.sum = j.at("sum").as_double();
-  return s;
+// ---- MANIFEST.json ------------------------------------------------------
+//
+// decode_manifest is the one reader of the manifest: opening a store and
+// Store::verify both go through it, so they agree on what is valid.
+
+struct ManifestSegment {
+  std::string file;  // "seg/<name>", relative to the store directory
+  SegmentInfo info;
+  std::map<std::string, ColumnSummary> summaries;
+};
+
+struct ManifestIndex {
+  std::uint64_t sealed_docs = 0;
+  std::vector<ManifestSegment> segments;
+};
+
+struct Manifest {
+  std::uint64_t next_segment_id = 0;
+  std::map<std::string, ManifestIndex> indices;
+  std::map<std::string, std::map<std::string, RollupSeries>> rollups;
+};
+
+/// A segment file lives directly under seg/: the store unlinks retired
+/// segments by this name, so it must not reach outside the directory.
+bool in_segment_dir(const std::string& file) {
+  const std::string prefix = std::string(kSegmentDir) + "/";
+  if (file.compare(0, prefix.size(), prefix) != 0) return false;
+  const std::string name = file.substr(prefix.size());
+  return !name.empty() && name != "." && name != ".." &&
+         name.find_first_of(std::string_view("/\0", 2)) == std::string::npos;
+}
+
+/// The id in a name the store generates ("seg/<index>-<id>.seg"), or
+/// nullopt for a name it never generates.
+std::optional<std::uint64_t> generated_segment_id(const std::string& file) {
+  const std::string_view suffix = ".seg";
+  const auto dash = file.rfind('-');
+  if (dash == std::string::npos || !file.ends_with(suffix)) {
+    return std::nullopt;
+  }
+  const char* first = file.data() + dash + 1;
+  const char* last = file.data() + file.size() - suffix.size();
+  std::uint64_t id = 0;
+  const auto [end, ec] = std::from_chars(first, last, id);
+  if (first >= last || ec != std::errc() || end != last) return std::nullopt;
+  return id;
+}
+
+/// Decode and check MANIFEST.json; `where` (its path) leads every
+/// message. Throws StoreError naming the offending key.
+Manifest decode_manifest(const std::string& text, const std::string& where) {
+  std::string path;  // the value being read, named by any error
+  const auto fail = [&](const std::string& what) {
+    throw StoreError(where + ": '" + path + "' " + what);
+  };
+  // Member `key` of the object at `parent`; JsonError if it is absent.
+  const auto member = [&](const util::Json& parent_value,
+                          const std::string& parent,
+                          const std::string& key) -> const util::Json& {
+    path = parent.empty() ? key : parent + "." + key;
+    return parent_value.at(key);
+  };
+  const auto integer = [&](const util::Json& v) {
+    if (!v.is_int()) fail("must be an integer");
+    return v.as_int();
+  };
+  // Counts, sequence numbers and segment ids.
+  const auto count = [&](const util::Json& v) {
+    const std::int64_t n = integer(v);
+    if (n < 0) fail("must be >= 0");
+    return static_cast<std::uint64_t>(n);
+  };
+
+  Manifest manifest;
+  try {
+    const util::Json doc = util::Json::parse(text);
+    if (integer(member(doc, "", "version")) != 1) fail("must be 1");
+    manifest.next_segment_id = count(member(doc, "", "next_segment_id"));
+    for (const auto& [name, entry] : member(doc, "", "indices").as_object()) {
+      const std::string at = "indices." + name;
+      ManifestIndex& index = manifest.indices[name];
+      index.sealed_docs = count(member(entry, at, "sealed_docs"));
+      const auto& segments = member(entry, at, "segments").as_array();
+      // Segments cover [0, sealed_docs) in order, without gaps.
+      std::uint64_t next_seq = 0;
+      for (std::size_t i = 0; i < segments.size(); ++i) {
+        const util::Json& listed = segments[i];
+        const std::string seg_at =
+            at + ".segments[" + std::to_string(i) + "]";
+        ManifestSegment seg;
+        seg.file = member(listed, seg_at, "file").as_string();
+        if (!in_segment_dir(seg.file)) fail("must name a file in seg/");
+        // The next seal or compaction would write over it.
+        const auto id = generated_segment_id(seg.file);
+        if (id.has_value() && *id >= manifest.next_segment_id) {
+          fail("has an id at or past next_segment_id");
+        }
+        seg.info.index = name;
+        seg.info.docs = count(member(listed, seg_at, "docs"));
+        seg.info.base_seq = count(member(listed, seg_at, "base_seq"));
+        if (seg.info.base_seq != next_seq) {
+          fail("must be " + std::to_string(next_seq) +
+               " to continue the sequence");
+        }
+        // Both terms are below 2^63, so the sum cannot wrap.
+        next_seq = seg.info.base_seq + seg.info.docs;
+        seg.info.has_time = member(listed, seg_at, "has_time").as_bool();
+        seg.info.min_ts = integer(member(listed, seg_at, "min_ts"));
+        seg.info.max_ts = integer(member(listed, seg_at, "max_ts"));
+        for (const auto& [field, summary] :
+             member(listed, seg_at, "columns").as_object()) {
+          const std::string col_at = seg_at + ".columns." + field;
+          ColumnSummary& s = seg.summaries[field];
+          s.count = count(member(summary, col_at, "count"));
+          s.min = member(summary, col_at, "min").as_double();
+          s.max = member(summary, col_at, "max").as_double();
+          s.sum = member(summary, col_at, "sum").as_double();
+        }
+        index.segments.push_back(std::move(seg));
+      }
+      path = at + ".sealed_docs";
+      if (next_seq != index.sealed_docs) {
+        fail("must equal the segments' " + std::to_string(next_seq) +
+             " docs");
+      }
+    }
+    if (!doc.contains("rollups")) return manifest;
+    for (const auto& [name, fields] :
+         member(doc, "", "rollups").as_object()) {
+      path = "rollups." + name;
+      for (const auto& [field, rows] : fields.as_object()) {
+        const std::string rows_at = "rollups." + name + "." + field;
+        path = rows_at;
+        RollupSeries& series = manifest.rollups[name][field];
+        for (std::size_t i = 0; i < rows.as_array().size(); ++i) {
+          path = rows_at + "[" + std::to_string(i) + "]";
+          const auto& row = rows.as_array()[i].as_array();
+          if (row.size() != 5) fail("must be [start, count, min, max, sum]");
+          RollupBucket& bucket = series[integer(row[0])];
+          bucket.count = count(row[1]);
+          bucket.min = row[2].as_double();
+          bucket.max = row[3].as_double();
+          bucket.sum = row[4].as_double();
+        }
+      }
+    }
+  } catch (const util::JsonError& e) {
+    if (path.empty()) throw StoreError(where + ": " + e.what());
+    fail(std::string("is malformed: ") + e.what());
+  }
+  return manifest;
+}
+
+/// The manifest of the store at `dir`; empty when there is no manifest
+/// file (a fresh store). An empty file is refused like any other bad
+/// manifest: read as a fresh store, a read-write open would sweep every
+/// segment as an orphan.
+Manifest read_manifest(const std::string& dir) {
+  const std::string path = dir + "/" + kManifestFile;
+  std::error_code ec;
+  if (!fs::exists(path, ec)) return {};
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw StoreError("store: cannot read " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return decode_manifest(text.str(), path);
 }
 
 }  // namespace
@@ -536,75 +688,25 @@ void Store::fold_rollups(const std::string& index,
         continue;
       }
       const auto t = static_cast<std::int64_t>(ts->as_double());
-      const double v = value->as_double();
-      auto& bucket = series[bucket_start(t, bucket_ns)];
-      if (bucket.count == 0) {
-        bucket.min = bucket.max = v;
-      } else {
-        bucket.min = std::min(bucket.min, v);
-        bucket.max = std::max(bucket.max, v);
-      }
-      bucket.sum += v;
-      ++bucket.count;
+      series[bucket_start(t, bucket_ns)].add(value->as_double());
     }
   }
 }
 
 void Store::load_manifest(BuildMap& indices) {
-  const std::string text = read_text_file(dir_ + "/" + kManifestFile);
-  if (text.empty()) return;  // fresh store
-  util::Json doc;
-  try {
-    doc = util::Json::parse(text);
-    if (doc.at("version").as_int() != 1) {
-      throw StoreError("store: unsupported manifest version in " + dir_);
+  Manifest manifest = read_manifest(dir_);
+  next_segment_id_ = manifest.next_segment_id;
+  for (auto& [name, entry] : manifest.indices) {
+    auto state = std::make_shared<detail::IndexView>();
+    state->sealed_docs = entry.sealed_docs;
+    for (auto& seg : entry.segments) {
+      state->segments.push_back(std::make_shared<detail::SegmentHandle>(
+          ctx_, std::move(seg.file), std::move(seg.info),
+          std::move(seg.summaries)));
     }
-    next_segment_id_ =
-        static_cast<std::uint64_t>(doc.at("next_segment_id").as_int());
-    for (const auto& [name, entry] : doc.at("indices").as_object()) {
-      auto& state = indices[name];
-      if (!state) state = std::make_shared<detail::IndexView>();
-      state->sealed_docs =
-          static_cast<std::uint64_t>(entry.at("sealed_docs").as_int());
-      for (const auto& seg : entry.at("segments").as_array()) {
-        SegmentInfo info;
-        info.index = name;
-        info.docs = static_cast<std::uint64_t>(seg.at("docs").as_int());
-        info.base_seq =
-            static_cast<std::uint64_t>(seg.at("base_seq").as_int());
-        info.has_time = seg.at("has_time").as_bool();
-        info.min_ts = seg.at("min_ts").as_int();
-        info.max_ts = seg.at("max_ts").as_int();
-        std::map<std::string, ColumnSummary> summaries;
-        for (const auto& [field, summary] :
-             seg.at("columns").as_object()) {
-          summaries[field] = summary_from_json(summary);
-        }
-        state->segments.push_back(std::make_shared<detail::SegmentHandle>(
-            ctx_, seg.at("file").as_string(), std::move(info),
-            std::move(summaries)));
-      }
-    }
-    if (doc.contains("rollups")) {
-      for (const auto& [name, fields] : doc.at("rollups").as_object()) {
-        for (const auto& [field, buckets] : fields.as_object()) {
-          RollupSeries& series = rollups_[name][field];
-          for (const auto& row : buckets.as_array()) {
-            const auto& cols = row.as_array();
-            RollupBucket bucket;
-            bucket.count = static_cast<std::uint64_t>(cols[1].as_int());
-            bucket.min = cols[2].as_double();
-            bucket.max = cols[3].as_double();
-            bucket.sum = cols[4].as_double();
-            series[cols[0].as_int()] = bucket;
-          }
-        }
-      }
-    }
-  } catch (const util::JsonError& e) {
-    throw StoreError("store: malformed manifest in " + dir_ + ": " +
-                     e.what());
+    indices[name] = std::move(state);
   }
+  rollups_ = std::move(manifest.rollups);
 }
 
 void Store::write_manifest(const detail::StoreView& view) const {
@@ -719,60 +821,41 @@ Store::VerifyResult Store::verify(const std::string& dir) {
     result.errors.push_back(what);
   };
 
-  const std::string manifest_text =
-      read_text_file(dir + "/" + kManifestFile);
-  if (!manifest_text.empty()) {
-    util::Json doc;
-    try {
-      doc = util::Json::parse(manifest_text);
-      for (const auto& [name, entry] : doc.at("indices").as_object()) {
-        const auto sealed_docs =
-            static_cast<std::uint64_t>(entry.at("sealed_docs").as_int());
-        std::uint64_t counted = 0;
-        std::uint64_t expect_base = 0;
-        for (const auto& seg_entry : entry.at("segments").as_array()) {
-          ++result.segments;
-          const std::string file = seg_entry.at("file").as_string();
-          const auto docs =
-              static_cast<std::uint64_t>(seg_entry.at("docs").as_int());
-          const auto base_seq = static_cast<std::uint64_t>(
-              seg_entry.at("base_seq").as_int());
-          if (base_seq != expect_base) {
-            complain(name + ": segment " + file +
-                     " breaks sequence continuity");
-          }
-          expect_base = base_seq + docs;
-          counted += docs;
+  Manifest manifest;
+  try {
+    manifest = read_manifest(dir);
+  } catch (const StoreError& e) {
+    complain(e.what());
+    return result;
+  }
+  // The manifest is consistent in itself; check it against the files.
+  for (const auto& [name, entry] : manifest.indices) {
+    for (const auto& listed : entry.segments) {
+      ++result.segments;
+      const std::string& file = listed.file;
+      try {
+        const Segment seg = Segment::load(dir + "/" + file);
+        if (seg.info().docs != listed.info.docs ||
+            seg.info().base_seq != listed.info.base_seq ||
+            seg.info().index != name) {
+          complain(name + ": segment " + file +
+                   " disagrees with the manifest");
+        }
+        seg.for_each_doc(false, [&](std::uint64_t, std::string_view text) {
           try {
-            const Segment seg = Segment::load(dir + "/" + file);
-            if (seg.info().docs != docs || seg.info().index != name) {
-              complain(name + ": segment " + file +
-                       " disagrees with the manifest");
-            }
-            seg.for_each_doc(false, [&](std::uint64_t,
-                                        std::string_view text) {
-              try {
-                (void)util::Json::parse(text);
-              } catch (const util::JsonError&) {
-                complain(name + ": segment " + file +
-                         " holds an unparseable document");
-                return false;
-              }
-              return true;
-            });
-            result.sealed_docs += seg.info().docs;
-          } catch (const StoreError& e) {
-            complain(e.what());
+            (void)util::Json::parse(text);
+          } catch (const util::JsonError&) {
+            complain(name + ": segment " + file +
+                     " holds an unparseable document");
+            return false;
           }
-        }
-        if (counted != sealed_docs) {
-          complain(name + ": sealed_docs " + std::to_string(sealed_docs) +
-                   " != sum of segment docs " + std::to_string(counted));
-        }
+          return true;
+        });
+        result.sealed_docs += seg.info().docs;
+        result.index_docs[name] += seg.info().docs;
+      } catch (const StoreError& e) {
+        complain(e.what());
       }
-    } catch (const util::JsonError& e) {
-      complain("manifest: " + std::string(e.what()));
-      return result;
     }
   }
 

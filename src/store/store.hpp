@@ -6,7 +6,7 @@
 //                           per index, and materialized rollups; replaced
 //                           atomically (tmp + rename)
 //   <dir>/wal.log         — write-ahead log of not-yet-sealed documents
-//   <dir>/seg/<index>-<base_seq>.seg
+//   <dir>/seg/<index>-<id>.seg
 //                         — immutable sealed segments (segment.hpp)
 //
 // Write path: append() buffers the document in the index's memtable and
@@ -84,15 +84,7 @@ struct StoreConfig {
 };
 
 /// One downsampled bucket of a rollup series.
-struct RollupBucket {
-  std::uint64_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-  double mean() const {
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  }
-};
+using RollupBucket = ColumnSummary;
 
 /// bucket start time (ns) -> aggregate.
 using RollupSeries = std::map<std::int64_t, RollupBucket>;
@@ -226,14 +218,17 @@ class Store {
     std::vector<std::string> errors;
     std::uint64_t segments = 0;
     std::uint64_t sealed_docs = 0;
+    /// Sealed docs per index, counted in the segment files.
+    std::map<std::string, std::uint64_t> index_docs;
     std::uint64_t wal_docs = 0;
     std::uint64_t wal_tail_bytes_dropped = 0;
   };
 
   /// Structurally verify a store directory without opening it as a live
-  /// Store: manifest parses, every segment loads (CRC), doc counts match
-  /// the manifest, every document parses as JSON, WAL replays. An empty
-  /// or missing directory verifies clean (zero of everything).
+  /// Store: the manifest decodes as it does at open, every segment loads
+  /// (CRC), its doc count, base sequence and index match the manifest,
+  /// every document parses as JSON, WAL replays. An empty or missing
+  /// directory verifies clean (zero of everything).
   static VerifyResult verify(const std::string& dir);
 
  private:

@@ -1,13 +1,19 @@
 // Tests: the durable time-series store (src/store) — WAL framing and the
 // crash-recovery invariant (every-byte truncation matrix), sealed-segment
 // round-trips, range/term segment pruning, compaction, rollups, the
-// columnar aggregation fast path, offline verification, and the
-// p4s-store CLI.
+// columnar aggregation fast path, offline verification (manifest cases
+// and a seeded manifest mutation battery, P4S_SEED), and the p4s-store
+// CLI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -545,6 +551,191 @@ TEST(StoreVerify, DetectsSegmentCorruption) {
   ASSERT_FALSE(result.errors.empty());
   // WAL truncation, by contrast, is tolerated (crash tail).
   EXPECT_EQ(result.wal_docs, 1u);
+}
+
+// A store with two indices, several segments each and rollups, fully
+// sealed (its WAL holds nothing), for the manifest tests below.
+StoreConfig manifest_test_config() {
+  StoreConfig config;
+  config.rollup_fields = {"throughput_bps"};
+  config.rollup_bucket_ns = 100;
+  return config;
+}
+
+void build_manifest_test_store(const std::string& dir) {
+  Store store(dir, manifest_test_config());
+  for (int seg = 0; seg < 3; ++seg) {
+    for (int i = 0; i < 4; ++i) {
+      const int n = seg * 4 + i;
+      store.append("idx", doc_at(50 * n, n));
+      if (i % 2 == 0) store.append("other", doc_at(50 * n, 2 * n, "ornl"));
+    }
+    store.seal_all();
+  }
+}
+
+/// Docs per index as a read-only open counts them; indices with none are
+/// left out, as they are from VerifyResult::index_docs.
+std::map<std::string, std::uint64_t> open_counts(const std::string& dir) {
+  const Store store(dir, manifest_test_config(), OpenMode::read_only);
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& index : store.indices()) {
+    if (store.doc_count(index) != 0) counts[index] = store.doc_count(index);
+  }
+  return counts;
+}
+
+void write_manifest_text(const std::string& dir, const std::string& text) {
+  std::ofstream(dir + "/MANIFEST.json", std::ios::binary | std::ios::trunc)
+      << text;
+}
+
+// Hand-written bad manifests, each of which the store once opened: both
+// open and verify refuse them, and open's error names the offending key.
+// (With next_segment_id at or below a listed segment's id, the next seal
+// or compaction writes over that segment's file.)
+TEST(StoreVerify, OpenAndVerifyRefuseTheSameBadManifests) {
+  const std::string dir = fresh_dir("manifest_cases");
+  build_manifest_test_store(dir);
+  const util::Json good = util::Json::parse(read_file(dir + "/MANIFEST.json"));
+  ASSERT_TRUE(Store::verify(dir).ok);
+  ASSERT_EQ(open_counts(dir), (std::map<std::string, std::uint64_t>{
+                                  {"idx", 12}, {"other", 6}}));
+
+  struct Case {
+    const char* name;
+    const char* key;  // open's error names it
+    std::function<void(util::Json&)> edit;
+  };
+  const auto idx = [](util::Json& m) -> util::Json& {
+    return m["indices"]["idx"];
+  };
+  const auto first_segment = [&](util::Json& m) -> util::Json& {
+    return idx(m)["segments"].as_array()[0];
+  };
+  const std::vector<Case> cases = {
+      {"short rollup row", "rollups.idx.throughput_bps[0]",
+       [](util::Json& m) {
+         m["rollups"]["idx"]["throughput_bps"].as_array()[0] =
+             util::Json::parse("[1]");
+       }},
+      {"phantom sealed_docs", "indices.ghost.sealed_docs",
+       [](util::Json& m) {
+         m["indices"]["ghost"] =
+             util::Json::parse(R"({"sealed_docs": 5, "segments": []})");
+       }},
+      {"negative sealed_docs", "indices.ghost.sealed_docs",
+       [](util::Json& m) {
+         m["indices"]["ghost"] =
+             util::Json::parse(R"({"sealed_docs": -3, "segments": []})");
+       }},
+      {"version 2", "version", [](util::Json& m) { m["version"] = 2; }},
+      {"file outside seg/", "indices.idx.segments[0].file",
+       [&](util::Json& m) { first_segment(m)["file"] = "../x.seg"; }},
+      {"segment id not below next_segment_id", "indices.idx.segments[1].file",
+       [](util::Json& m) { m["next_segment_id"] = 1; }},
+      {"base_seq gap", "indices.idx.segments[1].base_seq",
+       [&](util::Json& m) {
+         auto& second = idx(m)["segments"].as_array()[1];
+         second["base_seq"] = second.at("base_seq").as_int() + 1;
+       }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    util::Json manifest = good;
+    c.edit(manifest);
+    write_manifest_text(dir, manifest.dump(2));
+    try {
+      (void)open_counts(dir);
+      ADD_FAILURE() << "open accepted the manifest";
+    } catch (const StoreError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(Store::verify(dir).ok);
+  }
+  // An empty file is not a fresh store: a read-write open would sweep
+  // every segment as an orphan.
+  write_manifest_text(dir, "");
+  EXPECT_THROW(open_counts(dir), StoreError);
+  EXPECT_FALSE(Store::verify(dir).ok);
+  write_manifest_text(dir, good.dump(2));
+  EXPECT_TRUE(Store::verify(dir).ok);
+}
+
+std::uint64_t seed_from_env() {
+  const char* env = std::getenv("P4S_SEED");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
+}
+
+// Seeded bit flips, truncations and splices of a real manifest (run
+// under ASan/UBSan with several P4S_SEED values). Open and verify read
+// the manifest through one decoder, so they must agree: whatever open
+// refuses, verify calls corrupt, and whatever verify passes opens with
+// the doc counts verify found in the segment files.
+TEST(StoreVerify, ManifestMutationsOpenAndVerifyAgree) {
+  const std::string dir = fresh_dir("manifest_battery");
+  build_manifest_test_store(dir);
+  const std::string good = read_file(dir + "/MANIFEST.json");
+  std::mt19937_64 rng(seed_from_env());
+  const auto below = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  // Half the flips land on a digit and keep it one ('0'-'7' stay digits
+  // under their low three bits), so the counts, sequence numbers and ids
+  // change while the JSON still parses.
+  std::vector<std::size_t> digits;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    if (good[i] >= '0' && good[i] <= '7') digits.push_back(i);
+  }
+  int refused = 0;
+  int verified = 0;
+  for (int round = 0; round < 600; ++round) {
+    std::string text = good;
+    switch (round % 3) {
+      case 0:  // flip one to three bits
+        for (std::size_t n = 1 + below(3); n > 0; --n) {
+          if (below(2) == 0) {
+            text[digits[below(digits.size())]] ^=
+                static_cast<char>(1u << below(3));
+          } else {
+            text[below(text.size())] ^= static_cast<char>(1u << below(8));
+          }
+        }
+        break;
+      case 1:  // truncate
+        text.resize(below(text.size()));
+        break;
+      default: {  // move a span elsewhere
+        const std::size_t from = below(text.size());
+        const std::size_t len = 1 + below(std::min<std::size_t>(
+                                        64, text.size() - from));
+        const std::string span = text.substr(from, len);
+        text.erase(from, len);
+        text.insert(below(text.size() + 1), span);
+      }
+    }
+    write_manifest_text(dir, text);
+    SCOPED_TRACE("round " + std::to_string(round) + ": " + text);
+    std::optional<std::map<std::string, std::uint64_t>> counts;
+    try {
+      counts = open_counts(dir);
+    } catch (const StoreError&) {
+      ++refused;
+    }
+    const auto result = Store::verify(dir);
+    if (!counts.has_value()) {
+      EXPECT_FALSE(result.ok);
+    }
+    if (result.ok) {
+      ++verified;
+      ASSERT_TRUE(counts.has_value());
+      EXPECT_EQ(*counts, result.index_docs);
+    }
+  }
+  // The battery reaches both outcomes.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(verified, 0);
 }
 
 TEST(StoreRecovery, ReopenAfterWalTailTruncationKeepsCommittedPrefix) {
