@@ -265,7 +265,7 @@ Segment Segment::load(const std::string& path) {
     throw StoreError("segment: bad magic in " + path);
   }
   const auto version = head.u32();
-  if (version != 1 && version != kSegmentVersion) {
+  if (version != kSegmentVersion) {
     throw StoreError("segment: unsupported version in " + path);
   }
   const std::string_view body =
@@ -280,15 +280,10 @@ Segment Segment::load(const std::string& path) {
   const auto docs_block = r.blob();
   const auto columns_block = r.blob();
   const auto bloom_block = r.blob();
-  if (!header_text || !docs_block || !columns_block || !bloom_block) {
+  const auto postings_block = r.blob();
+  if (!header_text || !docs_block || !columns_block || !bloom_block ||
+      !postings_block) {
     throw StoreError("segment: malformed sections in " + path);
-  }
-  std::optional<std::string_view> postings_block;
-  if (*version == kSegmentVersion) {
-    postings_block = r.blob();
-    if (!postings_block) {
-      throw StoreError("segment: malformed postings in " + path);
-    }
   }
 
   Segment seg;
@@ -308,12 +303,10 @@ Segment Segment::load(const std::string& path) {
     for (const auto& entry : header.at("columns").as_array()) {
       column_order.push_back(entry.at("field").as_string());
     }
-    if (header.contains("posting_fields")) {
-      for (const auto& field : header.at("posting_fields").as_array()) {
-        seg.posting_fields_.push_back(field.as_string());
-      }
-      std::sort(seg.posting_fields_.begin(), seg.posting_fields_.end());
+    for (const auto& field : header.at("posting_fields").as_array()) {
+      seg.posting_fields_.push_back(field.as_string());
     }
+    std::sort(seg.posting_fields_.begin(), seg.posting_fields_.end());
   } catch (const util::JsonError& e) {
     throw StoreError("segment: bad header in " + path + ": " + e.what());
   }
@@ -331,32 +324,30 @@ Segment Segment::load(const std::string& path) {
     seg.column_bytes_[field] = std::string(*bytes);
   }
   seg.bloom_bits_ = std::string(*bloom_block);
-  if (postings_block) {
-    ByteReader posts(*postings_block);
-    const auto n_terms = posts.varint();
-    if (!n_terms) throw StoreError("segment: bad postings in " + path);
-    for (std::uint64_t t = 0; t < *n_terms; ++t) {
-      const auto key = posts.blob();
-      const auto n_rows = posts.varint();
-      if (!key || !n_rows || *n_rows > seg.info_.docs) {
-        throw StoreError("segment: bad postings in " + path);
-      }
-      std::vector<std::uint32_t> rows;
-      rows.reserve(static_cast<std::size_t>(*n_rows));
-      std::uint64_t prev = 0;
-      for (std::uint64_t i = 0; i < *n_rows; ++i) {
-        const auto delta = posts.varint();
-        if (!delta) throw StoreError("segment: bad postings in " + path);
-        const std::uint64_t row = prev + *delta;
-        // Rows must stay strictly ascending and inside the segment.
-        if (row >= seg.info_.docs || (i > 0 && row <= prev)) {
-          throw StoreError("segment: posting row out of range in " + path);
-        }
-        rows.push_back(static_cast<std::uint32_t>(row));
-        prev = row;
-      }
-      seg.postings_[std::string(*key)] = std::move(rows);
+  ByteReader posts(*postings_block);
+  const auto n_terms = posts.varint();
+  if (!n_terms) throw StoreError("segment: bad postings in " + path);
+  for (std::uint64_t t = 0; t < *n_terms; ++t) {
+    const auto key = posts.blob();
+    const auto n_rows = posts.varint();
+    if (!key || !n_rows || *n_rows > seg.info_.docs) {
+      throw StoreError("segment: bad postings in " + path);
     }
+    std::vector<std::uint32_t> rows;
+    rows.reserve(static_cast<std::size_t>(*n_rows));
+    std::uint64_t prev = 0;
+    for (std::uint64_t i = 0; i < *n_rows; ++i) {
+      const auto delta = posts.varint();
+      if (!delta) throw StoreError("segment: bad postings in " + path);
+      const std::uint64_t row = prev + *delta;
+      // Rows must stay strictly ascending and inside the segment.
+      if (row >= seg.info_.docs || (i > 0 && row <= prev)) {
+        throw StoreError("segment: posting row out of range in " + path);
+      }
+      rows.push_back(static_cast<std::uint32_t>(row));
+      prev = row;
+    }
+    seg.postings_[std::string(*key)] = std::move(rows);
   }
   return seg;
 }

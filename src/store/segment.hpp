@@ -13,7 +13,7 @@
 //                             column delta-encodes against the previous
 //                             present value, 2 = raw 8-byte LE double)
 //   blob bloom_block        — bit array over "path=value" term keys
-//   blob postings_block     — (v2) per-term sorted row-id lists for
+//   blob postings_block     — per-term sorted row-id lists for
 //                             low-cardinality fields: varint n_terms,
 //                             then per term blob key, varint n_rows,
 //                             delta-varint row ids
@@ -29,11 +29,10 @@
 // document of a surviving segment. Fields are posting-indexed only when
 // their distinct-value count is at most half the doc count (identity
 // fields like switch_id — never timestamps or measurement values, whose
-// posting lists would be as large as the data). Version-1 files (no
-// postings block) still load; they simply cover no fields. Any
-// structural damage — bad magic, short file, CRC mismatch, out-of-range
-// or unsorted posting rows — raises StoreError; segments have no
-// "truncated tail" tolerance (that's the WAL's job).
+// posting lists would be as large as the data). Any structural damage —
+// bad magic, a version other than kSegmentVersion, short file, CRC
+// mismatch, out-of-range or unsorted posting rows — raises StoreError;
+// segments have no "truncated tail" tolerance (that's the WAL's job).
 #pragma once
 
 #include <algorithm>
@@ -51,7 +50,7 @@
 namespace p4s::store {
 
 inline constexpr std::uint32_t kSegmentMagic = 0x47533450;  // "P4SG" LE
-/// v2 added the postings block; v1 files are still readable.
+/// v2 added the postings block; no other version is read.
 inline constexpr std::uint32_t kSegmentVersion = 2;
 
 /// Numeric statistics for one hot column, over the documents that carry

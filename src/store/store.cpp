@@ -633,6 +633,16 @@ const RollupSeries* Store::rollup(const std::string& index,
   return fit == it->second.end() ? nullptr : &fit->second;
 }
 
+std::vector<std::string> Store::rollup_fields(const std::string& index) const {
+  std::vector<std::string> fields;
+  const auto it = rollups_.find(index);
+  if (it == rollups_.end()) return fields;
+  for (const auto& [field, series] : it->second) {
+    if (!series.empty()) fields.push_back(field);
+  }
+  return fields;
+}
+
 bool Store::is_columnar(const std::string& field) const {
   return ctx_->is_columnar(field);
 }

@@ -204,6 +204,10 @@ class Store {
   /// Writer-thread only (rollups fold at seal time).
   const RollupSeries* rollup(const std::string& index,
                              const std::string& field) const;
+  /// Fields with a non-empty rollup series for `index`, loaded from the
+  /// manifest or folded since open, whatever config().rollup_fields
+  /// lists. Writer-thread only.
+  std::vector<std::string> rollup_fields(const std::string& index) const;
 
   /// Point-in-time statistics snapshot; safe from any thread.
   StoreStats stats() const;

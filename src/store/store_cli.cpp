@@ -34,12 +34,11 @@ int cmd_info(const std::string& dir, std::ostream& out, std::ostream& err) {
       out << "  index " << index << ": " << store.doc_count(index)
           << " docs (" << store.memtable_docs(index) << " unsealed), "
           << store.segment_count(index) << " segment(s)\n";
-      for (const auto& field : store.config().rollup_fields) {
-        const RollupSeries* series = store.rollup(index, field);
-        if (series == nullptr || series->empty()) continue;
-        out << "    rollup " << field << ": " << series->size()
-            << " bucket(s) of " << store.config().rollup_bucket_ns
-            << " ns\n";
+      // The manifest records each series' buckets, not the bucket width
+      // it was built with.
+      for (const auto& field : store.rollup_fields(index)) {
+        out << "    rollup " << field << ": "
+            << store.rollup(index, field)->size() << " bucket(s)\n";
       }
     }
     return 0;

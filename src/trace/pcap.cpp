@@ -151,12 +151,16 @@ std::optional<PcapRecord> PcapReader::next() {
   const std::uint32_t incl_len = load_u32(h.data() + 8, sw);
   rec.orig_len = load_u32(h.data() + 12, sw);
   // A snaplen-exceeding incl_len means a corrupt or hostile length field;
-  // bail before trying to allocate it. (Tolerate snaplen 0 files.)
-  if (info_.snaplen != 0 && incl_len > info_.snaplen) {
+  // bail before trying to allocate it. (Tolerate snaplen 0 files.) The
+  // snaplen field is no bound of its own: it may be as corrupt.
+  const std::uint32_t limit =
+      info_.snaplen == 0 ? kMaxRecordBytes
+                         : std::min(info_.snaplen, kMaxRecordBytes);
+  if (incl_len > limit) {
     throw PcapError("pcap: record " + std::to_string(records_read_) +
                     " claims " + std::to_string(incl_len) +
-                    " captured bytes, beyond the file snaplen of " +
-                    std::to_string(info_.snaplen));
+                    " captured bytes, beyond the limit of " +
+                    std::to_string(limit));
   }
   rec.bytes.resize(incl_len);
   in_->read(reinterpret_cast<char*>(rec.bytes.data()), incl_len);

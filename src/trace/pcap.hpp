@@ -32,6 +32,9 @@ inline constexpr std::uint16_t kPcapVersionMajor = 2;
 inline constexpr std::uint16_t kPcapVersionMinor = 4;
 inline constexpr std::uint32_t kLinktypeEthernet = 1;
 inline constexpr std::uint32_t kDefaultSnaplen = 65535;
+/// libpcap's MAXIMUM_SNAPLEN: no record holds more, whatever the file's
+/// snaplen field says.
+inline constexpr std::uint32_t kMaxRecordBytes = 262144;
 
 inline constexpr std::size_t kPcapGlobalHeaderBytes = 24;
 inline constexpr std::size_t kPcapRecordHeaderBytes = 16;
@@ -106,7 +109,8 @@ class PcapReader {
   /// Next record; nullopt at clean end of file. Timestamps are always
   /// returned in nanoseconds (microsecond files are scaled). Throws
   /// PcapError on a record truncated mid-header or mid-payload, or on an
-  /// incl_len exceeding the snaplen (corrupt length field).
+  /// incl_len exceeding the snaplen or kMaxRecordBytes (corrupt length
+  /// field).
   std::optional<PcapRecord> next();
 
   std::uint64_t records_read() const { return records_read_; }

@@ -1,7 +1,6 @@
 #include "trace/trace_cli.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -43,7 +42,7 @@ void usage(std::ostream& err) {
          "                                   metric name, list the "
          "metrics the\n"
          "                                   capture offers\n"
-         "  replay <ingress.pcap> [<egress.pcap>] [--max-speed]\n"
+         "  replay <ingress.pcap> [<egress.pcap>]\n"
          "         [--samples-per-second N] [--seed N] [--runout-seconds S]\n"
          "         [--buffer-bytes B] [--bottleneck-bps R] "
          "[--print-reports]\n"
@@ -126,8 +125,7 @@ void list_histogram_metrics(const TraceReplayer& trace, std::ostream& out) {
     config.program.histograms.push_back(hc);
   }
   ReplayPipeline pipeline(config);
-  trace.replay_now(pipeline.simulation(), pipeline.p4_switch(),
-                   /*advance_clock=*/true);
+  trace.replay(pipeline.simulation(), pipeline.p4_switch());
   out << "available histogram metrics in this capture:\n";
   for (const telemetry::HistogramEngine* engine :
        pipeline.program().engines_of<telemetry::HistogramEngine>()) {
@@ -165,8 +163,7 @@ int render_histogram(const TraceReplayer& trace, const util::CliArgs& args,
   ReplayPipeline::Config config;
   config.program.histograms.push_back(hc);
   ReplayPipeline pipeline(config);
-  trace.replay_now(pipeline.simulation(), pipeline.p4_switch(),
-                   /*advance_clock=*/true);
+  trace.replay(pipeline.simulation(), pipeline.p4_switch());
 
   const telemetry::HistogramEngine& engine =
       *pipeline.program().engines_of<telemetry::HistogramEngine>().at(0);
@@ -343,32 +340,13 @@ int cmd_replay(const util::CliArgs& args,
     pipeline.control_plane().set_samples_per_second(metric, sps);
   }
 
-  const SimTime until = stats.last_ts + units::seconds(runout_seconds);
-  const auto t0 = std::chrono::steady_clock::now();
-  if (args.has("max-speed")) {
-    pipeline.control_plane().start();
-    trace.replay_now(pipeline.simulation(), pipeline.p4_switch(),
-                     /*advance_clock=*/true);
-    pipeline.simulation().run_until(until);
-  } else {
-    pipeline.run(trace, until);
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  pipeline.run(trace, stats.last_ts + units::seconds(runout_seconds));
 
-  out << "replayed " << stats.frames << " frames ("
-      << (args.has("max-speed") ? "max-speed" : "paced") << ")\n"
+  out << "replayed " << stats.frames << " frames\n"
       << "processed: " << pipeline.p4_switch().processed_pkts()
       << ", parse errors: " << pipeline.p4_switch().parse_errors() << "\n"
       << "reports emitted: " << pipeline.control_plane().reports_emitted()
       << "\n";
-  if (args.has("max-speed") && elapsed > 0.0) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.0f",
-                  static_cast<double>(stats.frames) / elapsed);
-    out << "throughput: " << buf << " frames/s\n";
-  }
   if (args.has("print-reports")) {
     for (const auto& line : pipeline.report_lines()) out << line << "\n";
   }
@@ -384,7 +362,7 @@ int trace_cli(int argc, const char* const* argv, std::ostream& out,
       {"samples-per-second", "seed", "runout-seconds", "buffer-bytes",
        "bottleneck-bps", "histogram", "bins", "hist-min-us", "hist-max-ms",
        "program", "flows"},
-      {"max-speed", "print-reports"});
+      {"print-reports"});
   if (flag_errors(args, err)) {
     usage(err);
     return 2;

@@ -8,9 +8,8 @@
 // analyzes the merged trace by the categories of the P4 parser that
 // `replay` runs (the frames `stats` counts as undecodable are the ones
 // `replay` counts as parse errors), `replay` pushes the trace through a
-// fresh P4 switch + control plane (paced by the recorded timestamps, or
-// --max-speed for throughput). The entry point is separated from main()
-// so tests can drive it in-process.
+// fresh P4 switch + control plane at the recorded timestamps. The entry
+// point is separated from main() so tests can drive it in-process.
 #pragma once
 
 #include <ostream>

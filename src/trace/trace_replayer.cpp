@@ -1,6 +1,5 @@
 #include "trace/trace_replayer.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "p4/parser.hpp"
@@ -113,45 +112,11 @@ TraceReplayer::Stats TraceReplayer::analyze() const {
   return s;
 }
 
-// Streaming scheduler: one event in flight at a time. The event for frame
-// i delivers it and schedules frame i+1, so N frames never sit on the
-// queue at once and the merged file order survives even when many frames
-// share a nanosecond (the queue's FIFO tie-break sees them arrive in
-// sequence).
-struct TraceReplayer::Cursor {
-  const std::vector<TraceFrame>* frames = nullptr;
-  std::size_t next = 0;
-  sim::Simulation* sim = nullptr;
-  net::MirrorSink* sink = nullptr;
-
-  static void step(const std::shared_ptr<Cursor>& self) {
-    const TraceFrame& f = (*self->frames)[self->next++];
-    self->sink->on_mirrored_bytes(f.bytes, f.point, f.orig_len);
-    if (self->next >= self->frames->size()) return;
-    const SimTime at =
-        std::max((*self->frames)[self->next].ts, self->sim->now());
-    self->sim->at(at, [self]() { step(self); });
-  }
-};
-
-void TraceReplayer::schedule(sim::Simulation& sim,
-                             net::MirrorSink& sink) const {
-  if (frames_.empty()) return;
-  // Each event lambda captures the shared cursor, so the state lives
-  // until the last frame is delivered. The frames themselves are read
-  // through a pointer: the replayer must outlive the run.
-  auto cursor = std::make_shared<Cursor>();
-  cursor->frames = &frames_;
-  cursor->sim = &sim;
-  cursor->sink = &sink;
-  sim.at(std::max(frames_.front().ts, sim.now()),
-         [cursor]() { Cursor::step(cursor); });
-}
-
-void TraceReplayer::replay_now(sim::Simulation& sim, net::MirrorSink& sink,
-                               bool advance_clock) const {
+void TraceReplayer::replay(sim::Simulation& sim, net::MirrorSink& sink,
+                           SimTime until) const {
   for (const TraceFrame& f : frames_) {
-    if (advance_clock && f.ts > sim.now()) sim.run_until(f.ts);
+    if (f.ts > until) return;
+    if (f.ts > sim.now()) sim.run_until(f.ts);
     sink.on_mirrored_bytes(f.bytes, f.point, f.orig_len);
   }
 }
@@ -171,7 +136,7 @@ void ReplayPipeline::on_report(const util::Json& report) {
 
 void ReplayPipeline::run(const TraceReplayer& trace, SimTime until) {
   site_.control_plane().start();
-  trace.schedule(sim_, site_.p4_switch());
+  trace.replay(sim_, site_.p4_switch(), until);
   sim_.run_until(until);
 }
 

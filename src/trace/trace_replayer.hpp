@@ -2,17 +2,13 @@
 // the P4 monitoring pipeline, with no TCP simulator behind it.
 //
 // A trace is the merged stream of the two capture ports (ingress TAP,
-// egress TAP). Replay has two speeds:
-//
-//   * paced   — schedule(): every frame becomes an event on the
-//     simulation's queue at its recorded nanosecond timestamp, so the
-//     P4 switch's intrinsic ingress timestamps, the control plane's
-//     extraction timers and the digest polls interleave exactly as they
-//     did in the live run. This is what makes a captured run a
-//     deterministic regression artifact.
-//   * max speed — replay_now(): frames are pushed through the pipeline
-//     back to back with no event-queue round trip, for pure
-//     parse+pipeline throughput benchmarking.
+// egress TAP). replay() delivers it in one loop: before each frame, the
+// simulation runs through the frame's recorded timestamp, so every event
+// due at or before that nanosecond (control-plane extraction timers,
+// digest polls) runs first. That is the live fabric's read rule — a
+// control-plane read at time T sees exactly the copies due before T — so
+// a captured run replays as it ran, and is a deterministic regression
+// artifact.
 //
 // Real-world captures are first-class inputs: frames with payload bytes,
 // IPv4 options or EtherTypes we never produce flow through the parser's
@@ -23,8 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,34 +79,22 @@ class TraceReplayer {
                                   const std::string& egress_path = "");
 
   /// Build from frames already in memory (tests, synthetic workloads).
-  /// Frames are used in the given order; call with a timestamp-sorted
-  /// sequence for paced replay.
+  /// Frames are delivered in the given order.
   static TraceReplayer from_frames(std::vector<TraceFrame> frames);
 
   const std::vector<TraceFrame>& frames() const { return frames_; }
 
   Stats analyze() const;
 
-  /// Paced replay: stream the frames through `sim`'s event queue, each
-  /// delivered to `sink` at its recorded timestamp (frames whose ts is
-  /// already in the past fire at now()) with its recorded bytes and
-  /// orig_len, exactly as the TAP delivered it live. Returns
-  /// immediately; run the simulation to execute. The replayer must
-  /// outlive the run (frames are not copied into events).
-  void schedule(sim::Simulation& sim, net::MirrorSink& sink) const;
-
-  /// Max-speed replay: deliver every frame back to back. With
-  /// `advance_clock`, the simulation clock is advanced to each frame's
-  /// timestamp first (running any due events — e.g. control-plane
-  /// timers), so telemetry still sees real inter-arrival times; without
-  /// it, all frames land at now() (pure pipeline throughput).
-  void replay_now(sim::Simulation& sim, net::MirrorSink& sink,
-                  bool advance_clock = true) const;
+  /// Deliver the frames in order to `sink`, each with its recorded bytes
+  /// and orig_len, exactly as the TAP delivered it live. Before a frame
+  /// whose timestamp is ahead of now(), `sim` runs up to that timestamp
+  /// (inclusive); a frame whose timestamp has passed lands at now().
+  /// Stops before the first frame past `until`.
+  void replay(sim::Simulation& sim, net::MirrorSink& sink,
+              SimTime until = std::numeric_limits<SimTime>::max()) const;
 
  private:
-  // Streaming scheduler state shared by the per-frame events.
-  struct Cursor;
-
   std::vector<TraceFrame> frames_;
 };
 
@@ -143,9 +127,9 @@ class ReplayPipeline : public cp::ReportSink {
   const std::vector<std::string>& report_lines() const { return reports_; }
 
   /// Start the control-plane timers (configure sample rates first),
-  /// schedule the trace paced by its timestamps, and run the simulation
-  /// until `until` (pick a horizon past the trace's last timestamp so
-  /// idle-flow finalization fires like it did live).
+  /// replay the trace, and run the simulation until `until` (pick a
+  /// horizon past the trace's last timestamp so idle-flow finalization
+  /// fires like it did live).
   void run(const TraceReplayer& trace, SimTime until);
 
   void on_report(const util::Json& report) override;

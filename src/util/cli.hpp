@@ -16,7 +16,7 @@ class CliArgs {
  public:
   /// Parse argv. `known` lists accepted value-taking flag names (without
   /// "--"); `switches` lists accepted bare switches, which never consume
-  /// the following token (so `--max-speed file.pcap` leaves file.pcap
+  /// the following token (so `--print-reports file.pcap` leaves file.pcap
   /// positional). Anything else lands in errors().
   CliArgs(int argc, const char* const* argv,
           const std::vector<std::string>& known,

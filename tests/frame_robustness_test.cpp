@@ -6,13 +6,11 @@
 // P4S_SEED values) and must keep its validity invariants.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
-#include <random>
 #include <span>
 #include <vector>
 
 #include "frame_corpus.hpp"
+#include "mutate.hpp"
 #include "net/packet.hpp"
 #include "net/wire.hpp"
 #include "p4/parser.hpp"
@@ -20,11 +18,6 @@
 using namespace p4s;
 
 namespace {
-
-std::uint64_t seed_from_env() {
-  const char* env = std::getenv("P4S_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
 
 // Validity-bit invariants that must hold after any parse attempt.
 void check_invariants(const p4::ParsedHeaders& hdr, bool accepted) {
@@ -121,31 +114,25 @@ TEST(FrameRobustness, EveryTruncatedPrefixIsHandled) {
 
 TEST(FrameRobustness, SeededBitFlipsNeverCrashTheParser) {
   const auto frames = test::frame_corpus();
-  std::mt19937_64 rng(seed_from_env());
+  test::Mutator m;
   for (int iter = 0; iter < 4000; ++iter) {
-    auto frame = frames[rng() % frames.size()];
-    const std::size_t byte = rng() % frame.size();
-    frame[byte] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+    auto frame = frames[m.below(frames.size())];
+    m.flip_bit(frame);
     parse_checked(frame);
   }
 }
 
 TEST(FrameRobustness, MultiByteCorruptionAndGarbage) {
   const auto frames = test::frame_corpus();
-  std::mt19937_64 rng(seed_from_env() + 1);
+  test::Mutator m(1);
   for (int iter = 0; iter < 500; ++iter) {
     // Pure garbage of random length.
-    std::vector<std::uint8_t> garbage(rng() % 128);
-    for (auto& b : garbage) b = static_cast<std::uint8_t>(rng());
+    std::vector<std::uint8_t> garbage(m.below(128));
+    for (auto& b : garbage) b = m.byte();
     parse_checked(garbage);
     // A real frame with a random window overwritten.
     auto frame = frames[static_cast<std::size_t>(iter) % frames.size()];
-    const std::size_t start = rng() % frame.size();
-    const std::size_t span_len =
-        std::min<std::size_t>(1 + rng() % 8, frame.size() - start);
-    for (std::size_t i = 0; i < span_len; ++i) {
-      frame[start + i] = static_cast<std::uint8_t>(rng());
-    }
+    m.scramble_span(frame, 8);
     parse_checked(frame);
   }
 }

@@ -12,34 +12,19 @@
 // as "-0" and re-parses as the int 0.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "mutate.hpp"
 #include "util/json.hpp"
 
+using p4s::test::read_file;
 using p4s::util::Json;
 using p4s::util::JsonError;
 
 namespace {
-
-std::uint64_t seed_from_env() {
-  const char* env = std::getenv("P4S_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
-
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 // Every shipped JSON document: whole files, and each Report_v1 line.
 std::vector<std::string> corpus() {
@@ -103,13 +88,10 @@ TEST(JsonRobustness, ShippedDocumentsParse) {
 
 TEST(JsonRobustness, SeededBitFlipsParseOrThrowJsonError) {
   const auto docs = corpus();
-  std::mt19937_64 rng(seed_from_env());
+  p4s::test::Mutator m;
   for (int iter = 0; iter < 3000; ++iter) {
-    std::string text = docs[rng() % docs.size()];
-    const int flips = 1 + static_cast<int>(rng() % 4);
-    for (int f = 0; f < flips; ++f) {
-      text[rng() % text.size()] ^= static_cast<char>(1u << (rng() % 8));
-    }
+    std::string text = docs[m.below(docs.size())];
+    for (std::size_t f = 1 + m.below(4); f > 0; --f) m.flip_bit(text);
     parse_checked(text);
   }
 }
@@ -119,7 +101,7 @@ TEST(JsonRobustness, TruncationsThrowUntilTheDocumentIsWhole) {
   // document is one object, so a prefix parses exactly when it holds the
   // whole object (trailing whitespace aside).
   const auto docs = corpus();
-  std::mt19937_64 rng(seed_from_env() + 1);
+  p4s::test::Mutator m(1);
   for (std::size_t d = 0; d < docs.size(); ++d) {
     const std::string& doc = docs[d];
     const std::size_t end = doc.find_last_not_of(" \t\r\n") + 1;
@@ -130,7 +112,7 @@ TEST(JsonRobustness, TruncationsThrowUntilTheDocumentIsWhole) {
     if (d < 4) {
       for (std::size_t len = 0; len <= doc.size(); ++len) check(len);
     } else {
-      check(rng() % doc.size());
+      check(m.below(doc.size()));
     }
   }
 }
@@ -139,18 +121,19 @@ TEST(JsonRobustness, SplicesParseOrThrowJsonError) {
   // A prefix of one document joined to a suffix of another: unbalanced
   // brackets, keys cut mid-string, values of the wrong kind.
   const auto docs = corpus();
-  std::mt19937_64 rng(seed_from_env() + 2);
+  p4s::test::Mutator m(2);
   for (int iter = 0; iter < 3000; ++iter) {
-    const std::string& a = docs[rng() % docs.size()];
-    const std::string& b = docs[rng() % docs.size()];
-    const std::string head = a.substr(0, rng() % (a.size() + 1));
-    const std::string tail = b.substr(rng() % (b.size() + 1));
+    const std::string& a = docs[m.below(docs.size())];
+    const std::string& b = docs[m.below(docs.size())];
+    const std::string head = a.substr(0, m.below(a.size() + 1));
+    const std::string tail = b.substr(m.below(b.size() + 1));
     parse_checked(head + tail);
     // The same head repeated nests it: brackets pile up past any
     // shipped depth.
     std::string nested;
-    const int repeats = 1 + static_cast<int>(rng() % 64);
-    for (int r = 0; r < repeats; ++r) nested += head.substr(0, 32);
+    for (std::size_t r = 1 + m.below(64); r > 0; --r) {
+      nested += head.substr(0, 32);
+    }
     parse_checked(nested + tail);
   }
 }

@@ -7,16 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <optional>
-#include <random>
 #include <sstream>
 #include <vector>
 
+#include "mutate.hpp"
 #include "store/codec.hpp"
 #include "store/segment.hpp"
 #include "store/store.hpp"
@@ -27,19 +26,12 @@ namespace p4s::store {
 namespace {
 
 namespace fs = std::filesystem;
+using test::read_file;
 
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "p4s_store_" + name;
   fs::remove_all(dir);
   return dir;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 util::Json doc_at(std::int64_t ts, std::int64_t value,
@@ -275,6 +267,20 @@ TEST(Segments, CorruptionRaisesStoreError) {
   {
     std::ofstream(path, std::ios::binary | std::ios::trunc) << "junk";
     EXPECT_THROW(Segment::load(path), StoreError);
+  }
+  {  // version 1: the CRC skips magic and version, so only the version
+     // check can refuse it
+    std::string v1 = bytes;
+    v1.replace(4, 4, std::string("\x01\0\0\0", 4));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << v1;
+    try {
+      (void)Segment::load(path);
+      ADD_FAILURE() << "a version-1 segment loaded";
+    } catch (const StoreError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -663,11 +669,6 @@ TEST(StoreVerify, OpenAndVerifyRefuseTheSameBadManifests) {
   EXPECT_TRUE(Store::verify(dir).ok);
 }
 
-std::uint64_t seed_from_env() {
-  const char* env = std::getenv("P4S_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
-
 // Seeded bit flips, truncations and splices of a real manifest (run
 // under ASan/UBSan with several P4S_SEED values). Open and verify read
 // the manifest through one decoder, so they must agree: whatever open
@@ -677,10 +678,7 @@ TEST(StoreVerify, ManifestMutationsOpenAndVerifyAgree) {
   const std::string dir = fresh_dir("manifest_battery");
   build_manifest_test_store(dir);
   const std::string good = read_file(dir + "/MANIFEST.json");
-  std::mt19937_64 rng(seed_from_env());
-  const auto below = [&](std::size_t n) {
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
-  };
+  test::Mutator m;
   // Half the flips land on a digit and keep it one ('0'-'7' stay digits
   // under their low three bits), so the counts, sequence numbers and ids
   // change while the JSON still parses.
@@ -694,26 +692,19 @@ TEST(StoreVerify, ManifestMutationsOpenAndVerifyAgree) {
     std::string text = good;
     switch (round % 3) {
       case 0:  // flip one to three bits
-        for (std::size_t n = 1 + below(3); n > 0; --n) {
-          if (below(2) == 0) {
-            text[digits[below(digits.size())]] ^=
-                static_cast<char>(1u << below(3));
+        for (std::size_t n = 1 + m.below(3); n > 0; --n) {
+          if (m.below(2) == 0) {
+            m.flip_bit(text, digits[m.below(digits.size())], 3);
           } else {
-            text[below(text.size())] ^= static_cast<char>(1u << below(8));
+            m.flip_bit(text);
           }
         }
         break;
-      case 1:  // truncate
-        text.resize(below(text.size()));
+      case 1:
+        m.truncate(text);
         break;
-      default: {  // move a span elsewhere
-        const std::size_t from = below(text.size());
-        const std::size_t len = 1 + below(std::min<std::size_t>(
-                                        64, text.size() - from));
-        const std::string span = text.substr(from, len);
-        text.erase(from, len);
-        text.insert(below(text.size() + 1), span);
-      }
+      default:
+        m.move_span(text, 64);
     }
     write_manifest_text(dir, text);
     SCOPED_TRACE("round " + std::to_string(round) + ": " + text);
@@ -767,7 +758,10 @@ TEST(StoreRecovery, ReopenAfterWalTailTruncationKeepsCommittedPrefix) {
 TEST(StoreCli, InfoVerifyCompactDump) {
   const std::string dir = fresh_dir("cli");
   {
-    Store store(dir);
+    StoreConfig config;
+    config.rollup_fields = {"throughput_bps"};
+    config.rollup_bucket_ns = 10;
+    Store store(dir, config);
     for (int seg = 0; seg < 2; ++seg) {
       for (int i = 0; i < 3; ++i) {
         store.append("p4sonar-throughput", doc_at(seg * 10 + i, i));
@@ -787,6 +781,11 @@ TEST(StoreCli, InfoVerifyCompactDump) {
   std::string text;
   EXPECT_EQ(run({"info", dir.c_str()}, &text), 0);
   EXPECT_NE(text.find("p4sonar-throughput: 6 docs"), std::string::npos);
+  // The CLI opens with the default config; the rollups come from the
+  // manifest (ts 0-2 and 10-12 in buckets of 10 ns).
+  EXPECT_NE(text.find("rollup throughput_bps: 2 bucket(s)"),
+            std::string::npos)
+      << text;
   EXPECT_EQ(run({"verify", dir.c_str()}, &text), 0);
   EXPECT_NE(text.find("result:       OK"), std::string::npos);
   EXPECT_EQ(run({"compact", dir.c_str()}, &text), 0);

@@ -7,7 +7,7 @@
 //      plane (no TCP simulator) must reproduce the committed Report_v1
 //      series byte for byte — pinning the parser, the telemetry engines,
 //      and the control plane against the traffic that produced them.
-//   3. Paced replay into a capture tee must re-capture the committed
+//   3. Replay into a capture tee must re-capture the committed
 //      pcaps byte for byte — a replayed frame reaches its sink exactly
 //      as the TAP delivered it live: timestamp, bytes and wire length.
 //
@@ -196,8 +196,7 @@ TEST(TraceGolden, PacedReplayRecapturesCommittedPcapsByteForByte) {
   p4::P4Switch sw(sim, "recapture");
   std::ostringstream ingress, egress;
   trace::TraceCapture capture(sim, sw, ingress, egress);
-  trace.schedule(sim, capture);
-  sim.run();
+  trace.replay(sim, capture);
   capture.flush();
 
   EXPECT_EQ(capture.captured_total(), trace.frames().size());

@@ -207,6 +207,33 @@ TEST(Pcap, MalformedFilesThrowCleanly) {
   }
 }
 
+// A corrupt snaplen field is no bound: a record's length must stay within
+// libpcap's maximum before the reader allocates it, or a 40-byte file
+// claims gigabytes.
+TEST(Pcap, LengthBeyondTheMaximumRecordThrowsBeforeAllocating) {
+  for (const std::uint32_t snaplen : {0xFFFFFFFFu, 0u}) {
+    std::ostringstream out;
+    trace::PcapWriter writer(out, snaplen);
+    writer.write(1, bytes_of("ok"));
+    std::string d = out.str();
+    const std::uint32_t incl_len = trace::kMaxRecordBytes + 1;
+    for (int i = 0; i < 4; ++i) {
+      d[trace::kPcapGlobalHeaderBytes + 8 + i] =
+          static_cast<char>(incl_len >> (8 * i));
+    }
+    std::istringstream in(d);
+    trace::PcapReader reader(in);
+    try {
+      (void)reader.next();
+      ADD_FAILURE() << "snaplen " << snaplen << ": record accepted";
+    } catch (const trace::PcapError& e) {
+      EXPECT_NE(std::string(e.what()).find("claims 262145 captured bytes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ------------------------------------------------------------- capture tee
 
 struct RecordingSink : net::MirrorSink {
@@ -338,8 +365,7 @@ TEST(TraceReplayer, PacedReplayDeliversAtRecordedTimestamps) {
       seen.emplace_back(sim.now(), point);
     }
   } sink(sim);
-  trace.schedule(sim, sink);
-  sim.run();
+  trace.replay(sim, sink);
   ASSERT_EQ(sink.seen.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(sink.seen[i].first, trace.frames()[i].ts) << i;
@@ -353,11 +379,43 @@ TEST(TraceReplayer, MaxSpeedReplayPreservesOrder) {
                                                 fx.egress_path);
   sim::Simulation sim;
   RecordingSink sink;
-  trace.replay_now(sim, sink, /*advance_clock=*/false);
+  trace.replay(sim, sink);
   ASSERT_EQ(sink.calls.size(), 5u);
-  EXPECT_EQ(sim.now(), 0u);  // clock untouched
-  trace.replay_now(sim, sink, /*advance_clock=*/true);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(sink.calls[i].first, trace.frames()[i].point) << i;
+  }
   EXPECT_EQ(sim.now(), 300u);  // advanced to the last frame's timestamp
+  // A second pass finds every timestamp passed: all frames land at now().
+  trace.replay(sim, sink);
+  EXPECT_EQ(sink.calls.size(), 10u);
+  EXPECT_EQ(sim.now(), 300u);
+}
+
+// The live read rule: a control-plane read at time T sees exactly the
+// copies due before T, also after a gap longer than the read period.
+TEST(TraceReplayer, ReadAtAFrameTimestampSeesOnlyEarlierFrames) {
+  TwoPortFixture fx;  // frames at 100, 150, 200, 200, 300
+  auto trace = trace::TraceReplayer::from_files(fx.ingress_path,
+                                                fx.egress_path);
+  sim::Simulation sim;
+  RecordingSink sink;
+  std::vector<std::pair<SimTime, std::size_t>> reads;
+  sim.every(50, 50, [&] {
+    reads.emplace_back(sim.now(), sink.calls.size());
+    return true;
+  });
+  trace.replay(sim, sink);
+  const std::vector<std::pair<SimTime, std::size_t>> expected = {
+      {50, 0}, {100, 0}, {150, 1}, {200, 2}, {250, 4}, {300, 4}};
+  EXPECT_EQ(reads, expected);
+  EXPECT_EQ(sink.calls.size(), 5u);
+
+  // Frames past `until` stay undelivered.
+  sim::Simulation bounded;
+  RecordingSink partial;
+  trace.replay(bounded, partial, /*until=*/250);
+  EXPECT_EQ(partial.calls.size(), 4u);
+  EXPECT_EQ(bounded.now(), 200u);
 }
 
 TEST(TraceReplayer, AnalyzeCategorizesForeignFrames) {
@@ -450,8 +508,7 @@ TEST(TraceReplayer, ForeignFramesFlowThroughP4SwitchWithoutCrashing) {
   p4::P4Switch sw(sim, "test");
   sw.load_program(program);
   auto trace = trace::TraceReplayer::from_frames(std::move(frames));
-  trace.schedule(sim, sw);
-  sim.run();
+  trace.replay(sim, sw);
   // TCP frames (plain, options, padded) parse fully; the ARP frame
   // accepts with only Ethernet extracted; the runt is rejected.
   EXPECT_EQ(sw.processed_pkts(), 4u);
@@ -465,7 +522,7 @@ void expect_analyze_agrees_with_replay(const trace::TraceReplayer& trace) {
   const auto s = trace.analyze();
   sim::Simulation sim;
   p4::P4Switch sw(sim, "agree");
-  trace.replay_now(sim, sw, /*advance_clock=*/false);
+  trace.replay(sim, sw);
   EXPECT_EQ(s.undecodable, sw.parse_errors());
   EXPECT_EQ(s.frames - s.undecodable, sw.processed_pkts());
   EXPECT_EQ(s.frames, s.undecodable + s.non_ipv4 + s.ipv4);
@@ -614,24 +671,20 @@ TEST(TraceCli, ReplayRunsThePipeline) {
                     &out, &err),
             0)
       << err;
-  EXPECT_NE(out.find("replayed 5 frames (paced)"), std::string::npos) << out;
+  EXPECT_NE(out.find("replayed 5 frames\n"), std::string::npos) << out;
   EXPECT_NE(out.find("processed: 5, parse errors: 0"), std::string::npos);
-  std::string out2;
-  ASSERT_EQ(run_cli({"replay", fx.ingress_path, "--max-speed",
-                     "--runout-seconds", "1"},
-                    &out2, &err),
-            0)
-      << err;
-  EXPECT_NE(out2.find("(max-speed)"), std::string::npos) << out2;
+  // One delivery loop: the removed --max-speed switch is an unknown flag.
+  EXPECT_EQ(run_cli({"replay", fx.ingress_path, "--max-speed"}, &out, &err),
+            2);
+  EXPECT_NE(err.find("unknown flag --max-speed"), std::string::npos) << err;
   // Switches before the file arguments must not swallow them.
   std::string out3;
-  ASSERT_EQ(run_cli({"replay", "--max-speed", fx.ingress_path,
+  ASSERT_EQ(run_cli({"replay", "--print-reports", fx.ingress_path,
                      fx.egress_path},
                     &out3, &err),
             0)
       << err;
-  EXPECT_NE(out3.find("replayed 5 frames (max-speed)"), std::string::npos)
-      << out3;
+  EXPECT_NE(out3.find("replayed 5 frames\n"), std::string::npos) << out3;
 }
 
 TEST(TraceCli, ReplayInstallsAMeasurementProgram) {
@@ -645,8 +698,7 @@ TEST(TraceCli, ReplayInstallsAMeasurementProgram) {
                "samples_per_second": 2}})");
   std::string out, err;
   ASSERT_EQ(run_cli({"replay", fx.ingress_path, fx.egress_path,
-                     "--max-speed", "--runout-seconds", "1", "--program",
-                     good},
+                     "--runout-seconds", "1", "--program", good},
                     &out, &err),
             0)
       << err;
@@ -696,7 +748,7 @@ TEST(TraceCli, MalformedInputsFailCleanly) {
   // and is named in the diagnostic.
   TwoPortFixture fx;
   EXPECT_EQ(run_cli({"replay", fx.ingress_path, "--samples-per-second",
-                     "abc", "--max-speed"},
+                     "abc", "--print-reports"},
                     &out, &err),
             2);
   EXPECT_NE(err.find("malformed value for --samples-per-second: 'abc'"),
