@@ -56,7 +56,7 @@ void eack_sizing() {
         const std::uint32_t rev_id = p4::flow_hash(t.reversed());
         const auto slot = static_cast<std::uint16_t>(
             p4::flow_hash(t) & telemetry::kFlowSlotMask);
-        engine.on_data_packet({slot, rev_id, seq[f], 1460, false}, now);
+        engine.on_data_packet({slot, rev_id, seq[f], 1460}, now);
         ++stores;
         pending[f].push_back({rev_id, slot, seq[f] + 1460});
         seq[f] += 1460;

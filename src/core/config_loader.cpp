@@ -300,11 +300,6 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
         auto& s = config.serving;
         if (k == "enabled") {
           s.enabled = reader.boolean(v, path);
-        } else if (k == "cache_bytes") {
-          s.cache_bytes = reader.unsigned_int(v, path);
-        } else if (k == "cache_shards") {
-          s.cache_shards = reader.unsigned_int(v, path);
-          if (s.cache_shards == 0) reader.fail(path, "must be at least 1");
         } else if (k == "reader_threads") {
           s.reader_threads = reader.unsigned_int(v, path);
         } else {

@@ -58,14 +58,8 @@ MonitoringSystem::MonitoringSystem(MonitoringSystemConfig config)
       throw std::invalid_argument(
           "archive.durable requires a store directory (archive.dir)");
     }
-    store::StoreConfig store_config = config_.archive.store;
-    if (config_.serving.enabled) {
-      // The serving section sizes the store's segment block cache.
-      store_config.cache_bytes = config_.serving.cache_bytes;
-      store_config.cache_shards = config_.serving.cache_shards;
-    }
     store_ = std::make_unique<store::Store>(config_.archive.dir,
-                                            std::move(store_config));
+                                            config_.archive.store);
     psonar_->archiver().set_backend(
         std::make_unique<ps::StoreBackend>(*store_));
     if (config_.serving.enabled) {

@@ -79,15 +79,10 @@ struct ArchiveConfig {
 
 /// Configuration of the concurrent query-serving path over the durable
 /// store (the config loader's "serving" section). Only meaningful with
-/// archive.durable: the store's segment block cache is sized from
-/// cache_bytes/cache_shards and a ps::StoreServer with reader_threads
-/// workers fronts the store (store_server()).
+/// archive.durable: a ps::StoreServer with reader_threads workers fronts
+/// the store (store_server()).
 struct ServingConfig {
   bool enabled = false;
-  /// Segment block-cache capacity in bytes (0 = unbounded).
-  std::size_t cache_bytes = 0;
-  /// Lock shards for the block cache.
-  std::size_t cache_shards = 8;
   /// Reader threads behind the async StoreServer API.
   std::size_t reader_threads = 4;
 };

@@ -18,7 +18,7 @@ void StoreBackend::for_each(
     }
   }
   std::size_t matched = 0;
-  store_.scan(index_name, options, [&](const util::Json& doc) {
+  store_.snapshot().scan(index_name, options, [&](const util::Json& doc) {
     if (!archiver_query_matches(doc, query)) return true;
     ++matched;
     if (!visit(doc)) return false;
@@ -32,7 +32,7 @@ std::optional<ArchiverAggregation> StoreBackend::aggregate_fast(
   // The columnar path can't apply term filters or honor a limit; those
   // queries fall back to the generic scan-based aggregation.
   if (!query.terms.empty() || query.limit != 0) return std::nullopt;
-  const auto agg = store_.aggregate_column(
+  const auto agg = store_.snapshot().aggregate_column(
       index_name, field, query.range_field, query.range_min, query.range_max);
   if (!agg.has_value()) return std::nullopt;
   return ArchiverAggregation::of(*agg);

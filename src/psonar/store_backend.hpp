@@ -36,12 +36,14 @@ class StoreBackend final : public ArchiverBackend {
       const ArchiverQuery& query) const override;
 
   std::uint64_t doc_count(const std::string& index_name) const override {
-    return store_.doc_count(index_name);
+    return store_.snapshot().doc_count(index_name);
   }
   std::vector<std::string> indices() const override {
-    return store_.indices();
+    return store_.snapshot().indices();
   }
-  std::uint64_t total_docs() const override { return store_.total_docs(); }
+  std::uint64_t total_docs() const override {
+    return store_.snapshot().total_docs();
+  }
 
   store::Store& store() { return store_; }
   const store::Store& store() const { return store_; }

@@ -70,6 +70,17 @@ void collect_terms(const util::Json& value, const std::string& path,
 
 enum : std::uint8_t { kTagMissing = 0, kTagInt = 1, kTagDouble = 2 };
 
+// Time-column deltas wrap modulo 2^64, so any two int64 timestamps
+// round-trip without signed overflow.
+std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrapping_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
 }  // namespace
 
 std::optional<util::Json> json_field_at(const util::Json& doc,
@@ -148,7 +159,7 @@ SegmentBuildResult write_segment(const std::string& path,
       if (value->is_int()) {
         const std::int64_t i = value->as_int();
         encoded.push_back(static_cast<char>(kTagInt));
-        put_svarint(encoded, is_time ? i - prev_int : i);
+        put_svarint(encoded, is_time ? wrapping_sub(i, prev_int) : i);
         if (is_time) prev_int = i;
       } else {
         encoded.push_back(static_cast<char>(kTagDouble));
@@ -374,19 +385,6 @@ std::optional<std::vector<std::uint32_t>> Segment::postings(
   return it->second;
 }
 
-std::size_t Segment::approx_bytes() const {
-  std::size_t bytes = sizeof(Segment);
-  for (const auto& text : doc_texts_) bytes += text.size() + 48;
-  for (const auto& [field, col] : column_bytes_) {
-    bytes += field.size() + col.size() + 64;
-  }
-  bytes += bloom_bits_.size();
-  for (const auto& [key, rows] : postings_) {
-    bytes += key.size() + rows.size() * sizeof(std::uint32_t) + 64;
-  }
-  return bytes;
-}
-
 std::vector<std::optional<double>> Segment::decode_column(
     const std::string& field) const {
   const auto it = column_bytes_.find(field);
@@ -406,7 +404,8 @@ std::vector<std::optional<double>> Segment::decode_column(
       case kTagInt: {
         const auto delta = r.svarint();
         if (!delta) throw StoreError("segment: truncated column " + field);
-        const std::int64_t v = is_time ? prev_int + *delta : *delta;
+        const std::int64_t v =
+            is_time ? wrapping_add(prev_int, *delta) : *delta;
         if (is_time) prev_int = v;
         values.emplace_back(static_cast<double>(v));
         break;

@@ -158,9 +158,6 @@ class Segment {
     return doc_texts_[row];
   }
 
-  /// Approximate decoded footprint, the block cache's charge unit.
-  std::size_t approx_bytes() const;
-
   /// Decode a column to per-document values (nullopt = the document had
   /// no numeric value at that path). Returns an empty vector for
   /// non-columnar fields.

@@ -20,20 +20,24 @@ SegmentHandle::~SegmentHandle() {
   // the segment alive), which is why everything needed lives in ctx.
   std::error_code ec;
   std::filesystem::remove(ctx->dir + "/" + file, ec);
-  ctx->cache->erase(file);
   ctx->counters.segments_gc_deleted.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::shared_ptr<const Segment> SegmentHandle::load() const {
-  return ctx->cache->get_or_load(file, [this] {
-    auto seg = std::make_shared<Segment>(Segment::load(ctx->dir + "/" + file));
-    if (seg->info().docs != info.docs ||
-        seg->info().base_seq != info.base_seq) {
-      throw StoreError("store: segment " + file +
-                       " disagrees with the manifest");
-    }
-    return seg;
-  });
+  std::lock_guard<std::mutex> lock(load_mu_);
+  if (loaded_) {
+    ctx->counters.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    return loaded_;
+  }
+  ctx->counters.cache_misses.fetch_add(1, std::memory_order_relaxed);
+  auto seg = std::make_shared<Segment>(Segment::load(ctx->dir + "/" + file));
+  if (seg->info().docs != info.docs ||
+      seg->info().base_seq != info.base_seq) {
+    throw StoreError("store: segment " + file +
+                     " disagrees with the manifest");
+  }
+  loaded_ = std::move(seg);
+  return loaded_;
 }
 
 }  // namespace detail

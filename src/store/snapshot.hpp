@@ -26,11 +26,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "store/block_cache.hpp"
 #include "store/segment.hpp"
 #include "util/json.hpp"
 
@@ -70,20 +70,21 @@ struct StoreCounters {
   std::atomic<std::uint64_t> segments_pruned_terms{0};
   std::atomic<std::uint64_t> segments_pruned_postings{0};
   std::atomic<std::uint64_t> postings_rows_seeked{0};
-  // Serving.
+  // Serving. A miss is a segment's first load, a hit any later one.
   std::atomic<std::uint64_t> snapshots{0};
+  std::atomic<std::uint64_t> cache_hits{0};
+  std::atomic<std::uint64_t> cache_misses{0};
   std::atomic<std::uint64_t> segments_retired{0};
   std::atomic<std::uint64_t> segments_gc_deleted{0};
 };
 
 /// Everything the read path needs, shared (refcounted) between the
 /// Store, its snapshots, and its segment handles: the directory, the
-/// columnar field configuration, the block cache, and the counters.
+/// columnar field configuration, and the counters.
 struct ReadContext {
   std::string dir;
   std::string time_field;
   std::vector<std::string> hot_fields;
-  std::unique_ptr<BlockCache> cache;
   StoreCounters counters;
 
   bool is_columnar(const std::string& field) const;
@@ -96,9 +97,10 @@ struct MemChunk {
 };
 
 /// One sealed segment: manifest metadata resident, the decoded blocks
-/// loaded through the block cache on demand. Refcounted — views and
-/// snapshots share handles; when `retired` is set (compaction replaced
-/// it), the last reference to die unlinks the file.
+/// loaded on first use and kept until the handle dies. There is one
+/// handle per segment file, refcounted — views and snapshots share it;
+/// when `retired` is set (compaction replaced it), the last reference to
+/// die frees the decoded segment and unlinks the file.
 struct SegmentHandle {
   SegmentHandle(std::shared_ptr<ReadContext> context, std::string file_name,
                 SegmentInfo segment_info,
@@ -112,8 +114,10 @@ struct SegmentHandle {
   SegmentHandle(const SegmentHandle&) = delete;
   SegmentHandle& operator=(const SegmentHandle&) = delete;
 
-  /// Load (or fetch from the block cache) the decoded segment. The
-  /// returned shared_ptr keeps it alive across cache evictions.
+  /// The decoded segment. The first call reads the file and checks it
+  /// against the manifest (concurrent first calls decode once); a load
+  /// that throws keeps nothing, and every later call returns the kept
+  /// segment.
   std::shared_ptr<const Segment> load() const;
 
   std::shared_ptr<ReadContext> ctx;
@@ -121,6 +125,10 @@ struct SegmentHandle {
   SegmentInfo info;
   std::map<std::string, ColumnSummary> summaries;
   std::atomic<bool> retired{false};
+
+ private:
+  mutable std::mutex load_mu_;
+  mutable std::shared_ptr<const Segment> loaded_;
 };
 
 struct IndexView {
@@ -158,16 +166,16 @@ class Snapshot {
   void scan(const std::string& index, const ScanOptions& options,
             const std::function<bool(const util::Json&)>& visit) const;
 
-  /// Columnar aggregation fast path; see Store::aggregate_column.
+  /// Columnar aggregation fast path: aggregate `field` over documents
+  /// whose `range_field` (when set) lies in [min, max]. Returns nullopt
+  /// when the fields aren't columnar — the caller falls back to a scan.
+  /// Sealed segments are aggregated from column summaries (full overlap)
+  /// or decoded columns (partial overlap) without parsing any document
+  /// JSON; memtable documents are walked directly.
   std::optional<ColumnAggregate> aggregate_column(
       const std::string& index, const std::string& field,
       const std::string& range_field, std::optional<double> range_min,
       std::optional<double> range_max) const;
-
-  /// True when `field` is encoded columnar (time field or hot field).
-  bool is_columnar(const std::string& field) const {
-    return ctx_->is_columnar(field);
-  }
 
  private:
   friend class Store;

@@ -238,8 +238,6 @@ Store::Store(std::string dir, StoreConfig config, OpenMode mode)
   ctx_->dir = dir_;
   ctx_->time_field = config_.time_field;
   ctx_->hot_fields = config_.hot_fields;
-  ctx_->cache = std::make_unique<BlockCache>(config_.cache_bytes,
-                                             config_.cache_shards);
   if (!read_only_) {
     fs::create_directories(dir_ + "/" + kSegmentDir);
   }
@@ -576,55 +574,6 @@ void Store::maintain() {
   }
 }
 
-void Store::scan(const std::string& index, const ScanOptions& options,
-                 const std::function<bool(const util::Json&)>& visit) const {
-  snapshot().scan(index, options, visit);
-}
-
-std::optional<ColumnAggregate> Store::aggregate_column(
-    const std::string& index, const std::string& field,
-    const std::string& range_field, std::optional<double> range_min,
-    std::optional<double> range_max) const {
-  return snapshot().aggregate_column(index, field, range_field, range_min,
-                                     range_max);
-}
-
-std::uint64_t Store::doc_count(const std::string& index) const {
-  const auto state = find_index(index);
-  return state == nullptr ? 0 : state->sealed_docs + state->memtable_count;
-}
-
-std::vector<std::string> Store::indices() const {
-  const auto view = current_view();
-  std::vector<std::string> names;
-  names.reserve(view->indices.size());
-  for (const auto& [name, state] : view->indices) {
-    (void)state;
-    names.push_back(name);
-  }
-  return names;
-}
-
-std::uint64_t Store::total_docs() const {
-  const auto view = current_view();
-  std::uint64_t total = 0;
-  for (const auto& [name, state] : view->indices) {
-    (void)name;
-    total += state->sealed_docs + state->memtable_count;
-  }
-  return total;
-}
-
-std::uint64_t Store::memtable_docs(const std::string& index) const {
-  const auto state = find_index(index);
-  return state == nullptr ? 0 : state->memtable_count;
-}
-
-std::uint64_t Store::segment_count(const std::string& index) const {
-  const auto state = find_index(index);
-  return state == nullptr ? 0 : state->segments.size();
-}
-
 const RollupSeries* Store::rollup(const std::string& index,
                                   const std::string& field) const {
   const auto it = rollups_.find(index);
@@ -641,10 +590,6 @@ std::vector<std::string> Store::rollup_fields(const std::string& index) const {
     if (!series.empty()) fields.push_back(field);
   }
   return fields;
-}
-
-bool Store::is_columnar(const std::string& field) const {
-  return ctx_->is_columnar(field);
 }
 
 StoreStats Store::stats() const {
@@ -672,12 +617,8 @@ StoreStats Store::stats() const {
   out.segments_retired = c.segments_retired.load(std::memory_order_relaxed);
   out.segments_gc_deleted =
       c.segments_gc_deleted.load(std::memory_order_relaxed);
-  const auto cache = ctx_->cache->stats();
-  out.cache_hits = cache.hits;
-  out.cache_misses = cache.misses;
-  out.cache_evictions = cache.evictions;
-  out.cache_entries = cache.entries;
-  out.cache_bytes = cache.bytes;
+  out.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
+  out.cache_misses = c.cache_misses.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -35,9 +35,10 @@
 // consistent store while the single writer keeps appending, sealing, and
 // compacting. Compaction retires superseded segments instead of deleting
 // them — the file is unlinked only when the last snapshot referencing it
-// is released. Decoded segments are shared through a sharded LRU block
-// cache (StoreConfig::cache_bytes); stats() counts cache traffic and
-// scan pruning so tests and benches can assert both actually happen.
+// is released. Each segment is decoded on its first read and kept by its
+// handle until the handle dies; stats() counts those loads (cache misses
+// and hits) and scan pruning so tests and benches can assert both
+// actually happen. All reads go through a Snapshot.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,12 +75,6 @@ struct StoreConfig {
   /// Dotted numeric paths whose per-bucket min/max/mean/count are
   /// materialized at seal time (empty = no rollups).
   std::vector<std::string> rollup_fields;
-  /// Block-cache capacity for decoded segments, in (approximate) bytes.
-  /// 0 = unbounded — every loaded segment stays resident, the pre-cache
-  /// behavior.
-  std::size_t cache_bytes = 0;
-  /// Lock shards for the block cache.
-  std::size_t cache_shards = 8;
 };
 
 /// One downsampled bucket of a rollup series.
@@ -106,11 +100,10 @@ struct StoreStats {
   std::uint64_t postings_rows_seeked = 0;
   // Serving-side counters.
   std::uint64_t snapshots = 0;
+  /// Segment loads: a miss decodes the file, a hit reuses the decoded
+  /// segment its handle kept.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_entries = 0;
-  std::uint64_t cache_bytes = 0;
   std::uint64_t segments_retired = 0;
   std::uint64_t segments_gc_deleted = 0;
   /// Retired segments still pinned by live snapshots.
@@ -175,30 +168,9 @@ class Store {
 
   // ---- read path (any thread) -----------------------------------------
 
-  /// Pin the current view. O(1); safe from any thread.
+  /// Pin the current view. O(1); safe from any thread. Every query —
+  /// counts, scans, aggregations — runs on a snapshot.
   Snapshot snapshot() const;
-
-  /// Visit documents in sequence order (or reversed); the visitor
-  /// returns false to stop. Equivalent to snapshot().scan(...).
-  void scan(const std::string& index, const ScanOptions& options,
-            const std::function<bool(const util::Json&)>& visit) const;
-
-  /// Columnar aggregation fast path: aggregate `field` over documents
-  /// whose `range_field` (when set) lies in [min, max]. Returns nullopt
-  /// when the fields aren't columnar — the caller falls back to a scan.
-  /// Sealed segments are aggregated from column summaries (full overlap)
-  /// or decoded columns (partial overlap) without parsing any document
-  /// JSON; memtable documents are walked directly.
-  std::optional<ColumnAggregate> aggregate_column(
-      const std::string& index, const std::string& field,
-      const std::string& range_field, std::optional<double> range_min,
-      std::optional<double> range_max) const;
-
-  std::uint64_t doc_count(const std::string& index) const;
-  std::vector<std::string> indices() const;
-  std::uint64_t total_docs() const;
-  std::uint64_t memtable_docs(const std::string& index) const;
-  std::uint64_t segment_count(const std::string& index) const;
 
   /// Materialized rollup series (sealed documents only), or nullptr.
   /// Writer-thread only (rollups fold at seal time).
@@ -211,9 +183,6 @@ class Store {
 
   /// Point-in-time statistics snapshot; safe from any thread.
   StoreStats stats() const;
-
-  /// True when `field` is encoded columnar (time field or hot field).
-  bool is_columnar(const std::string& field) const;
 
   // ---- offline verification (CLI `verify`, CI artifact check) ---------
 

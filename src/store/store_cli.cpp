@@ -23,17 +23,18 @@ int cmd_info(const std::string& dir, std::ostream& out, std::ostream& err) {
     // Read-only: inspecting a store must not create directories or WAL
     // files as a side effect.
     const Store store(dir, {}, OpenMode::read_only);
+    const Snapshot snapshot = store.snapshot();
     out << "store: " << dir << "\n";
-    out << "  total docs:   " << store.total_docs() << "\n";
+    out << "  total docs:   " << snapshot.total_docs() << "\n";
     const auto stats = store.stats();
     out << "  wal batches:  " << stats.wal_batches_replayed
         << " (tail bytes dropped: " << stats.wal_tail_bytes_dropped
         << ", sealed records skipped: " << stats.wal_records_skipped_sealed
         << ")\n";
-    for (const auto& index : store.indices()) {
-      out << "  index " << index << ": " << store.doc_count(index)
-          << " docs (" << store.memtable_docs(index) << " unsealed), "
-          << store.segment_count(index) << " segment(s)\n";
+    for (const auto& index : snapshot.indices()) {
+      out << "  index " << index << ": " << snapshot.doc_count(index)
+          << " docs (" << snapshot.memtable_docs(index) << " unsealed), "
+          << snapshot.segment_count(index) << " segment(s)\n";
       // The manifest records each series' buckets, not the bucket width
       // it was built with.
       for (const auto& field : store.rollup_fields(index)) {
@@ -72,13 +73,13 @@ int cmd_compact(const std::string& dir, const std::string& index,
                 std::ostream& out, std::ostream& err) {
   try {
     Store store(dir);
-    const auto indices =
-        index.empty() ? store.indices() : std::vector<std::string>{index};
+    const auto indices = index.empty() ? store.snapshot().indices()
+                                       : std::vector<std::string>{index};
     for (const auto& name : indices) {
-      const auto before = store.segment_count(name);
+      const auto before = store.snapshot().segment_count(name);
       store.compact(name);
       out << "compact " << name << ": " << before << " -> "
-          << store.segment_count(name) << " segment(s)\n";
+          << store.snapshot().segment_count(name) << " segment(s)\n";
     }
     return 0;
   } catch (const StoreError& e) {
@@ -95,7 +96,7 @@ int cmd_dump(const std::string& dir, const std::string& index,
     std::size_t printed = 0;
     ScanOptions options;
     options.newest_first = newest;
-    store.scan(index, options, [&](const util::Json& doc) {
+    store.snapshot().scan(index, options, [&](const util::Json& doc) {
       out << doc.dump() << "\n";
       ++printed;
       return limit == 0 || printed < limit;
@@ -113,10 +114,10 @@ int cmd_serve_stats(const std::string& dir, std::ostream& out,
     const Store store(dir, {}, OpenMode::read_only);
     // Exercise the serving read path once per index so the pruning/cache
     // counters below describe this store's data, not just zeros: one
-    // full scan warms the cache, a second shows the hits.
+    // full scan loads every segment (misses), a second reuses them (hits).
     for (int round = 0; round < 2; ++round) {
-      for (const auto& index : store.indices()) {
-        const Snapshot snapshot = store.snapshot();
+      const Snapshot snapshot = store.snapshot();
+      for (const auto& index : snapshot.indices()) {
         snapshot.scan(index, ScanOptions{},
                       [](const util::Json&) { return true; });
       }
@@ -132,10 +133,7 @@ int cmd_serve_stats(const std::string& dir, std::ostream& out,
         << stats.segments_pruned_postings << "\n";
     out << "  postings rows:    " << stats.postings_rows_seeked << "\n";
     out << "  cache:            " << stats.cache_hits << " hit(s), "
-        << stats.cache_misses << " miss(es), " << stats.cache_evictions
-        << " eviction(s)\n";
-    out << "  cache resident:   " << stats.cache_entries << " segment(s), "
-        << stats.cache_bytes << " byte(s)\n";
+        << stats.cache_misses << " miss(es)\n";
     out << "  gc:               " << stats.segments_retired << " retired, "
         << stats.segments_gc_deleted << " deleted, " << stats.gc_pending()
         << " pending\n";

@@ -187,7 +187,7 @@ void DataPlaneProgram::process_measurement_path(const FieldView& view) {
     const std::uint32_t rev_flow_id = fk.rev_flow_id;
     const bool loss = rtt_loss_.on_data_packet(
         RttLossEngine::DataPacketView{*slot, rev_flow_id, ctx.hdr.tcp.seq,
-                                      payload, false},
+                                      payload},
         now);
     if (loss) limit_.on_loss(*slot);
     limit_.on_data(*slot, ctx.hdr.tcp.seq, payload, now);

@@ -42,8 +42,6 @@ class RttLossEngine : public MetricEngine {
     std::uint32_t rev_flow_id;   // hash of the reversed 5-tuple
     std::uint32_t seq;
     std::uint32_t payload_bytes;
-    bool is_retransmission_hint = false;  // unused by the algorithm;
-                                          // reserved for tests
   };
 
   /// Process a data packet (Seq branch of Algorithm 1). Returns true if a

@@ -85,8 +85,8 @@ int cmd_info(const std::vector<std::string>& files, std::ostream& out) {
     SimTime first = 0;
     SimTime last = 0;
     while (auto rec = reader.next()) {
-      if (records == 0) first = rec->ts;
-      last = rec->ts;
+      first = records == 0 ? rec->ts : std::min(first, rec->ts);
+      last = std::max(last, rec->ts);
       captured += rec->bytes.size();
       wire += rec->orig_len;
       ++records;

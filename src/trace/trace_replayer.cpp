@@ -1,5 +1,6 @@
 #include "trace/trace_replayer.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "p4/parser.hpp"
@@ -69,8 +70,8 @@ TraceReplayer::Stats TraceReplayer::analyze() const {
     }
     s.captured_bytes += f.bytes.size();
     s.wire_bytes += f.orig_len;
-    if (s.frames == 1) s.first_ts = f.ts;
-    s.last_ts = f.ts;
+    s.first_ts = s.frames == 1 ? f.ts : std::min(s.first_ts, f.ts);
+    s.last_ts = std::max(s.last_ts, f.ts);
 
     p4::PacketContext ctx;
     ctx.data = f.bytes;

@@ -65,6 +65,8 @@ class TraceReplayer {
     /// EtherType of every frame with a full Ethernet header, rejected
     /// ones included.
     std::map<std::uint16_t, std::uint64_t> ethertypes;
+    /// Earliest and latest record timestamps, whatever order the records
+    /// are in (0 for an empty trace).
     SimTime first_ts = 0;
     SimTime last_ts = 0;
   };

@@ -27,19 +27,14 @@ constexpr double to_seconds(SimTime t) { return static_cast<double>(t) / 1e9; }
 constexpr double to_milliseconds(SimTime t) {
   return static_cast<double>(t) / 1e6;
 }
-constexpr double to_microseconds(SimTime t) {
-  return static_cast<double>(t) / 1e3;
-}
 
 constexpr std::uint64_t kbps(std::uint64_t v) { return v * 1'000ULL; }
 constexpr std::uint64_t mbps(std::uint64_t v) { return v * 1'000'000ULL; }
 constexpr std::uint64_t gbps(std::uint64_t v) { return v * 1'000'000'000ULL; }
 
-constexpr std::uint64_t kibibytes(std::uint64_t v) { return v * 1024ULL; }
 constexpr std::uint64_t mebibytes(std::uint64_t v) {
   return v * 1024ULL * 1024ULL;
 }
-constexpr std::uint64_t megabytes(std::uint64_t v) { return v * 1'000'000ULL; }
 
 /// Time to serialize `bytes` onto a link of `bits_per_second`.
 constexpr SimTime transmission_time(std::uint64_t bytes,

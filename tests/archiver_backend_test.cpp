@@ -232,11 +232,11 @@ TEST(ArchiverSeam, NoDirectIndexMapAccessOutsideBackends) {
 // Property-based equivalence (satellite of the serving PR): a seeded
 // random document corpus and a seeded random query mix must produce
 // byte-identical results from the MemoryBackend, from a cold
-// StoreBackend (freshly reopened, tiny cache so every segment load hits
-// disk), and from the same StoreBackend warm (second pass, cache
-// populated). Any divergence between the serving read path (snapshots,
-// posting lists, block cache, tiered segments) and the reference
-// in-memory scan fails with the query number for replay.
+// StoreBackend (freshly reopened, so each segment's first read loads it
+// from disk), and from the same StoreBackend warm (second pass over the
+// loaded segments). Any divergence between the serving read path
+// (snapshots, posting lists, segment loading, tiered segments) and the
+// reference in-memory scan fails with the query number for replay.
 namespace property {
 
 struct RandomCorpus {
@@ -326,12 +326,9 @@ TEST(BackendEquivalenceProperty, SeededRandomQueriesAgreeColdAndWarm) {
     store.flush();  // commit the tail; do NOT seal it — keep a memtable
   }
 
-  // Cold: reopen from disk with a one-byte cache, so every segment read
-  // is a genuine load (and evictions churn constantly).
-  store::StoreConfig cold_config;
-  cold_config.cache_bytes = 1;
-  cold_config.cache_shards = 1;
-  store::Store reopened(dir, cold_config, store::OpenMode::read_only);
+  // Cold: a freshly reopened read-only store, so each segment's first
+  // read is a genuine load from disk.
+  store::Store reopened(dir, {}, store::OpenMode::read_only);
   Archiver cold;
   cold.set_backend(std::make_unique<StoreBackend>(reopened));
 
@@ -343,7 +340,8 @@ TEST(BackendEquivalenceProperty, SeededRandomQueriesAgreeColdAndWarm) {
       const auto want = collect(memory, index, query);
       const auto got_cold = collect(cold, index, query);
       ASSERT_EQ(want, got_cold);
-      // Warm: same archiver again — now served from the block cache.
+      // Warm: same archiver again — now served from the segments the
+      // cold pass loaded.
       const auto got_warm = collect(cold, index, query);
       ASSERT_EQ(want, got_warm);
 
@@ -362,7 +360,7 @@ TEST(BackendEquivalenceProperty, SeededRandomQueriesAgreeColdAndWarm) {
   const auto stats = reopened.stats();
   EXPECT_GT(stats.snapshots, 0u);
   EXPECT_GT(stats.cache_misses, 0u);
-  EXPECT_GT(stats.cache_evictions, 0u);
+  EXPECT_GT(stats.cache_hits, 0u);
 }
 
 }  // namespace property

@@ -376,26 +376,19 @@ TEST(ConfigLoader, ServingSection) {
       ::testing::TempDir() + "p4s_config_serving_section";
   const auto config = core::config_from_text(R"({
     "archive": {"backend": "store", "dir": ")" + dir + R"("},
-    "serving": {"enabled": true, "cache_bytes": 1048576,
-                "cache_shards": 2, "reader_threads": 6}
+    "serving": {"enabled": true, "reader_threads": 6}
   })");
   EXPECT_TRUE(config.serving.enabled);
-  EXPECT_EQ(config.serving.cache_bytes, 1048576u);
-  EXPECT_EQ(config.serving.cache_shards, 2u);
   EXPECT_EQ(config.serving.reader_threads, 6u);
-  // Defaults: serving is off, unbounded cache.
+  // Defaults: serving is off.
   const auto defaults = core::config_from_text("{}");
   EXPECT_FALSE(defaults.serving.enabled);
-  EXPECT_EQ(defaults.serving.cache_bytes, 0u);
 }
 
 TEST(ConfigLoader, ServingRejectsBadValues) {
   // Serving rides on the durable store; without it the section is a
   // configuration error, not a silent no-op.
   EXPECT_THROW(core::config_from_text(R"({"serving": {"enabled": true}})"),
-               std::invalid_argument);
-  EXPECT_THROW(core::config_from_text(
-                   R"({"serving": {"cache_shards": 0}})"),
                std::invalid_argument);
   EXPECT_THROW(core::config_from_text(
                    R"({"serving": {"enabled": "yes"}})"),
@@ -413,8 +406,7 @@ TEST(ConfigLoader, ServingConfigBuildsSystemWithStoreServer) {
     "control": {"flow_idle_timeout_s": 1},
     "archive": {"backend": "store", "dir": ")" + dir + R"(",
                 "seal_min_docs": 8},
-    "serving": {"enabled": true, "reader_threads": 2,
-                "cache_bytes": 4194304}
+    "serving": {"enabled": true, "reader_threads": 2}
   })");
   core::MonitoringSystem system(config);
   ASSERT_TRUE(system.durable_archive());
@@ -741,8 +733,9 @@ TEST(ConfigLoader, DiagnosticTextIsPinned) {
        "config: 'archive.rollup_fields' entries must be strings"},
       {R"({"archive": {"backend": "store"}})",
        "config: 'archive.backend': 'store' requires 'archive.dir'"},
-      {R"({"serving": {"cache_shards": 0}})",
-       "config: 'serving.cache_shards' must be at least 1"},
+      // Segments load once per handle: there is no cache to size.
+      {R"({"serving": {"cache_shards": 8}})",
+       "config: unknown key 'serving.cache_shards'"},
       {R"({"serving": {"enabled": true}})",
        "config: 'serving.enabled' requires 'archive.backend': 'store'"},
       {R"({"switches": 3})",

@@ -1,7 +1,7 @@
 // Tests: the concurrent serving path — snapshot isolation under live
 // writer churn (the 10k-maintain-cycle stress battery), retired-segment
-// GC pinned by snapshots, the block cache under concurrent readers, and
-// the StoreServer sync/async query APIs.
+// GC pinned by snapshots, segments loading once per handle under
+// concurrent readers, and the StoreServer sync/async query APIs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -47,8 +47,6 @@ TEST(StoreConcurrency, SnapshotsStayFrozenAcross10kMaintainCycles) {
   config.wal_batch_docs = 16;
   config.seal_min_docs = 8;
   config.compact_fanin = 3;
-  config.cache_bytes = 256 * 1024;  // small: force eviction + reload
-  config.cache_shards = 4;
   Store store(dir, config);
 
   constexpr int kCycles = 10'000;
@@ -155,10 +153,10 @@ TEST(StoreConcurrency, SnapshotsStayFrozenAcross10kMaintainCycles) {
   EXPECT_GE(stats.seals, kCycles / 16u);  // the writer really churned
   EXPECT_GT(stats.compactions, 0u);
   EXPECT_GT(stats.segments_retired, 0u);
-  EXPECT_GT(stats.cache_evictions, 0u);  // 256 KiB cache really evicted
   // With every reader released, GC owes nothing.
   EXPECT_EQ(stats.gc_pending(), 0u);
-  EXPECT_EQ(store.doc_count("idx"), static_cast<std::uint64_t>(ts));
+  EXPECT_EQ(store.snapshot().doc_count("idx"),
+            static_cast<std::uint64_t>(ts));
 
   store.flush();
   const auto verify = Store::verify(dir);
@@ -180,7 +178,7 @@ TEST(StoreConcurrency, SnapshotPinsRetiredSegmentsUntilRelease) {
     }
     store.seal("idx");
   }
-  ASSERT_EQ(store.segment_count("idx"), 3u);
+  ASSERT_EQ(store.snapshot().segment_count("idx"), 3u);
   const auto seg_files = [&] {
     std::vector<std::string> files;
     for (const auto& entry : fs::directory_iterator(dir + "/seg")) {
@@ -193,7 +191,7 @@ TEST(StoreConcurrency, SnapshotPinsRetiredSegmentsUntilRelease) {
   {
     const Snapshot pinned = store.snapshot();
     store.compact("idx");
-    EXPECT_EQ(store.segment_count("idx"), 1u);
+    EXPECT_EQ(store.snapshot().segment_count("idx"), 1u);
     // Old files are retired but still on disk: the snapshot pins them.
     EXPECT_EQ(store.stats().segments_retired, 3u);
     EXPECT_EQ(store.stats().gc_pending(), 3u);
@@ -214,13 +212,15 @@ TEST(StoreConcurrency, SnapshotPinsRetiredSegmentsUntilRelease) {
   EXPECT_TRUE(Store::verify(dir).ok);
 }
 
-TEST(StoreConcurrency, BlockCacheCountsHitsMissesAndEvictions) {
-  const std::string dir = fresh_dir("cache");
+// Each segment handle decodes its file on first read and keeps it: the
+// first scan of three segments is three misses, a second scan three hits.
+// A second Store on the same directory has its own handles and loads the
+// segments again.
+TEST(StoreConcurrency, SegmentsLoadOncePerHandle) {
+  const std::string dir = fresh_dir("load_once");
   StoreConfig config;
   config.seal_min_docs = 4;
   config.compact_fanin = 0;
-  config.cache_bytes = 1;  // absurdly small: at most one resident entry
-  config.cache_shards = 1;
   Store store(dir, config);
   for (int seg = 0; seg < 3; ++seg) {
     for (int i = 0; i < 4; ++i) {
@@ -228,42 +228,73 @@ TEST(StoreConcurrency, BlockCacheCountsHitsMissesAndEvictions) {
     }
     store.seal("idx");
   }
-  const auto scan_all = [&] {
+  const auto scan_all = [](const Store& s) {
     std::uint64_t visited = 0;
-    store.scan("idx", ScanOptions{}, [&](const util::Json&) {
+    s.snapshot().scan("idx", ScanOptions{}, [&](const util::Json&) {
       ++visited;
       return true;
     });
     return visited;
   };
-  ASSERT_EQ(scan_all(), 12u);
+  ASSERT_EQ(scan_all(store), 12u);
   auto stats = store.stats();
   EXPECT_EQ(stats.cache_misses, 3u);
-  EXPECT_GE(stats.cache_evictions, 2u);
-  EXPECT_LE(stats.cache_entries, 1u);
-  // A second pass reloads evicted segments: more misses, same answers.
-  ASSERT_EQ(scan_all(), 12u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  ASSERT_EQ(scan_all(store), 12u);
   stats = store.stats();
-  EXPECT_GE(stats.cache_misses, 5u);
+  EXPECT_EQ(stats.cache_misses, 3u);
+  EXPECT_EQ(stats.cache_hits, 3u);
 
-  // An unbounded cache keeps everything resident: second scan is all hits.
-  Store warm(dir, StoreConfig{});
-  std::uint64_t visited = 0;
-  warm.scan("idx", ScanOptions{}, [&](const util::Json&) {
-    ++visited;
-    return true;
-  });
-  ASSERT_EQ(visited, 12u);
-  visited = 0;
-  warm.scan("idx", ScanOptions{}, [&](const util::Json&) {
-    ++visited;
-    return true;
-  });
-  ASSERT_EQ(visited, 12u);
-  const auto warm_stats = warm.stats();
-  EXPECT_EQ(warm_stats.cache_misses, 3u);
-  EXPECT_EQ(warm_stats.cache_hits, 3u);
-  EXPECT_EQ(warm_stats.cache_evictions, 0u);
+  const Store reopened(dir, config, OpenMode::read_only);
+  ASSERT_EQ(scan_all(reopened), 12u);
+  EXPECT_EQ(reopened.stats().cache_misses, 3u);
+  EXPECT_EQ(reopened.stats().cache_hits, 0u);
+}
+
+// Readers racing on a cold store decode each segment once: the first
+// load of a handle runs under its lock, so concurrent first reads of one
+// segment wait for it instead of decoding again.
+TEST(StoreConcurrency, ConcurrentColdReadersLoadEachSegmentOnce) {
+  const std::string dir = fresh_dir("cold_race");
+  StoreConfig config;
+  config.seal_min_docs = 4;
+  config.compact_fanin = 0;
+  constexpr int kSegments = 6;
+  {
+    Store writer(dir, config);
+    for (int seg = 0; seg < kSegments; ++seg) {
+      for (int i = 0; i < 4; ++i) {
+        writer.append("idx", doc_at(seg * 10 + i, i, "s0"));
+      }
+      writer.seal("idx");
+    }
+  }
+  const Store store(dir, config, OpenMode::read_only);
+  ASSERT_EQ(store.snapshot().segment_count("idx"),
+            static_cast<std::uint64_t>(kSegments));
+
+  constexpr int kReaders = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::uint64_t> visited(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const Snapshot snap = store.snapshot();
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) std::this_thread::yield();
+      snap.scan("idx", ScanOptions{}, [&](const util::Json&) {
+        ++visited[static_cast<std::size_t>(r)];
+        return true;
+      });
+    });
+  }
+  for (auto& reader : readers) reader.join();
+
+  for (const std::uint64_t v : visited) EXPECT_EQ(v, 4u * kSegments);
+  const auto stats = store.stats();
+  EXPECT_EQ(stats.cache_misses, static_cast<std::uint64_t>(kSegments));
+  EXPECT_EQ(stats.cache_hits,
+            static_cast<std::uint64_t>(kSegments * (kReaders - 1)));
 }
 
 TEST(StoreConcurrency, StoreServerServesSyncAndAsyncQueries) {
@@ -407,7 +438,7 @@ TEST(StoreConcurrency, ReadOnlyOpenRejectsWrites) {
     store.flush();
   }
   Store reader(dir, {}, OpenMode::read_only);
-  EXPECT_EQ(reader.doc_count("idx"), 1u);
+  EXPECT_EQ(reader.snapshot().doc_count("idx"), 1u);
   EXPECT_THROW(reader.append("idx", doc_at(2, 2, "s0")), StoreError);
   EXPECT_THROW(reader.flush(), StoreError);
   EXPECT_THROW(reader.seal("idx"), StoreError);

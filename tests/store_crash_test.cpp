@@ -119,7 +119,7 @@ TEST(StoreCrash, EveryWriteBoundaryRecoversWithoutLosingCommittedDocs) {
 
     // Then a real recovery: reopen and count.
     Store recovered(image.dir);
-    const std::uint64_t docs = recovered.doc_count("tput");
+    const std::uint64_t docs = recovered.snapshot().doc_count("tput");
     EXPECT_GE(docs, image.committed_docs)
         << "lost committed docs (had " << image.committed_docs << ")";
     EXPECT_LE(docs, image.appended_docs)
@@ -128,19 +128,20 @@ TEST(StoreCrash, EveryWriteBoundaryRecoversWithoutLosingCommittedDocs) {
     // Recovered data is coherent: every doc is scannable and carries
     // its fields.
     std::uint64_t visited = 0;
-    recovered.scan("tput", ScanOptions{}, [&](const util::Json& doc) {
-      EXPECT_TRUE(doc.contains("ts_ns"));
-      EXPECT_TRUE(doc.contains("throughput_bps"));
-      ++visited;
-      return true;
-    });
+    recovered.snapshot().scan(
+        "tput", ScanOptions{}, [&](const util::Json& doc) {
+          EXPECT_TRUE(doc.contains("ts_ns"));
+          EXPECT_TRUE(doc.contains("throughput_bps"));
+          ++visited;
+          return true;
+        });
     EXPECT_EQ(visited, docs);
 
     // And the recovered store can keep working: append + seal + verify.
     recovered.append("tput", doc_at(10'000, 1));
     recovered.flush();
     recovered.seal("tput");
-    EXPECT_EQ(recovered.doc_count("tput"), docs + 1);
+    EXPECT_EQ(recovered.snapshot().doc_count("tput"), docs + 1);
   }
 
   // Each reopened image rewrote its manifest / WAL; re-verify the
@@ -168,8 +169,8 @@ TEST(StoreCrash, OrphanManifestTmpIsIgnoredOnReopen) {
     tmp << "{\"garbage\": true}";
   }
   Store reopened(dir);
-  EXPECT_EQ(reopened.doc_count("idx"), 1u);
-  EXPECT_EQ(reopened.segment_count("idx"), 1u);
+  EXPECT_EQ(reopened.snapshot().doc_count("idx"), 1u);
+  EXPECT_EQ(reopened.snapshot().segment_count("idx"), 1u);
   EXPECT_TRUE(Store::verify(dir).ok);
 }
 

@@ -105,7 +105,9 @@ TEST(StoreGolden, DurableArchiveReloadsByteIdenticalToMemoryRun) {
     // End of run: make the memtable tail durable, leave a mix of sealed
     // segments behind. (flush() only — seal is already threshold-driven.)
     durable_system.archive_store().flush();
-    EXPECT_GT(durable_system.archive_store().segment_count(indices[0]), 0u)
+    EXPECT_GT(
+        durable_system.archive_store().snapshot().segment_count(indices[0]),
+        0u)
         << "thresholds never sealed; the reload would only test the WAL";
   }  // "process exit"
 

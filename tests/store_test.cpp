@@ -247,6 +247,23 @@ TEST(Segments, MissingAndDoubleColumnValues) {
   EXPECT_TRUE(seg.decode_column("not_a_column").empty());
 }
 
+// Timestamps more than INT64_MAX apart: the time column's delta wraps
+// instead of overflowing (a signed overflow UBSan reported on seal).
+TEST(Segments, TimeColumnDeltasWrapWithoutSignedOverflow) {
+  const std::string dir = fresh_dir("seg_wide_time");
+  fs::create_directories(dir);
+  const std::int64_t far = std::int64_t{3} << 61;  // exact as a double
+  std::vector<util::Json> docs = {doc_at(-far, 1), doc_at(far, 2),
+                                  doc_at(-far, 3)};
+  const std::string path = dir + "/a.seg";
+  write_segment(path, "idx", 0, docs, "ts_ns", {});
+  const auto ts = Segment::load(path).decode_column("ts_ns");
+  ASSERT_EQ(ts.size(), 3u);
+  EXPECT_EQ(ts[0], static_cast<double>(-far));
+  EXPECT_EQ(ts[1], static_cast<double>(far));
+  EXPECT_EQ(ts[2], static_cast<double>(-far));
+}
+
 TEST(Segments, CorruptionRaisesStoreError) {
   const std::string dir = fresh_dir("seg_corrupt");
   fs::create_directories(dir);
@@ -303,18 +320,18 @@ TEST(StoreLifecycle, AppendSealReopenPreservesEverything) {
     store.append("idx", doc_at(5000, 99));  // unsealed tail, via WAL
     dumps.push_back(doc_at(5000, 99).dump());
     store.flush();
-    EXPECT_EQ(store.doc_count("idx"), 11u);
-    EXPECT_EQ(store.segment_count("idx"), 1u);
-    EXPECT_EQ(store.memtable_docs("idx"), 1u);
+    EXPECT_EQ(store.snapshot().doc_count("idx"), 11u);
+    EXPECT_EQ(store.snapshot().segment_count("idx"), 1u);
+    EXPECT_EQ(store.snapshot().memtable_docs("idx"), 1u);
   }
   // Fresh instance: manifest + segment + WAL tail reconstruct the store.
   Store store(dir, config);
-  EXPECT_EQ(store.doc_count("idx"), 11u);
-  EXPECT_EQ(store.total_docs(), 11u);
-  EXPECT_EQ(store.memtable_docs("idx"), 1u);
-  EXPECT_EQ(store.indices(), std::vector<std::string>{"idx"});
+  EXPECT_EQ(store.snapshot().doc_count("idx"), 11u);
+  EXPECT_EQ(store.snapshot().total_docs(), 11u);
+  EXPECT_EQ(store.snapshot().memtable_docs("idx"), 1u);
+  EXPECT_EQ(store.snapshot().indices(), std::vector<std::string>{"idx"});
   std::vector<std::string> scanned;
-  store.scan("idx", {}, [&](const util::Json& doc) {
+  store.snapshot().scan("idx", {}, [&](const util::Json& doc) {
     scanned.push_back(doc.dump());
     return true;
   });
@@ -340,7 +357,7 @@ TEST(StoreLifecycle, NewestFirstScanReversesSegmentsAndMemtable) {
   std::vector<std::int64_t> order;
   ScanOptions newest;
   newest.newest_first = true;
-  store.scan("idx", newest, [&](const util::Json& doc) {
+  store.snapshot().scan("idx", newest, [&](const util::Json& doc) {
     order.push_back(doc.at("ts_ns").as_int());
     return true;
   });
@@ -356,13 +373,13 @@ TEST(StorePruning, TimeRangePrunesDisjointSegments) {
     }
     store.seal("idx");
   }
-  ASSERT_EQ(store.segment_count("idx"), 3u);
+  ASSERT_EQ(store.snapshot().segment_count("idx"), 3u);
   ScanOptions options;
   options.range_field = "ts_ns";
   options.range_min = 1000;
   options.range_max = 1004;
   std::size_t visited = 0;
-  store.scan("idx", options, [&](const util::Json&) {
+  store.snapshot().scan("idx", options, [&](const util::Json&) {
     ++visited;
     return true;
   });
@@ -385,7 +402,7 @@ TEST(StorePruning, TermBloomPrunesForeignSites) {
   ScanOptions options;
   options.term_keys = {term_key("switch_id", "cern")};
   std::size_t visited = 0;
-  store.scan("idx", options, [&](const util::Json&) {
+  store.snapshot().scan("idx", options, [&](const util::Json&) {
     ++visited;
     return true;
   });
@@ -399,7 +416,7 @@ TEST(StorePruning, TermBloomPrunesForeignSites) {
   ScanOptions bloom;
   bloom.term_keys = {term_key("throughput_bps", util::Json(999))};
   std::size_t bloom_visited = 0;
-  store.scan("idx", bloom, [&](const util::Json&) {
+  store.snapshot().scan("idx", bloom, [&](const util::Json&) {
     ++bloom_visited;
     return true;
   });
@@ -420,7 +437,7 @@ TEST(StorePruning, RangeOnFieldNoDocumentCarriesPrunesEverySegment) {
   options.range_field = "throughput_bps";
   options.range_min = 0;
   std::size_t visited = 0;
-  store.scan("idx", options, [&](const util::Json&) {
+  store.snapshot().scan("idx", options, [&](const util::Json&) {
     ++visited;
     return true;
   });
@@ -440,12 +457,12 @@ TEST(StoreCompaction, MergePreservesOrderAndContent) {
     }
     store.seal("idx");
   }
-  ASSERT_EQ(store.segment_count("idx"), 4u);
+  ASSERT_EQ(store.snapshot().segment_count("idx"), 4u);
   store.compact("idx");
-  EXPECT_EQ(store.segment_count("idx"), 1u);
-  EXPECT_EQ(store.doc_count("idx"), 12u);
+  EXPECT_EQ(store.snapshot().segment_count("idx"), 1u);
+  EXPECT_EQ(store.snapshot().doc_count("idx"), 12u);
   std::vector<std::string> scanned;
-  store.scan("idx", {}, [&](const util::Json& doc) {
+  store.snapshot().scan("idx", {}, [&](const util::Json& doc) {
     scanned.push_back(doc.dump());
     return true;
   });
@@ -455,8 +472,8 @@ TEST(StoreCompaction, MergePreservesOrderAndContent) {
   EXPECT_TRUE(verify.ok) << (verify.errors.empty() ? "" : verify.errors[0]);
   // Reopen still sees everything.
   Store reopened(dir);
-  EXPECT_EQ(reopened.doc_count("idx"), 12u);
-  EXPECT_EQ(reopened.segment_count("idx"), 1u);
+  EXPECT_EQ(reopened.snapshot().doc_count("idx"), 12u);
+  EXPECT_EQ(reopened.snapshot().segment_count("idx"), 1u);
 }
 
 TEST(StoreMaintenance, SealsAndCompactsOnThresholds) {
@@ -474,12 +491,12 @@ TEST(StoreMaintenance, SealsAndCompactsOnThresholds) {
   // Three seals happened; the third maintain() then compacted 3 -> 1.
   EXPECT_EQ(store.stats().seals, 3u);
   EXPECT_EQ(store.stats().compactions, 1u);
-  EXPECT_EQ(store.segment_count("idx"), 1u);
-  EXPECT_EQ(store.doc_count("idx"), 12u);
+  EXPECT_EQ(store.snapshot().segment_count("idx"), 1u);
+  EXPECT_EQ(store.snapshot().doc_count("idx"), 12u);
   // Small memtables are left alone.
   store.append("idx", doc_at(999, 1));
   store.maintain();
-  EXPECT_EQ(store.memtable_docs("idx"), 1u);
+  EXPECT_EQ(store.snapshot().memtable_docs("idx"), 1u);
 }
 
 TEST(StoreAggregate, ColumnFastPathMatchesGenericScan) {
@@ -496,13 +513,13 @@ TEST(StoreAggregate, ColumnFastPathMatchesGenericScan) {
   }
   const auto check = [&](std::optional<double> lo,
                          std::optional<double> hi) {
-    const auto fast =
-        store.aggregate_column("idx", "throughput_bps", "ts_ns", lo, hi);
+    const auto fast = store.snapshot().aggregate_column(
+        "idx", "throughput_bps", "ts_ns", lo, hi);
     ASSERT_TRUE(fast.has_value());
     // Generic reference: scan everything, filter by range.
     std::uint64_t count = 0;
     double min = 0, max = 0, sum = 0;
-    store.scan("idx", {}, [&](const util::Json& doc) {
+    store.snapshot().scan("idx", {}, [&](const util::Json& doc) {
       const double t = doc.at("ts_ns").as_double();
       if (lo.has_value() && t < *lo) return true;
       if (hi.has_value() && t > *hi) return true;
@@ -527,7 +544,7 @@ TEST(StoreAggregate, ColumnFastPathMatchesGenericScan) {
   check(0.0, 7.0);                    // single segment
   check(1000.0, 2000.0);              // nothing
   // Non-columnar fields refuse the fast path.
-  EXPECT_FALSE(store
+  EXPECT_FALSE(store.snapshot()
                    .aggregate_column("idx", "switch_id", "", std::nullopt,
                                      std::nullopt)
                    .has_value());
@@ -585,8 +602,10 @@ void build_manifest_test_store(const std::string& dir) {
 std::map<std::string, std::uint64_t> open_counts(const std::string& dir) {
   const Store store(dir, manifest_test_config(), OpenMode::read_only);
   std::map<std::string, std::uint64_t> counts;
-  for (const auto& index : store.indices()) {
-    if (store.doc_count(index) != 0) counts[index] = store.doc_count(index);
+  const Snapshot snapshot = store.snapshot();
+  for (const auto& index : snapshot.indices()) {
+    const std::uint64_t docs = snapshot.doc_count(index);
+    if (docs != 0) counts[index] = docs;
   }
   return counts;
 }
@@ -744,12 +763,12 @@ TEST(StoreRecovery, ReopenAfterWalTailTruncationKeepsCommittedPrefix) {
   std::ofstream(wal, std::ios::binary | std::ios::trunc)
       << bytes.substr(0, bytes.size() - 2);
   Store store(dir);
-  EXPECT_EQ(store.doc_count("idx"), 3u);
+  EXPECT_EQ(store.snapshot().doc_count("idx"), 3u);
   EXPECT_GT(store.stats().wal_tail_bytes_dropped, 0u);
   // The store stays fully usable: append/seal/verify after recovery.
   store.append("idx", doc_at(3, 3));
   store.seal("idx");
-  EXPECT_EQ(store.doc_count("idx"), 4u);
+  EXPECT_EQ(store.snapshot().doc_count("idx"), 4u);
   EXPECT_TRUE(Store::verify(dir).ok);
 }
 
@@ -828,14 +847,14 @@ TEST(StoreCli, DumpAndServeStatsOnEmptyStoreSucceedWithoutCreatingIt) {
   // Direct API on a read-only empty store behaves the same way.
   Store store(dir, {}, OpenMode::read_only);
   std::size_t visited = 0;
-  store.scan("anything", ScanOptions{}, [&](const util::Json&) {
+  store.snapshot().scan("anything", ScanOptions{}, [&](const util::Json&) {
     ++visited;
     return true;
   });
   EXPECT_EQ(visited, 0u);
-  EXPECT_EQ(store.total_docs(), 0u);
-  EXPECT_TRUE(store.indices().empty());
-  EXPECT_FALSE(store.aggregate_column("anything", "x", "ts_ns", 0, 1)
+  EXPECT_EQ(store.snapshot().total_docs(), 0u);
+  EXPECT_TRUE(store.snapshot().indices().empty());
+  EXPECT_FALSE(store.snapshot().aggregate_column("anything", "x", "ts_ns", 0, 1)
                    .has_value());
   EXPECT_FALSE(fs::exists(dir));
 }
@@ -876,17 +895,18 @@ TEST(StoreTiering, MaintainBoundsSegmentCountLogarithmically) {
   for (int i = 0; i < 256; ++i) {
     store.append("idx", doc_at(i, i));
     store.maintain();
-    max_segments = std::max(max_segments, store.segment_count("idx"));
+    max_segments =
+        std::max(max_segments, store.snapshot().segment_count("idx"));
   }
   // 256 docs / 4-doc seals = 64 seals; untiered that is 64 segments.
   // fanin-2 tiering keeps ~log2(64) + slack live.
   EXPECT_LE(max_segments, 10u);
   EXPECT_GT(store.stats().compactions, 0u);
-  EXPECT_EQ(store.doc_count("idx"), 256u);
+  EXPECT_EQ(store.snapshot().doc_count("idx"), 256u);
 
   // Order and content survived all the merging.
   std::int64_t expect_ts = 0;
-  store.scan("idx", ScanOptions{}, [&](const util::Json& doc) {
+  store.snapshot().scan("idx", ScanOptions{}, [&](const util::Json& doc) {
     EXPECT_EQ(doc.at("ts_ns").as_int(), expect_ts);
     ++expect_ts;
     return true;
@@ -905,7 +925,7 @@ TEST(StoreTiering, MaintainBoundsSegmentCountLogarithmically) {
     flat.append("idx", doc_at(i, i));
     flat.maintain();
   }
-  EXPECT_EQ(flat.segment_count("idx"), 16u);
+  EXPECT_EQ(flat.snapshot().segment_count("idx"), 16u);
   EXPECT_EQ(flat.stats().compactions, 0u);
 }
 

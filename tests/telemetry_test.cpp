@@ -124,7 +124,7 @@ struct Alg1Fixture : ::testing::Test {
       static_cast<std::uint16_t>(flow_id & kFlowSlotMask);
 
   bool data(std::uint32_t seq, std::uint32_t payload, SimTime t) {
-    return engine.on_data_packet({slot, rev_id, seq, payload, false}, t);
+    return engine.on_data_packet({slot, rev_id, seq, payload}, t);
   }
   std::optional<SimTime> ack(std::uint32_t ackno, SimTime t) {
     // The ACK packet's own flow id is the hash of the reverse tuple.
@@ -199,7 +199,7 @@ TEST(RttLossEngine, SmallTableEvicts) {
   const std::uint16_t slot =
       static_cast<std::uint16_t>(p4::flow_hash(t) & kFlowSlotMask);
   for (std::uint32_t i = 0; i < 64; ++i) {
-    engine.on_data_packet({slot, rev, 1000 + i * 1460, 1460, false}, i);
+    engine.on_data_packet({slot, rev, 1000 + i * 1460, 1460}, i);
   }
   EXPECT_GT(engine.eack_evictions(), 0u);
 }

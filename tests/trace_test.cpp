@@ -687,6 +687,37 @@ TEST(TraceCli, ReplayRunsThePipeline) {
   EXPECT_NE(out3.find("replayed 5 frames\n"), std::string::npos) << out3;
 }
 
+// Records out of timestamp order: the horizon is the latest timestamp,
+// not the last record's, so replay processes every frame and stats spans
+// the earliest to the latest.
+TEST(TraceCli, OutOfOrderCaptureReplaysToItsLatestTimestamp) {
+  const std::string path = per_test_path(".ingress.pcap");
+  {
+    const std::vector<std::uint8_t> wire = serialized(net::make_tcp_packet(
+        net::ipv4(10, 0, 0, 10), net::ipv4(10, 1, 0, 10), 5001, 5201, 1, 0,
+        net::tcpflags::kAck, 1000, 65535));
+    trace::PcapWriter writer(path);
+    writer.write(100, wire);
+    writer.write(units::seconds(5), wire);
+    writer.write(200, wire);
+  }
+  std::string out, err;
+  ASSERT_EQ(run_cli({"replay", path, "--runout-seconds", "1"}, &out, &err), 0)
+      << err;
+  EXPECT_NE(out.find("replayed 3 frames\nprocessed: 3, parse errors: 0"),
+            std::string::npos)
+      << out;
+  ASSERT_EQ(run_cli({"stats", path}, &out, &err), 0) << err;
+  EXPECT_NE(out.find("time span: 0.000000s .. 5.000000s\n"),
+            std::string::npos)
+      << out;
+  ASSERT_EQ(run_cli({"info", path}, &out, &err), 0) << err;
+  EXPECT_NE(out.find("time span: 0.000000s .. 5.000000s (duration "
+                     "5.000000s)"),
+            std::string::npos)
+      << out;
+}
+
 TEST(TraceCli, ReplayInstallsAMeasurementProgram) {
   TwoPortFixture fx;
   const std::string good = temp_path("byte_counter.mpl.json");
