@@ -301,7 +301,9 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
         if (k == "enabled") {
           s.enabled = reader.boolean(v, path);
         } else if (k == "reader_threads") {
-          s.reader_threads = reader.unsigned_int(v, path);
+          if (reader.unsigned_int(v, path) != 0) {
+            reader.fail(path, "must be 0 (queries run on the calling thread)");
+          }
         } else {
           return false;
         }

@@ -63,10 +63,7 @@ MonitoringSystem::MonitoringSystem(MonitoringSystemConfig config)
     psonar_->archiver().set_backend(
         std::make_unique<ps::StoreBackend>(*store_));
     if (config_.serving.enabled) {
-      ps::StoreServerConfig server_config;
-      server_config.reader_threads = config_.serving.reader_threads;
-      store_server_ =
-          std::make_unique<ps::StoreServer>(*store_, server_config);
+      store_server_.emplace(std::make_unique<ps::StoreBackend>(*store_));
     }
   } else if (config_.serving.enabled) {
     throw std::invalid_argument(

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "controlplane/control_plane.hpp"
@@ -34,9 +35,9 @@
 #include "net/report_channel.hpp"
 #include "net/topology.hpp"
 #include "p4/p4_switch.hpp"
+#include "psonar/archiver.hpp"
 #include "psonar/node.hpp"
 #include "quic/flow.hpp"
-#include "psonar/store_server.hpp"
 #include "sim/simulation.hpp"
 #include "store/store.hpp"
 #include "tcp/flow.hpp"
@@ -77,14 +78,12 @@ struct ArchiveConfig {
   SimTime maintenance_interval = units::seconds(1);
 };
 
-/// Configuration of the concurrent query-serving path over the durable
-/// store (the config loader's "serving" section). Only meaningful with
-/// archive.durable: a ps::StoreServer with reader_threads workers fronts
-/// the store (store_server()).
+/// Configuration of the dashboard query path over the durable store (the
+/// config loader's "serving" section). Only meaningful with
+/// archive.durable: a query-only ps::Archiver over the store answers
+/// dashboard queries on the calling thread (store_server()).
 struct ServingConfig {
   bool enabled = false;
-  /// Reader threads behind the async StoreServer API.
-  std::size_t reader_threads = 4;
 };
 
 struct MonitoringSystemConfig {
@@ -245,10 +244,11 @@ class MonitoringSystem {
 
   /// Whether the concurrent serving path is active (serving.enabled on a
   /// durable archive).
-  bool serving() const { return store_server_ != nullptr; }
-  /// The thread-safe query server over the durable store (only with
-  /// serving.enabled).
-  ps::StoreServer& store_server() { return *store_server_; }
+  bool serving() const { return store_server_.has_value(); }
+  /// The query-only archiver over the durable store (only with
+  /// serving.enabled). Its queries are safe from any thread: each reads
+  /// one pinned store snapshot while the writer goes on.
+  const ps::Archiver& store_server() const { return *store_server_; }
 
   /// Whether pcap capture of the mirror streams is active (switch 0).
   bool capturing() const { return switches_[0]->capturing(); }
@@ -274,7 +274,7 @@ class MonitoringSystem {
   net::PaperTopology topology_;
   std::vector<std::unique_ptr<MonitoredSwitch>> switches_;
   std::unique_ptr<store::Store> store_;  // before psonar_: archiver backend
-  std::unique_ptr<ps::StoreServer> store_server_;
+  std::optional<ps::Archiver> store_server_;  // query-only
   std::unique_ptr<ps::PerfSonarNode> psonar_;
   std::unique_ptr<net::ReportChannel> channel_;
   std::unique_ptr<net::FaultInjector> fault_injector_;

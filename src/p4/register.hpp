@@ -8,8 +8,6 @@
 //  * the control plane reads cells (or the whole array) and may reset
 //    them through the vendor "driver" API — exactly the interface the
 //    paper's control plane uses to extract measurements at run time.
-// Access counters make data-plane/control-plane traffic observable in
-// tests and micro-benchmarks.
 #pragma once
 
 #include <cassert>
@@ -30,13 +28,11 @@ class RegisterArray {
 
   T read(std::size_t index) {
     assert(index < cells_.size());
-    ++dp_reads_;
     return cells_[index];
   }
 
   void write(std::size_t index, T value) {
     assert(index < cells_.size());
-    ++dp_writes_;
     cells_[index] = value;
   }
 
@@ -46,7 +42,6 @@ class RegisterArray {
   template <typename Fn>
   auto execute(std::size_t index, Fn&& fn) {
     assert(index < cells_.size());
-    ++dp_rmws_;
     return fn(cells_[index]);
   }
 
@@ -54,42 +49,25 @@ class RegisterArray {
 
   T cp_read(std::size_t index) const {
     assert(index < cells_.size());
-    ++cp_reads_;
     return cells_[index];
   }
 
   /// Bulk read of the whole array (the driver's sync-and-read).
-  std::vector<T> cp_read_all() const {
-    cp_reads_ += cells_.size();
-    return cells_;
-  }
+  std::vector<T> cp_read_all() const { return cells_; }
 
   void cp_write(std::size_t index, T value) {
     assert(index < cells_.size());
-    ++cp_writes_;
     cells_[index] = value;
   }
 
   /// Reset every cell to the initial value.
   void cp_clear() {
-    cp_writes_ += cells_.size();
     std::fill(cells_.begin(), cells_.end(), initial_);
   }
-
-  std::uint64_t data_plane_reads() const { return dp_reads_; }
-  std::uint64_t data_plane_writes() const { return dp_writes_; }
-  std::uint64_t data_plane_rmws() const { return dp_rmws_; }
-  std::uint64_t control_plane_reads() const { return cp_reads_; }
-  std::uint64_t control_plane_writes() const { return cp_writes_; }
 
  private:
   std::vector<T> cells_;
   T initial_;
-  std::uint64_t dp_reads_ = 0;
-  std::uint64_t dp_writes_ = 0;
-  std::uint64_t dp_rmws_ = 0;
-  mutable std::uint64_t cp_reads_ = 0;
-  std::uint64_t cp_writes_ = 0;
 };
 
 }  // namespace p4s::p4

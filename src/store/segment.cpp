@@ -169,11 +169,6 @@ SegmentBuildResult write_segment(const std::string& path,
         put_u64(encoded, bits);
       }
     }
-    if (is_time && summary.count > 0) {
-      info.has_time = true;
-      info.min_ts = static_cast<std::int64_t>(summary.min);
-      info.max_ts = static_cast<std::int64_t>(summary.max);
-    }
     summaries[field] = summary;
     put_blob(columns_block, encoded);
   }
@@ -220,9 +215,6 @@ SegmentBuildResult write_segment(const std::string& path,
   header["docs"] = docs.size();
   header["base_seq"] = base_seq;
   header["time_field"] = time_field;
-  header["has_time"] = info.has_time;
-  header["min_ts"] = info.min_ts;
-  header["max_ts"] = info.max_ts;
   header["bloom_hashes"] = kBloomHashes;
   util::JsonArray posting_meta;
   for (const auto& field : posting_fields) {
@@ -305,9 +297,6 @@ Segment Segment::load(const std::string& path) {
     seg.info_.docs = static_cast<std::uint64_t>(header.at("docs").as_int());
     seg.info_.base_seq =
         static_cast<std::uint64_t>(header.at("base_seq").as_int());
-    seg.info_.has_time = header.at("has_time").as_bool();
-    seg.info_.min_ts = header.at("min_ts").as_int();
-    seg.info_.max_ts = header.at("max_ts").as_int();
     seg.time_field_ = header.at("time_field").as_string();
     seg.bloom_hashes_ =
         static_cast<std::uint32_t>(header.at("bloom_hashes").as_int());

@@ -4,7 +4,7 @@
 // [base_seq, base_seq + docs). Layout:
 //
 //   u32 magic "P4SG"  u32 version
-//   blob header_json        — index, docs, base_seq, time stats,
+//   blob header_json        — index, docs, base_seq, time field,
 //                             per-column summaries, bloom parameters,
 //                             posting-indexed fields
 //   blob docs_block         — per doc: blob of its JSON text
@@ -19,9 +19,10 @@
 //                             delta-varint row ids
 //   u32 crc32               — over everything after magic+version
 //
-// The header carries everything query planning needs (min/max time,
-// per-column min/max/sum/count, term bloom, posting coverage) so
-// ArchiverQuery time ranges and exact-match terms can prune a segment
+// The header carries everything query planning needs (per-column
+// min/max/sum/count — the time column's bounds are the segment's time
+// span — term bloom, posting coverage) so ArchiverQuery time ranges and
+// exact-match terms can prune a segment
 // without touching its documents, and no-filter aggregations can combine
 // column summaries without parsing a single JSON byte. Posting lists go
 // one step further than the bloom filter: for a covered field, a term
@@ -85,12 +86,6 @@ struct SegmentInfo {
   std::string index;
   std::uint64_t docs = 0;
   std::uint64_t base_seq = 0;
-  /// Time stats over documents carrying a numeric time field. has_time is
-  /// false when no document did — a time-range query prunes the whole
-  /// segment then.
-  bool has_time = false;
-  std::int64_t min_ts = 0;
-  std::int64_t max_ts = 0;
 };
 
 /// Build the bloom/term key for an exact-match term (dotted path and the

@@ -162,9 +162,6 @@ Manifest decode_manifest(const std::string& text, const std::string& where) {
         }
         // Both terms are below 2^63, so the sum cannot wrap.
         next_seq = seg.info.base_seq + seg.info.docs;
-        seg.info.has_time = member(listed, seg_at, "has_time").as_bool();
-        seg.info.min_ts = integer(member(listed, seg_at, "min_ts"));
-        seg.info.max_ts = integer(member(listed, seg_at, "max_ts"));
         for (const auto& [field, summary] :
              member(listed, seg_at, "columns").as_object()) {
           const std::string col_at = seg_at + ".columns." + field;
@@ -674,9 +671,6 @@ void Store::write_manifest(const detail::StoreView& view) const {
       seg["file"] = handle->file;
       seg["docs"] = handle->info.docs;
       seg["base_seq"] = handle->info.base_seq;
-      seg["has_time"] = handle->info.has_time;
-      seg["min_ts"] = handle->info.min_ts;
-      seg["max_ts"] = handle->info.max_ts;
       util::Json columns = util::Json::object();
       for (const auto& [field, summary] : handle->summaries) {
         columns[field] = summary_to_json(summary);

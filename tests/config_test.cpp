@@ -374,12 +374,19 @@ TEST(ConfigLoader, LoadedConfigBuildsWorkingSystem) {
 TEST(ConfigLoader, ServingSection) {
   const std::string dir =
       ::testing::TempDir() + "p4s_config_serving_section";
-  const auto config = core::config_from_text(R"({
-    "archive": {"backend": "store", "dir": ")" + dir + R"("},
+  const std::string archive =
+      R"("archive": {"backend": "store", "dir": ")" + dir + R"("})";
+  EXPECT_TRUE(core::config_from_text("{" + archive + R"(,
+    "serving": {"enabled": true}
+  })").serving.enabled);
+  // Queries run on the calling thread: 0 is the one reader count.
+  EXPECT_TRUE(core::config_from_text("{" + archive + R"(,
+    "serving": {"enabled": true, "reader_threads": 0}
+  })").serving.enabled);
+  EXPECT_THROW(core::config_from_text("{" + archive + R"(,
     "serving": {"enabled": true, "reader_threads": 6}
-  })");
-  EXPECT_TRUE(config.serving.enabled);
-  EXPECT_EQ(config.serving.reader_threads, 6u);
+  })"),
+               std::invalid_argument);
   // Defaults: serving is off.
   const auto defaults = core::config_from_text("{}");
   EXPECT_FALSE(defaults.serving.enabled);
@@ -397,7 +404,7 @@ TEST(ConfigLoader, ServingRejectsBadValues) {
                std::invalid_argument);
 }
 
-TEST(ConfigLoader, ServingConfigBuildsSystemWithStoreServer) {
+TEST(ConfigLoader, ServingConfigBuildsSystemWithQueryArchiver) {
   const std::string dir =
       ::testing::TempDir() + "p4s_config_serving_system";
   std::filesystem::remove_all(dir);
@@ -406,7 +413,7 @@ TEST(ConfigLoader, ServingConfigBuildsSystemWithStoreServer) {
     "control": {"flow_idle_timeout_s": 1},
     "archive": {"backend": "store", "dir": ")" + dir + R"(",
                 "seal_min_docs": 8},
-    "serving": {"enabled": true, "reader_threads": 2}
+    "serving": {"enabled": true}
   })");
   core::MonitoringSystem system(config);
   ASSERT_TRUE(system.durable_archive());
@@ -417,11 +424,9 @@ TEST(ConfigLoader, ServingConfigBuildsSystemWithStoreServer) {
   flow.stop_at(units::seconds(3));
   system.run_until(units::seconds(6));
 
-  // The server answers queries over what the run archived.
-  auto& server = system.store_server();
-  EXPECT_EQ(server.stats().reader_threads, 2u);
-  const auto agg =
-      server.submit_aggregate("p4sonar-throughput", "throughput_bps").get();
+  // The query-only archiver answers queries over what the run archived.
+  const ps::Archiver& server = system.store_server();
+  const auto agg = server.aggregate("p4sonar-throughput", "throughput_bps");
   EXPECT_GT(agg.count, 0u);
   EXPECT_EQ(agg.count,
             system.psonar().archiver().doc_count("p4sonar-throughput"));
@@ -738,6 +743,9 @@ TEST(ConfigLoader, DiagnosticTextIsPinned) {
        "config: unknown key 'serving.cache_shards'"},
       {R"({"serving": {"enabled": true}})",
        "config: 'serving.enabled' requires 'archive.backend': 'store'"},
+      {R"({"serving": {"reader_threads": 4}})",
+       "config: 'serving.reader_threads' must be 0 (queries run on the "
+       "calling thread)"},
       {R"({"switches": 3})",
        "config: 'switches' must be an array or an object with 'sites'"},
       {R"({"switches": {"sites": 3}})",

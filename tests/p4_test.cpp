@@ -42,20 +42,6 @@ TEST(RegisterArray, ControlPlaneBulkReadAndClear) {
   EXPECT_EQ(reg.cp_read(2), 5);
 }
 
-TEST(RegisterArray, AccessCountersSeparateDataAndControl) {
-  RegisterArray<int> reg(4, 0);
-  reg.read(0);
-  reg.write(0, 1);
-  reg.execute(0, [](int& v) { return v; });
-  reg.cp_read(0);
-  reg.cp_write(0, 2);
-  EXPECT_EQ(reg.data_plane_reads(), 1u);
-  EXPECT_EQ(reg.data_plane_writes(), 1u);
-  EXPECT_EQ(reg.data_plane_rmws(), 1u);
-  EXPECT_EQ(reg.control_plane_reads(), 1u);
-  EXPECT_EQ(reg.control_plane_writes(), 1u);
-}
-
 // ---------- CRC hashes ----------
 
 TEST(Crc, Crc32KnownVector) {

@@ -1,7 +1,8 @@
 // Tests: the concurrent serving path — snapshot isolation under live
 // writer churn (the 10k-maintain-cycle stress battery), retired-segment
 // GC pinned by snapshots, segments loading once per handle under
-// concurrent readers, and the StoreServer sync/async query APIs.
+// concurrent readers, and dashboard queries through a query-only
+// ps::Archiver over the store.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "psonar/store_server.hpp"
+#include "psonar/archiver.hpp"
+#include "psonar/store_backend.hpp"
 #include "store/store.hpp"
 
 namespace p4s::store {
@@ -297,7 +299,7 @@ TEST(StoreConcurrency, ConcurrentColdReadersLoadEachSegmentOnce) {
             static_cast<std::uint64_t>(kSegments * (kReaders - 1)));
 }
 
-TEST(StoreConcurrency, StoreServerServesSyncAndAsyncQueries) {
+TEST(StoreConcurrency, QueryArchiverAnswersTermAggregateAndLatest) {
   const std::string dir = fresh_dir("server");
   StoreConfig config;
   config.seal_min_docs = 8;
@@ -307,16 +309,14 @@ TEST(StoreConcurrency, StoreServerServesSyncAndAsyncQueries) {
   }
   store.seal("tput");
 
-  ps::StoreServerConfig server_config;
-  server_config.reader_threads = 3;
-  ps::StoreServer server(store, server_config);
+  const ps::Archiver server(std::make_unique<ps::StoreBackend>(store));
 
-  // Sync search with a term.
+  // Search with a term.
   ps::ArchiverQuery term;
   term.terms["switch_id"] = util::Json(std::string("s0"));
   EXPECT_EQ(server.search("tput", term).size(), 20u);
 
-  // Sync aggregate matches the columnar math.
+  // Aggregate matches the columnar math.
   const auto agg = server.aggregate("tput", "throughput_bps");
   EXPECT_EQ(agg.count, 40u);
   EXPECT_DOUBLE_EQ(agg.min, 100.0);
@@ -326,40 +326,14 @@ TEST(StoreConcurrency, StoreServerServesSyncAndAsyncQueries) {
   const auto latest = server.latest_value("tput", "throughput_bps");
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->as_int(), 139);
-
-  // Async: a burst of futures through the reader pool, all consistent,
-  // while the writer keeps appending.
-  std::vector<std::future<std::vector<util::Json>>> searches;
-  std::vector<std::future<ps::ArchiverAggregation>> aggregates;
-  for (int i = 0; i < 16; ++i) {
-    searches.push_back(server.submit_search("tput", term));
-    aggregates.push_back(server.submit_aggregate("tput", "throughput_bps"));
-    store.append("tput", doc_at(1000 + i, 1, "s1"));
-  }
-  for (auto& future : searches) {
-    EXPECT_EQ(future.get().size(), 20u);  // every new doc is s1
-  }
-  std::uint64_t last_count = 0;
-  for (auto& future : aggregates) {
-    const auto a = future.get();
-    EXPECT_GE(a.count, 40u);
-    EXPECT_GE(a.count, last_count);  // snapshots only move forward
-    last_count = a.count;
-  }
-
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.reader_threads, 3u);
-  EXPECT_EQ(stats.async_queries, 32u);
-  EXPECT_GE(stats.searches, 17u);
-  EXPECT_GE(stats.aggregates, 17u);
-  EXPECT_EQ(stats.latest_queries, 1u);
 }
 
 // The dashboards' mixed query load (term, range, aggregate, latest)
-// through a StoreServer while a writer appends, seals and compacts.
+// through a query-only Archiver while a writer appends, seals and
+// compacts.
 // Under a single writer snapshots only move forward, so no reader may
 // see its term-match count shrink; the store must verify clean after.
-TEST(StoreConcurrency, ServerReadersSeeMonotonicTermCountsUnderWriterChurn) {
+TEST(StoreConcurrency, ReadersSeeMonotonicTermCountsUnderWriterChurn) {
   const std::string dir = fresh_dir("serve_churn");
   StoreConfig config;
   config.seal_min_docs = 64;
@@ -378,9 +352,7 @@ TEST(StoreConcurrency, ServerReadersSeeMonotonicTermCountsUnderWriterChurn) {
   };
   write(0, kPreload);
 
-  ps::StoreServerConfig server_config;
-  server_config.reader_threads = 0;  // readers query synchronously
-  const ps::StoreServer server(store, server_config);
+  const ps::Archiver server(std::make_unique<ps::StoreBackend>(store));
   ps::ArchiverQuery term;
   term.terms["switch_id"] = util::Json(std::string("s0"));
   ps::ArchiverQuery recent;

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -189,9 +190,6 @@ TEST(Segments, RoundTripPreservesDocsOrderAndStats) {
                                    {"throughput_bps"});
   EXPECT_EQ(built.info.docs, 3u);
   EXPECT_EQ(built.info.base_seq, 40u);
-  EXPECT_TRUE(built.info.has_time);
-  EXPECT_EQ(built.info.min_ts, 100);
-  EXPECT_EQ(built.info.max_ts, 300);
   const auto& tput = built.summaries.at("throughput_bps");
   EXPECT_EQ(tput.count, 3u);
   EXPECT_EQ(tput.min, 5.0);
@@ -262,6 +260,45 @@ TEST(Segments, TimeColumnDeltasWrapWithoutSignedOverflow) {
   EXPECT_EQ(ts[0], static_cast<double>(-far));
   EXPECT_EQ(ts[1], static_cast<double>(far));
   EXPECT_EQ(ts[2], static_cast<double>(-far));
+}
+
+// Time values at the edge of and past the int64 range seal, scan and
+// prune: the seal reads the time column only into its double summary and
+// never casts the summary back to an integer (one such cast overflowed
+// on INT64_MAX under -fsanitize=float-cast-overflow).
+TEST(Segments, TimeValuesAtAndPastInt64RangeSealAndScan) {
+  const std::vector<util::Json> times = {
+      util::Json(std::numeric_limits<std::int64_t>::max()), util::Json(1e30)};
+  for (const util::Json& ts : times) {
+    SCOPED_TRACE(ts.dump());
+    const std::string dir = fresh_dir("seg_edge_time");
+    Store store(dir);
+    util::Json doc = doc_at(0, 7);
+    doc["ts_ns"] = ts;
+    store.append("idx", doc);
+    store.seal("idx");
+    ASSERT_EQ(store.snapshot().segment_count("idx"), 1u);
+    std::vector<util::Json> seen;
+    store.snapshot().scan("idx", {}, [&](const util::Json& d) {
+      seen.push_back(d);
+      return true;
+    });
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0], doc);
+    // A time range that ends before the document prunes its segment.
+    ScanOptions before;
+    before.range_field = "ts_ns";
+    before.range_max = 1e18;
+    std::size_t visited = 0;
+    store.snapshot().scan("idx", before, [&](const util::Json&) {
+      ++visited;
+      return true;
+    });
+    EXPECT_EQ(visited, 0u);
+    EXPECT_EQ(store.stats().segments_pruned_range, 1u);
+    store.flush();
+    EXPECT_TRUE(Store::verify(dir).ok);
+  }
 }
 
 TEST(Segments, CorruptionRaisesStoreError) {
@@ -686,6 +723,27 @@ TEST(StoreVerify, OpenAndVerifyRefuseTheSameBadManifests) {
   EXPECT_FALSE(Store::verify(dir).ok);
   write_manifest_text(dir, good.dump(2));
   EXPECT_TRUE(Store::verify(dir).ok);
+}
+
+// Manifests written before segments stopped recording their time span
+// list has_time/min_ts/max_ts per segment. The decoder ignores keys it
+// does not read, so such stores still open and verify clean.
+TEST(StoreVerify, ManifestWithRetiredTimeKeysOpensAndVerifies) {
+  const std::string dir = fresh_dir("manifest_retired_keys");
+  build_manifest_test_store(dir);
+  util::Json manifest = util::Json::parse(read_file(dir + "/MANIFEST.json"));
+  for (auto& [name, entry] : manifest["indices"].as_object()) {
+    for (auto& seg : entry["segments"].as_array()) {
+      seg["has_time"] = true;
+      seg["min_ts"] = 0;
+      seg["max_ts"] = 550;
+    }
+  }
+  write_manifest_text(dir, manifest.dump(2));
+  EXPECT_EQ(open_counts(dir), (std::map<std::string, std::uint64_t>{
+                                  {"idx", 12}, {"other", 6}}));
+  const auto result = Store::verify(dir);
+  EXPECT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
 }
 
 // Seeded bit flips, truncations and splices of a real manifest (run
