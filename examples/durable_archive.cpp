@@ -42,8 +42,6 @@ int main(int argc, char** argv) {
         "dir": ")" + dir + R"(",
         "seal_min_docs": 16,
         "compact_fanin": 4,
-        "rollup_bucket_s": 1,
-        "rollup_fields": ["throughput_bps"],
         "maintenance_interval_s": 0.5
       }
     })";
@@ -117,16 +115,26 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(agg.count), agg.avg / 1e6,
               agg.max / 1e6);
 
-  // Pre-computed downsampled rollups (1 s buckets, sealed at compaction
-  // time) — the long-horizon dashboard series.
-  if (const auto* series =
-          reopened.rollup("p4sonar-throughput", "throughput_bps")) {
-    std::printf("\n1s throughput rollups:\n");
-    for (const auto& [start, bucket] : *series) {
-      std::printf("  [%2llds] n=%-3llu mean=%8.2f Mbps\n",
-                  static_cast<long long>(start / 1'000'000'000),
-                  static_cast<unsigned long long>(bucket.count),
-                  bucket.mean() / 1e6);
+  // The long-horizon dashboard series: one ranged aggregation per 1 s
+  // bucket. Segments outside a bucket are pruned by their time
+  // summaries, the rest fold their columns without parsing a document,
+  // and unsealed documents count too.
+  const auto span = archiver.aggregate("p4sonar-throughput", "ts_ns");
+  if (span.count > 0) {
+    std::printf("\n1s throughput series:\n");
+    const auto first = static_cast<SimTime>(span.min) / seconds(1);
+    const auto last = static_cast<SimTime>(span.max) / seconds(1);
+    for (SimTime s = first; s <= last; ++s) {
+      ps::Archiver::Query bucket;
+      bucket.range_field = "ts_ns";
+      bucket.range_min = static_cast<double>(seconds(s));
+      bucket.range_max = static_cast<double>(seconds(s + 1) - 1);
+      const auto agg =
+          archiver.aggregate("p4sonar-throughput", "throughput_bps", bucket);
+      if (agg.count == 0) continue;
+      std::printf("  [%2llus] n=%-3llu mean=%8.2f Mbps\n",
+                  static_cast<unsigned long long>(s),
+                  static_cast<unsigned long long>(agg.count), agg.avg / 1e6);
     }
   }
   return 0;

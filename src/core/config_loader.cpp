@@ -75,16 +75,6 @@ std::string topology_host(const std::string& name) {
       "' (dtn_int, psonar_int, ext0..2, psonar_ext0..2)");
 }
 
-std::vector<std::string> string_list(const util::Json& v,
-                                     const std::string& path) {
-  std::vector<std::string> out;
-  for (const auto& entry : reader.array(v, path)) {
-    if (!entry.is_string()) reader.fail(path, "entries must be strings");
-    out.push_back(entry.as_string());
-  }
-  return out;
-}
-
 net::FaultInjector::ScheduledFault parse_fault(const util::Json& entry,
                                                const std::string& where) {
   net::FaultInjector::ScheduledFault fault;
@@ -269,21 +259,12 @@ MonitoringSystemConfig config_from_json(const util::Json& doc) {
           }
         } else if (k == "dir") {
           a.dir = reader.string(v, path);
-        } else if (k == "time_field") {
-          a.store.time_field = reader.string(v, path);
-        } else if (k == "hot_fields") {
-          a.store.hot_fields = string_list(v, path);
         } else if (k == "wal_batch_docs") {
           a.store.wal_batch_docs = reader.unsigned_int(v, path);
         } else if (k == "seal_min_docs") {
           a.store.seal_min_docs = reader.unsigned_int(v, path);
         } else if (k == "compact_fanin") {
           a.store.compact_fanin = reader.unsigned_int(v, path);
-        } else if (k == "rollup_bucket_s") {
-          a.store.rollup_bucket_ns =
-              static_cast<std::uint64_t>(duration(v, path, 1));
-        } else if (k == "rollup_fields") {
-          a.store.rollup_fields = string_list(v, path);
         } else if (k == "maintenance_interval_s") {
           a.maintenance_interval = duration(v, path, 1);
         } else {

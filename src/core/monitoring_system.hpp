@@ -73,7 +73,7 @@ struct ArchiveConfig {
   /// Store directory (required when durable).
   std::string dir;
   store::StoreConfig store;
-  /// Period of the background seal/compact/rollup tick (0 = never; seal
+  /// Period of the background seal/compact tick (0 = never; seal
   /// manually via archive_store()).
   SimTime maintenance_interval = units::seconds(1);
 };

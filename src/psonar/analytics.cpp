@@ -2,20 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 namespace p4s::ps {
+
+namespace {
+
+/// `v` as a timestamp or byte count, or nullopt when it is absent, not a
+/// number, negative or past int64's range. Archived documents are
+/// untrusted: a view skips a document with such a field instead of
+/// failing whole.
+std::optional<std::uint64_t> non_negative_int(
+    const std::optional<util::Json>& v) {
+  if (!v || !v->is_number()) return std::nullopt;
+  try {
+    const std::int64_t i = v->as_int();
+    if (i < 0) return std::nullopt;
+    return static_cast<std::uint64_t>(i);
+  } catch (const util::JsonError&) {
+    return std::nullopt;
+  }
+}
+
+}  // namespace
 
 std::vector<Analytics::TrendBucket> Analytics::throughput_trend(
     const std::string& dst_ip, SimTime bucket) const {
   std::map<SimTime, TrendBucket> buckets;
   Archiver::Query query;
   query.terms["flow.dst_ip"] = util::Json(dst_ip);
-  for (const auto& doc : archiver_.search("p4sonar-throughput", query)) {
-    const auto ts = Archiver::field_at(doc, "ts_ns");
+  archiver_.for_each("p4sonar-throughput", query, [&](const util::Json& doc) {
+    const auto ts = non_negative_int(Archiver::field_at(doc, "ts_ns"));
     const auto bps = Archiver::field_at(doc, "throughput_bps");
-    if (!ts || !bps || !bps->is_number()) continue;
-    const SimTime start =
-        static_cast<SimTime>(ts->as_int()) / bucket * bucket;
+    if (!ts || !bps || !bps->is_number()) return true;
+    const SimTime start = *ts / bucket * bucket;
     TrendBucket& b = buckets[start];
     b.start = start;
     // Incremental mean.
@@ -23,7 +43,8 @@ std::vector<Analytics::TrendBucket> Analytics::throughput_trend(
     b.mean_throughput_bps +=
         (bps->as_double() - b.mean_throughput_bps) /
         static_cast<double>(b.samples);
-  }
+    return true;
+  });
   std::vector<TrendBucket> out;
   out.reserve(buckets.size());
   for (const auto& [start, b] : buckets) {
@@ -36,14 +57,17 @@ std::vector<Analytics::TrendBucket> Analytics::throughput_trend(
 std::vector<Analytics::Talker> Analytics::top_talkers(
     std::size_t limit) const {
   std::map<std::string, Talker> talkers;
-  for (const auto& doc : archiver_.search("p4sonar-flow_final")) {
+  archiver_.for_each("p4sonar-flow_final", {}, [&](const util::Json& doc) {
     const auto dst = Archiver::field_at(doc, "flow.dst_ip");
-    const auto bytes = Archiver::field_at(doc, "bytes");
+    const auto bytes = non_negative_int(Archiver::field_at(doc, "bytes"));
     const auto retx = Archiver::field_at(doc, "retransmission_pct");
-    if (!dst || !bytes) continue;
+    if (!dst || !dst->is_string() || !bytes ||
+        (retx && !retx->is_number())) {
+      return true;
+    }
     Talker& t = talkers[dst->as_string()];
     t.dst_ip = dst->as_string();
-    const auto b = static_cast<std::uint64_t>(bytes->as_int());
+    const std::uint64_t b = *bytes;
     // Bytes-weighted retransmission percentage.
     const double prev_weight = static_cast<double>(t.bytes);
     t.bytes += b;
@@ -54,7 +78,8 @@ std::vector<Analytics::Talker> Analytics::top_talkers(
            retx->as_double() * static_cast<double>(b)) /
           static_cast<double>(t.bytes);
     }
-  }
+    return true;
+  });
   std::vector<Talker> out;
   out.reserve(talkers.size());
   for (const auto& [dst, t] : talkers) {
@@ -75,23 +100,27 @@ std::vector<Analytics::Anomaly> Analytics::detect_anomalies(
   double ewma = 0.0;
   double mad = 0.0;  // running mean absolute deviation
   std::size_t n = 0;
-  for (const auto& doc : archiver_.search(index, query)) {
+  archiver_.for_each(index, query, [&](const util::Json& doc) {
     const auto value = Archiver::field_at(doc, field);
+    if (!value || !value->is_number()) return true;
+    // A point without a timestamp reports at 0; one with a malformed
+    // timestamp is skipped before it moves the baseline.
     const auto ts = Archiver::field_at(doc, "ts_ns");
-    if (!value || !value->is_number()) continue;
+    const auto at = non_negative_int(ts);
+    if (ts && !at) return true;
     const double v = value->as_double();
     if (n == 0) {
       ewma = v;
       mad = 0.0;
       ++n;
-      continue;
+      return true;
     }
     const double dev = std::abs(v - ewma);
     const bool armed = n >= config.warmup;
     const double band = config.band_factor * std::max(mad, 1e-9);
     if (armed && mad > 0.0 && dev > band) {
       Anomaly a;
-      a.at = ts ? static_cast<SimTime>(ts->as_int()) : 0;
+      a.at = at.value_or(0);
       a.value = v;
       a.expected = ewma;
       a.deviation = dev / band;
@@ -105,7 +134,8 @@ std::vector<Analytics::Anomaly> Analytics::detect_anomalies(
       mad += config.alpha * (dev - mad);
     }
     ++n;
-  }
+    return true;
+  });
   return anomalies;
 }
 

@@ -103,32 +103,29 @@ std::string term_key(const std::string& path, const util::Json& value) {
   return path + "=" + value.dump();
 }
 
-SegmentBuildResult write_segment(const std::string& path,
-                                 const std::string& index,
-                                 std::uint64_t base_seq,
-                                 const std::vector<util::Json>& docs,
-                                 const std::string& time_field,
-                                 const std::vector<std::string>& hot_fields) {
-  std::vector<const util::Json*> borrowed;
-  borrowed.reserve(docs.size());
-  for (const auto& doc : docs) borrowed.push_back(&doc);
-  return write_segment(path, index, base_seq, borrowed, time_field,
-                       hot_fields);
+bool is_columnar(std::string_view field) {
+  return field == kTimeField ||
+         std::find(kHotFields.begin(), kHotFields.end(), field) !=
+             kHotFields.end();
 }
 
 SegmentBuildResult write_segment(const std::string& path,
                                  const std::string& index,
                                  std::uint64_t base_seq,
-                                 const std::vector<const util::Json*>& docs,
-                                 const std::string& time_field,
-                                 const std::vector<std::string>& hot_fields) {
-  // Column order: time field first, then the hot fields (deduplicated).
-  std::vector<std::string> columns{time_field};
-  for (const auto& f : hot_fields) {
-    if (std::find(columns.begin(), columns.end(), f) == columns.end()) {
-      columns.push_back(f);
-    }
-  }
+                                 const std::vector<util::Json>& docs) {
+  std::vector<const util::Json*> borrowed;
+  borrowed.reserve(docs.size());
+  for (const auto& doc : docs) borrowed.push_back(&doc);
+  return write_segment(path, index, base_seq, borrowed);
+}
+
+SegmentBuildResult write_segment(const std::string& path,
+                                 const std::string& index,
+                                 std::uint64_t base_seq,
+                                 const std::vector<const util::Json*>& docs) {
+  // Column order: time field first, then the hot fields.
+  std::vector<std::string> columns{std::string(kTimeField)};
+  columns.insert(columns.end(), kHotFields.begin(), kHotFields.end());
 
   std::string docs_block;
   std::vector<TermOccurrence> terms;
@@ -147,7 +144,7 @@ SegmentBuildResult write_segment(const std::string& path,
     ColumnSummary summary;
     std::string encoded;
     std::int64_t prev_int = 0;  // delta base for the time column
-    const bool is_time = field == time_field;
+    const bool is_time = field == kTimeField;
     for (const util::Json* doc_ptr : docs) {
       const auto value = json_field_at(*doc_ptr, field);
       if (!value.has_value() || !value->is_number()) {
@@ -214,7 +211,7 @@ SegmentBuildResult write_segment(const std::string& path,
   header["index"] = index;
   header["docs"] = docs.size();
   header["base_seq"] = base_seq;
-  header["time_field"] = time_field;
+  header["time_field"] = std::string(kTimeField);
   header["bloom_hashes"] = kBloomHashes;
   util::JsonArray posting_meta;
   for (const auto& field : posting_fields) {

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -54,9 +55,19 @@ inline constexpr std::uint32_t kSegmentMagic = 0x47533450;  // "P4SG" LE
 /// v2 added the postings block; no other version is read.
 inline constexpr std::uint32_t kSegmentVersion = 2;
 
+/// The time field: always the first column, delta-encoded. Every
+/// segment's header names it.
+inline constexpr std::string_view kTimeField = "ts_ns";
+/// The other numeric fields every segment encodes columnar.
+inline constexpr std::array<std::string_view, 2> kHotFields = {
+    "throughput_bps", "bytes"};
+
+/// True for kTimeField and kHotFields: the fields whose per-segment
+/// summaries answer aggregations and prune ranges.
+bool is_columnar(std::string_view field);
+
 /// Numeric statistics for one hot column, over the documents that carry
-/// the field as a number (count says how many did). The same fold serves
-/// column aggregates and rollup buckets.
+/// the field as a number (count says how many did).
 struct ColumnSummary {
   std::uint64_t count = 0;
   double min = 0.0;
@@ -107,24 +118,19 @@ struct SegmentBuildResult {
 };
 
 /// Write a sealed segment. `docs` are the documents in sequence order
-/// (seq = base_seq + position). `time_field` and `hot_fields` name the
-/// dotted numeric paths to encode columnar (the time field is always a
-/// column). Throws StoreError on I/O failure.
+/// (seq = base_seq + position). kTimeField and kHotFields are encoded
+/// columnar. Throws StoreError on I/O failure.
 SegmentBuildResult write_segment(const std::string& path,
                                  const std::string& index,
                                  std::uint64_t base_seq,
-                                 const std::vector<util::Json>& docs,
-                                 const std::string& time_field,
-                                 const std::vector<std::string>& hot_fields);
+                                 const std::vector<util::Json>& docs);
 
 /// Same, over borrowed documents (the store's memtable chunks hand out
 /// shared documents; sealing must not deep-copy them first).
 SegmentBuildResult write_segment(const std::string& path,
                                  const std::string& index,
                                  std::uint64_t base_seq,
-                                 const std::vector<const util::Json*>& docs,
-                                 const std::string& time_field,
-                                 const std::vector<std::string>& hot_fields);
+                                 const std::vector<const util::Json*>& docs);
 
 /// A loaded, validated segment. Load reads and checksums the whole file
 /// up front; document JSON is parsed lazily per visit.

@@ -7,12 +7,6 @@ namespace p4s::store {
 
 namespace detail {
 
-bool ReadContext::is_columnar(const std::string& field) const {
-  if (field == time_field) return true;
-  return std::find(hot_fields.begin(), hot_fields.end(), field) !=
-         hot_fields.end();
-}
-
 SegmentHandle::~SegmentHandle() {
   if (!retired.load(std::memory_order_acquire)) return;
   // Last reference died after compaction replaced this segment: unlink
@@ -220,9 +214,9 @@ std::optional<ColumnAggregate> Snapshot::aggregate_column(
     const std::string& index, const std::string& field,
     const std::string& range_field, std::optional<double> range_min,
     std::optional<double> range_max) const {
-  if (!ctx_->is_columnar(field)) return std::nullopt;
+  if (!is_columnar(field)) return std::nullopt;
   const bool ranged = !range_field.empty();
-  if (ranged && !ctx_->is_columnar(range_field)) return std::nullopt;
+  if (ranged && !is_columnar(range_field)) return std::nullopt;
 
   const auto in_range = [&](double v) {
     if (range_min.has_value() && v < *range_min) return false;

@@ -79,15 +79,11 @@ struct StoreCounters {
 };
 
 /// Everything the read path needs, shared (refcounted) between the
-/// Store, its snapshots, and its segment handles: the directory, the
-/// columnar field configuration, and the counters.
+/// Store, its snapshots, and its segment handles: the directory and the
+/// counters.
 struct ReadContext {
   std::string dir;
-  std::string time_field;
-  std::vector<std::string> hot_fields;
   StoreCounters counters;
-
-  bool is_columnar(const std::string& field) const;
 };
 
 /// An immutable slice of one index's memtable. Documents are shared

@@ -41,12 +41,6 @@ std::string sanitize(const std::string& name) {
   return out;
 }
 
-std::int64_t bucket_start(std::int64_t t, std::int64_t bucket) {
-  std::int64_t q = t / bucket;
-  if (t % bucket != 0 && t < 0) --q;
-  return q * bucket;
-}
-
 util::Json summary_to_json(const ColumnSummary& s) {
   util::Json j = util::Json::object();
   j["count"] = s.count;
@@ -59,7 +53,9 @@ util::Json summary_to_json(const ColumnSummary& s) {
 // ---- MANIFEST.json ------------------------------------------------------
 //
 // decode_manifest is the one reader of the manifest: opening a store and
-// Store::verify both go through it, so they agree on what is valid.
+// Store::verify both go through it, so they agree on what is valid. Keys
+// it does not read are ignored, so manifests that still carry retired
+// ones (a `rollups` section, a segment's `min_ts`) open and verify.
 
 struct ManifestSegment {
   std::string file;  // "seg/<name>", relative to the store directory
@@ -75,7 +71,6 @@ struct ManifestIndex {
 struct Manifest {
   std::uint64_t next_segment_id = 0;
   std::map<std::string, ManifestIndex> indices;
-  std::map<std::string, std::map<std::string, RollupSeries>> rollups;
 };
 
 /// A segment file lives directly under seg/: the store unlinks retired
@@ -179,26 +174,6 @@ Manifest decode_manifest(const std::string& text, const std::string& where) {
              " docs");
       }
     }
-    if (!doc.contains("rollups")) return manifest;
-    for (const auto& [name, fields] :
-         member(doc, "", "rollups").as_object()) {
-      path = "rollups." + name;
-      for (const auto& [field, rows] : fields.as_object()) {
-        const std::string rows_at = "rollups." + name + "." + field;
-        path = rows_at;
-        RollupSeries& series = manifest.rollups[name][field];
-        for (std::size_t i = 0; i < rows.as_array().size(); ++i) {
-          path = rows_at + "[" + std::to_string(i) + "]";
-          const auto& row = rows.as_array()[i].as_array();
-          if (row.size() != 5) fail("must be [start, count, min, max, sum]");
-          RollupBucket& bucket = series[integer(row[0])];
-          bucket.count = count(row[1]);
-          bucket.min = row[2].as_double();
-          bucket.max = row[3].as_double();
-          bucket.sum = row[4].as_double();
-        }
-      }
-    }
   } catch (const util::JsonError& e) {
     if (path.empty()) throw StoreError(where + ": " + e.what());
     fail(std::string("is malformed: ") + e.what());
@@ -233,8 +208,6 @@ Store::Store(std::string dir, StoreConfig config, OpenMode mode)
       read_only_(mode == OpenMode::read_only) {
   ctx_ = std::make_shared<detail::ReadContext>();
   ctx_->dir = dir_;
-  ctx_->time_field = config_.time_field;
-  ctx_->hot_fields = config_.hot_fields;
   if (!read_only_) {
     fs::create_directories(dir_ + "/" + kSegmentDir);
   }
@@ -384,13 +357,10 @@ void Store::seal_locked(const std::string& index) {
   }
 
   const std::string file = segment_path(index);
-  auto built = write_segment(dir_ + "/" + file, index, old->sealed_docs, docs,
-                             config_.time_field, config_.hot_fields);
+  auto built = write_segment(dir_ + "/" + file, index, old->sealed_docs, docs);
   failpoint("seal.segment_written");
   auto handle = std::make_shared<detail::SegmentHandle>(
       ctx_, file, built.info, std::move(built.summaries));
-
-  fold_rollups(index, docs);
 
   auto next = std::make_shared<detail::IndexView>(*old);
   next->sealed_docs += next->memtable_count;
@@ -455,8 +425,7 @@ void Store::merge_segments_locked(const std::string& index, std::size_t first,
 
   const std::uint64_t base_seq = old->segments[first]->info.base_seq;
   const std::string file = segment_path(index);
-  auto built = write_segment(dir_ + "/" + file, index, base_seq, docs,
-                             config_.time_field, config_.hot_fields);
+  auto built = write_segment(dir_ + "/" + file, index, base_seq, docs);
   failpoint("compact.segment_written");
   auto merged = std::make_shared<detail::SegmentHandle>(
       ctx_, file, built.info, std::move(built.summaries));
@@ -571,24 +540,6 @@ void Store::maintain() {
   }
 }
 
-const RollupSeries* Store::rollup(const std::string& index,
-                                  const std::string& field) const {
-  const auto it = rollups_.find(index);
-  if (it == rollups_.end()) return nullptr;
-  const auto fit = it->second.find(field);
-  return fit == it->second.end() ? nullptr : &fit->second;
-}
-
-std::vector<std::string> Store::rollup_fields(const std::string& index) const {
-  std::vector<std::string> fields;
-  const auto it = rollups_.find(index);
-  if (it == rollups_.end()) return fields;
-  for (const auto& [field, series] : it->second) {
-    if (!series.empty()) fields.push_back(field);
-  }
-  return fields;
-}
-
 StoreStats Store::stats() const {
   StoreStats out;
   out.wal_batches_replayed = wal_batches_replayed_;
@@ -619,28 +570,6 @@ StoreStats Store::stats() const {
   return out;
 }
 
-void Store::fold_rollups(const std::string& index,
-                         const std::vector<const util::Json*>& docs) {
-  if (config_.rollup_fields.empty() || config_.rollup_bucket_ns == 0) {
-    return;
-  }
-  const auto bucket_ns =
-      static_cast<std::int64_t>(config_.rollup_bucket_ns);
-  for (const auto& field : config_.rollup_fields) {
-    auto& series = rollups_[index][field];
-    for (const util::Json* doc : docs) {
-      const auto ts = json_field_at(*doc, config_.time_field);
-      const auto value = json_field_at(*doc, field);
-      if (!ts.has_value() || !ts->is_number() || !value.has_value() ||
-          !value->is_number()) {
-        continue;
-      }
-      const auto t = static_cast<std::int64_t>(ts->as_double());
-      series[bucket_start(t, bucket_ns)].add(value->as_double());
-    }
-  }
-}
-
 void Store::load_manifest(BuildMap& indices) {
   Manifest manifest = read_manifest(dir_);
   next_segment_id_ = manifest.next_segment_id;
@@ -654,7 +583,6 @@ void Store::load_manifest(BuildMap& indices) {
     }
     indices[name] = std::move(state);
   }
-  rollups_ = std::move(manifest.rollups);
 }
 
 void Store::write_manifest(const detail::StoreView& view) const {
@@ -682,25 +610,6 @@ void Store::write_manifest(const detail::StoreView& view) const {
     indices[name] = std::move(entry);
   }
   doc["indices"] = std::move(indices);
-  util::Json rollups = util::Json::object();
-  for (const auto& [name, fields] : rollups_) {
-    util::Json per_field = util::Json::object();
-    for (const auto& [field, series] : fields) {
-      util::JsonArray rows;
-      for (const auto& [start, bucket] : series) {
-        util::JsonArray row;
-        row.push_back(start);
-        row.push_back(bucket.count);
-        row.push_back(bucket.min);
-        row.push_back(bucket.max);
-        row.push_back(bucket.sum);
-        rows.push_back(util::Json(std::move(row)));
-      }
-      per_field[field] = util::Json(std::move(rows));
-    }
-    rollups[name] = std::move(per_field);
-  }
-  doc["rollups"] = std::move(rollups);
 
   const std::string tmp = dir_ + "/MANIFEST.tmp";
   {

@@ -2,9 +2,9 @@
 //
 // One Store owns a directory:
 //
-//   <dir>/MANIFEST.json   — authoritative segment list, sealed-doc counts
-//                           per index, and materialized rollups; replaced
-//                           atomically (tmp + rename)
+//   <dir>/MANIFEST.json   — authoritative segment list and sealed-doc
+//                           counts per index, with each segment's column
+//                           summaries; replaced atomically (tmp + rename)
 //   <dir>/wal.log         — write-ahead log of not-yet-sealed documents
 //   <dir>/seg/<index>-<id>.seg
 //                         — immutable sealed segments (segment.hpp)
@@ -12,14 +12,13 @@
 // Write path: append() buffers the document in the index's memtable and
 // the WAL's pending batch; every `wal_batch_docs` appends (or an explicit
 // flush()) commits a length+CRC framed batch. seal() turns a memtable
-// into a sealed segment, folds the sealed documents into the rollup
-// series, rewrites the manifest, and rotates the WAL down to what is
-// still unsealed. maintain() seals memtables at/above seal_min_docs and
-// runs tiered compaction: segments are bucketed by size tier
-// (floor(log_fanin(docs / seal_min_docs))) and any run of `compact_fanin`
-// adjacent same-tier segments merges into one, which bounds the segment
-// count logarithmically in total docs without rewriting the whole index
-// on every pass.
+// into a sealed segment, rewrites the manifest, and rotates the WAL down
+// to what is still unsealed. maintain() seals memtables at/above
+// seal_min_docs and runs tiered compaction: segments are bucketed by size
+// tier (floor(log_fanin(docs / seal_min_docs))) and any run of
+// `compact_fanin` adjacent same-tier segments merges into one, which
+// bounds the segment count logarithmically in total docs without
+// rewriting the whole index on every pass.
 //
 // Recovery invariant: reopening a directory yields exactly the sealed
 // segments named by the manifest plus the longest committed-batch prefix
@@ -38,7 +37,8 @@
 // is released. Each segment is decoded on its first read and kept by its
 // handle until the handle dies; stats() counts those loads (cache misses
 // and hits) and scan pruning so tests and benches can assert both
-// actually happen. All reads go through a Snapshot.
+// actually happen. All reads go through a Snapshot; downsampling is one
+// time-ranged aggregation per bucket (Snapshot::aggregate_column).
 #pragma once
 
 #include <cstdint>
@@ -57,11 +57,9 @@
 
 namespace p4s::store {
 
+/// Write-path tuning. The columnar schema is fixed (kTimeField,
+/// kHotFields in segment.hpp).
 struct StoreConfig {
-  /// Dotted path of the timestamp field (always encoded columnar).
-  std::string time_field = "ts_ns";
-  /// Extra dotted numeric paths encoded columnar in every segment.
-  std::vector<std::string> hot_fields = {"throughput_bps", "bytes"};
   /// Commit the WAL batch automatically every this many appends.
   std::size_t wal_batch_docs = 64;
   /// maintain() seals an index's memtable once it holds at least this
@@ -70,18 +68,7 @@ struct StoreConfig {
   /// maintain() merges any run of this many adjacent same-tier segments
   /// (0 disables compaction).
   std::size_t compact_fanin = 8;
-  /// Downsampling bucket for the rollup series.
-  std::uint64_t rollup_bucket_ns = 1'000'000'000;
-  /// Dotted numeric paths whose per-bucket min/max/mean/count are
-  /// materialized at seal time (empty = no rollups).
-  std::vector<std::string> rollup_fields;
 };
-
-/// One downsampled bucket of a rollup series.
-using RollupBucket = ColumnSummary;
-
-/// bucket start time (ns) -> aggregate.
-using RollupSeries = std::map<std::int64_t, RollupBucket>;
 
 struct StoreStats {
   std::uint64_t wal_batches_replayed = 0;
@@ -153,8 +140,7 @@ class Store {
   void flush();
 
   /// Seal `index`'s memtable into an immutable segment (no-op when the
-  /// memtable is empty). Folds rollups, rewrites the manifest, rotates
-  /// the WAL.
+  /// memtable is empty). Rewrites the manifest and rotates the WAL.
   void seal(const std::string& index);
   void seal_all();
 
@@ -171,15 +157,6 @@ class Store {
   /// Pin the current view. O(1); safe from any thread. Every query —
   /// counts, scans, aggregations — runs on a snapshot.
   Snapshot snapshot() const;
-
-  /// Materialized rollup series (sealed documents only), or nullptr.
-  /// Writer-thread only (rollups fold at seal time).
-  const RollupSeries* rollup(const std::string& index,
-                             const std::string& field) const;
-  /// Fields with a non-empty rollup series for `index`, loaded from the
-  /// manifest or folded since open, whatever config().rollup_fields
-  /// lists. Writer-thread only.
-  std::vector<std::string> rollup_fields(const std::string& index) const;
 
   /// Point-in-time statistics snapshot; safe from any thread.
   StoreStats stats() const;
@@ -230,8 +207,6 @@ class Store {
   void sweep_orphan_segments(const detail::StoreView& view);
   void rotate_wal(const detail::StoreView& view);
   std::string segment_path(const std::string& index);
-  void fold_rollups(const std::string& index,
-                    const std::vector<const util::Json*>& docs);
 
   std::string dir_;
   StoreConfig config_;
@@ -245,7 +220,6 @@ class Store {
 
   /// Serializes all mutating methods (single logical writer).
   std::mutex writer_mu_;
-  std::map<std::string, std::map<std::string, RollupSeries>> rollups_;
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t next_segment_id_ = 0;
 

@@ -35,12 +35,6 @@ int cmd_info(const std::string& dir, std::ostream& out, std::ostream& err) {
       out << "  index " << index << ": " << snapshot.doc_count(index)
           << " docs (" << snapshot.memtable_docs(index) << " unsealed), "
           << snapshot.segment_count(index) << " segment(s)\n";
-      // The manifest records each series' buckets, not the bucket width
-      // it was built with.
-      for (const auto& field : store.rollup_fields(index)) {
-        out << "    rollup " << field << ": "
-            << store.rollup(index, field)->size() << " bucket(s)\n";
-      }
     }
     return 0;
   } catch (const StoreError& e) {

@@ -5,8 +5,8 @@
 //   p4s-store compact <dir> [<index>]
 //   p4s-store dump    <dir> <index> [--limit N] [--newest]
 //
-// `info` prints the manifest view (indices, segments, doc counts, rollup
-// series, WAL state), `verify` structurally checks every segment and the
+// `info` prints the manifest view (indices, segments, doc counts, WAL
+// state), `verify` structurally checks every segment and the
 // WAL (exit 0 clean / 2 corrupt — the golden-trace CI job gates on it),
 // `compact` merges an index's sealed segments, `dump` prints documents
 // as JSON lines. The entry point is separated from main() so tests can

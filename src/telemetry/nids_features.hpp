@@ -62,7 +62,6 @@ class NidsFeatureEngine final : public PacketEngine {
   /// Resets the window counters (flow rows persist for duration/totals).
   std::vector<util::Json> drain_digests(SimTime now);
 
-  std::size_t tracked_flows() const { return flows_.size(); }
   std::uint64_t untracked_flows() const { return untracked_flows_; }
   std::uint64_t alerts_emitted() const { return alerts_emitted_; }
 

@@ -108,7 +108,6 @@ void ElephantMiceGenerator::start() {
     flow->start_at(spec_.start + units::milliseconds(100) * i);
     if (spec_.elephant_bytes == 0) flow->stop_at(end);
     flows_.push_back(std::move(flow));
-    ++elephants_started_;
   }
   // Mice: fixed-rate arrivals of short transfers until the end time.
   if (spec_.mice_per_second > 0.0) {
@@ -121,7 +120,6 @@ void ElephantMiceGenerator::start() {
                      std::make_unique<tcp::TcpFlow>(sim_, src_, dst_, fc);
                  flow->start_at(sim_.now());
                  flows_.push_back(std::move(flow));
-                 ++mice_started_;
                  return true;
                });
   }

@@ -121,12 +121,8 @@ class ElephantMiceGenerator final : public TrafficGenerator {
   void start() override;
   std::string_view kind() const override { return "elephant_mice"; }
   /// Flows launched (packet totals live on the flows themselves).
-  std::uint64_t packets_sent() const override {
-    return elephants_started_ + mice_started_;
-  }
+  std::uint64_t packets_sent() const override { return flows_.size(); }
 
-  std::uint64_t elephants_started() const { return elephants_started_; }
-  std::uint64_t mice_started() const { return mice_started_; }
   const std::vector<std::unique_ptr<tcp::TcpFlow>>& flows() const {
     return flows_;
   }
@@ -137,8 +133,6 @@ class ElephantMiceGenerator final : public TrafficGenerator {
   net::Host& dst_;
   WorkloadSpec spec_;
   std::vector<std::unique_ptr<tcp::TcpFlow>> flows_;
-  std::uint64_t elephants_started_ = 0;
-  std::uint64_t mice_started_ = 0;
 };
 
 /// Factory keyed on spec.kind. `src` is the attacker/sender host; `dst`

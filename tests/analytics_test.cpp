@@ -123,6 +123,85 @@ TEST(Analytics, AnomalyWarmupSuppressesEarlyPoints) {
                   .empty());
 }
 
+// Archived documents are untrusted. A document with a wrong-typed or
+// out-of-range field is skipped, so every view over good documents plus
+// malformed ones equals the view over the good documents alone.
+TEST(Analytics, MalformedDocumentsAreSkipped) {
+  Archiver good;
+  Archiver mixed;
+  const auto both = [&](const char* index, const util::Json& doc) {
+    good.index(index, doc);
+    mixed.index(index, doc);
+  };
+  std::vector<util::Json> bad_samples;
+  for (const util::Json& ts :
+       {util::Json("late"), util::Json(1e30), util::Json(-5)}) {
+    util::Json doc = throughput_doc("10.1.0.10", 0, 500e6);
+    doc["ts_ns"] = ts;
+    bad_samples.push_back(std::move(doc));
+  }
+  std::vector<util::Json> bad_finals(5, final_doc("10.1.0.10", 1, 90.0));
+  bad_finals[0]["flow"]["dst_ip"] = 7;
+  bad_finals[1]["bytes"] = "many";
+  bad_finals[2]["bytes"] = 1e30;
+  bad_finals[3]["bytes"] = -1;
+  bad_finals[4]["retransmission_pct"] = "high";
+  for (int i = 0; i < 40; ++i) {
+    const double v = i == 20 ? 20e6 : 100e6 + (i % 2 ? 2e6 : -2e6);
+    both("p4sonar-throughput",
+         throughput_doc("10.1.0.10", std::int64_t{i} * 100'000'000, v));
+    if (i % 10 == 5) {
+      for (const auto& doc : bad_samples) {
+        mixed.index("p4sonar-throughput", doc);
+      }
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    const std::string dst = "10.0.0." + std::to_string(i % 2);
+    both("p4sonar-flow_final", final_doc(dst.c_str(), 1000 * (i + 1), i));
+    mixed.index("p4sonar-flow_final", bad_finals[i]);
+  }
+  mixed.index("p4sonar-flow_final", bad_finals[4]);
+
+  const Analytics expected(good);
+  const Analytics actual(mixed);
+  const auto want_trend =
+      expected.throughput_trend("10.1.0.10", units::seconds(1));
+  const auto got_trend =
+      actual.throughput_trend("10.1.0.10", units::seconds(1));
+  ASSERT_EQ(want_trend.size(), 4u);
+  ASSERT_EQ(got_trend.size(), want_trend.size());
+  for (std::size_t i = 0; i < want_trend.size(); ++i) {
+    EXPECT_EQ(got_trend[i].start, want_trend[i].start);
+    EXPECT_EQ(got_trend[i].samples, want_trend[i].samples);
+    EXPECT_EQ(got_trend[i].mean_throughput_bps,
+              want_trend[i].mean_throughput_bps);
+  }
+
+  const auto want_talkers = expected.top_talkers();
+  const auto got_talkers = actual.top_talkers();
+  ASSERT_EQ(want_talkers.size(), 2u);
+  ASSERT_EQ(got_talkers.size(), want_talkers.size());
+  for (std::size_t i = 0; i < want_talkers.size(); ++i) {
+    EXPECT_EQ(got_talkers[i].dst_ip, want_talkers[i].dst_ip);
+    EXPECT_EQ(got_talkers[i].bytes, want_talkers[i].bytes);
+    EXPECT_EQ(got_talkers[i].flows, want_talkers[i].flows);
+    EXPECT_EQ(got_talkers[i].retransmission_pct,
+              want_talkers[i].retransmission_pct);
+  }
+
+  const auto want_anomalies =
+      expected.detect_anomalies("p4sonar-throughput", "throughput_bps");
+  const auto got_anomalies =
+      actual.detect_anomalies("p4sonar-throughput", "throughput_bps");
+  ASSERT_EQ(want_anomalies.size(), 1u);
+  ASSERT_EQ(got_anomalies.size(), want_anomalies.size());
+  EXPECT_EQ(got_anomalies[0].at, want_anomalies[0].at);
+  EXPECT_EQ(got_anomalies[0].value, want_anomalies[0].value);
+  EXPECT_EQ(got_anomalies[0].expected, want_anomalies[0].expected);
+  EXPECT_EQ(got_anomalies[0].deviation, want_anomalies[0].deviation);
+}
+
 TEST(Analytics, EndToEndAnomalyOnInducedDegradation) {
   // Full-system: a transfer runs cleanly, then heavy loss is injected
   // mid-flow; the archived per-flow throughput series must contain a

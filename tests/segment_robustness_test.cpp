@@ -27,7 +27,7 @@ namespace {
 namespace fs = std::filesystem;
 
 const char* const kSites[] = {"s0", "s1", "s2"};
-const char* const kColumns[] = {"ts_ns", "throughput_bps", "weight"};
+const char* const kColumns[] = {"ts_ns", "throughput_bps", "bytes"};
 
 std::string test_path(const std::string& name) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
@@ -59,7 +59,7 @@ std::string corpus_segment() {
     util::Json doc = util::Json::object();
     doc["ts_ns"] = 1'000 + 37 * i;
     doc["throughput_bps"] = 900'000 + 1'111 * i;
-    if (i % 3 != 0) doc["weight"] = 0.25 * i;
+    if (i % 3 != 0) doc["bytes"] = 0.25 * i;
     doc["switch_id"] = kSites[i % 3];
     util::Json flow = util::Json::object();
     flow["dst_ip"] = "10.1.0." + std::to_string(i);
@@ -67,7 +67,7 @@ std::string corpus_segment() {
     docs.push_back(std::move(doc));
   }
   const std::string path = test_path("corpus.seg");
-  write_segment(path, "tput", 64, docs, "ts_ns", {"throughput_bps", "weight"});
+  write_segment(path, "tput", 64, docs);
   std::string bytes = test::read_file(path);
   fs::remove(path);
   return bytes;

@@ -1,7 +1,7 @@
 // Tests: the durable time-series store (src/store) — WAL framing and the
 // crash-recovery invariant (every-byte truncation matrix), sealed-segment
-// round-trips, range/term segment pruning, compaction, rollups, the
-// columnar aggregation fast path, offline verification (manifest cases
+// round-trips, range/term segment pruning, compaction, the columnar
+// aggregation fast path, offline verification (manifest cases
 // and a seeded manifest mutation battery, P4S_SEED), and the p4s-store
 // CLI.
 #include <gtest/gtest.h>
@@ -186,8 +186,7 @@ TEST(Segments, RoundTripPreservesDocsOrderAndStats) {
   std::vector<util::Json> docs = {doc_at(100, 7), doc_at(300, 9, "anl"),
                                   doc_at(200, 5)};
   const std::string path = dir + "/a.seg";
-  const auto built = write_segment(path, "idx", 40, docs, "ts_ns",
-                                   {"throughput_bps"});
+  const auto built = write_segment(path, "idx", 40, docs);
   EXPECT_EQ(built.info.docs, 3u);
   EXPECT_EQ(built.info.base_seq, 40u);
   const auto& tput = built.summaries.at("throughput_bps");
@@ -230,18 +229,17 @@ TEST(Segments, MissingAndDoubleColumnValues) {
   util::Json plain = util::Json::object();
   plain["ts_ns"] = 5;
   std::vector<util::Json> docs = {doc_at(1, 2), plain};
-  docs[0]["weight"] = 2.5;
+  docs[0]["bytes"] = 2.5;
   const std::string path = dir + "/a.seg";
-  write_segment(path, "idx", 0, docs, "ts_ns",
-                {"throughput_bps", "weight"});
+  write_segment(path, "idx", 0, docs);
   const Segment seg = Segment::load(path);
   const auto tput = seg.decode_column("throughput_bps");
   ASSERT_EQ(tput.size(), 2u);
   EXPECT_EQ(tput[0], 2.0);
   EXPECT_FALSE(tput[1].has_value());
-  const auto weight = seg.decode_column("weight");
-  EXPECT_EQ(weight[0], 2.5);
-  EXPECT_FALSE(weight[1].has_value());
+  const auto bytes = seg.decode_column("bytes");
+  EXPECT_EQ(bytes[0], 2.5);
+  EXPECT_FALSE(bytes[1].has_value());
   EXPECT_TRUE(seg.decode_column("not_a_column").empty());
 }
 
@@ -254,7 +252,7 @@ TEST(Segments, TimeColumnDeltasWrapWithoutSignedOverflow) {
   std::vector<util::Json> docs = {doc_at(-far, 1), doc_at(far, 2),
                                   doc_at(-far, 3)};
   const std::string path = dir + "/a.seg";
-  write_segment(path, "idx", 0, docs, "ts_ns", {});
+  write_segment(path, "idx", 0, docs);
   const auto ts = Segment::load(path).decode_column("ts_ns");
   ASSERT_EQ(ts.size(), 3u);
   EXPECT_EQ(ts[0], static_cast<double>(-far));
@@ -305,7 +303,7 @@ TEST(Segments, CorruptionRaisesStoreError) {
   const std::string dir = fresh_dir("seg_corrupt");
   fs::create_directories(dir);
   const std::string path = dir + "/a.seg";
-  write_segment(path, "idx", 0, {doc_at(1, 2)}, "ts_ns", {});
+  write_segment(path, "idx", 0, {doc_at(1, 2)});
   std::string bytes = read_file(path);
   {
     std::string flipped = bytes;
@@ -342,12 +340,9 @@ TEST(Segments, CorruptionRaisesStoreError) {
 
 TEST(StoreLifecycle, AppendSealReopenPreservesEverything) {
   const std::string dir = fresh_dir("lifecycle");
-  StoreConfig config;
-  config.rollup_fields = {"throughput_bps"};
-  config.rollup_bucket_ns = 1000;
   std::vector<std::string> dumps;
   {
-    Store store(dir, config);
+    Store store(dir);
     for (int i = 0; i < 10; ++i) {
       const auto seq = store.append("idx", doc_at(100 * i, i));
       EXPECT_EQ(seq, static_cast<std::uint64_t>(i));
@@ -362,7 +357,7 @@ TEST(StoreLifecycle, AppendSealReopenPreservesEverything) {
     EXPECT_EQ(store.snapshot().memtable_docs("idx"), 1u);
   }
   // Fresh instance: manifest + segment + WAL tail reconstruct the store.
-  Store store(dir, config);
+  Store store(dir);
   EXPECT_EQ(store.snapshot().doc_count("idx"), 11u);
   EXPECT_EQ(store.snapshot().total_docs(), 11u);
   EXPECT_EQ(store.snapshot().memtable_docs("idx"), 1u);
@@ -373,16 +368,6 @@ TEST(StoreLifecycle, AppendSealReopenPreservesEverything) {
     return true;
   });
   EXPECT_EQ(scanned, dumps);
-  // Rollups persisted through the manifest: buckets of 1000 ns over the
-  // sealed docs only (values 0..9 at 100 ns spacing).
-  const RollupSeries* series = store.rollup("idx", "throughput_bps");
-  ASSERT_NE(series, nullptr);
-  ASSERT_EQ(series->size(), 1u);
-  const auto& bucket = series->at(0);
-  EXPECT_EQ(bucket.count, 10u);
-  EXPECT_EQ(bucket.min, 0.0);
-  EXPECT_EQ(bucket.max, 9.0);
-  EXPECT_EQ(bucket.mean(), 4.5);
 }
 
 TEST(StoreLifecycle, NewestFirstScanReversesSegmentsAndMemtable) {
@@ -613,17 +598,10 @@ TEST(StoreVerify, DetectsSegmentCorruption) {
   EXPECT_EQ(result.wal_docs, 1u);
 }
 
-// A store with two indices, several segments each and rollups, fully
-// sealed (its WAL holds nothing), for the manifest tests below.
-StoreConfig manifest_test_config() {
-  StoreConfig config;
-  config.rollup_fields = {"throughput_bps"};
-  config.rollup_bucket_ns = 100;
-  return config;
-}
-
+// A store with two indices and several segments each, fully sealed (its
+// WAL holds nothing), for the manifest tests below.
 void build_manifest_test_store(const std::string& dir) {
-  Store store(dir, manifest_test_config());
+  Store store(dir);
   for (int seg = 0; seg < 3; ++seg) {
     for (int i = 0; i < 4; ++i) {
       const int n = seg * 4 + i;
@@ -637,7 +615,7 @@ void build_manifest_test_store(const std::string& dir) {
 /// Docs per index as a read-only open counts them; indices with none are
 /// left out, as they are from VerifyResult::index_docs.
 std::map<std::string, std::uint64_t> open_counts(const std::string& dir) {
-  const Store store(dir, manifest_test_config(), OpenMode::read_only);
+  const Store store(dir, {}, OpenMode::read_only);
   std::map<std::string, std::uint64_t> counts;
   const Snapshot snapshot = store.snapshot();
   for (const auto& index : snapshot.indices()) {
@@ -676,11 +654,6 @@ TEST(StoreVerify, OpenAndVerifyRefuseTheSameBadManifests) {
     return idx(m)["segments"].as_array()[0];
   };
   const std::vector<Case> cases = {
-      {"short rollup row", "rollups.idx.throughput_bps[0]",
-       [](util::Json& m) {
-         m["rollups"]["idx"]["throughput_bps"].as_array()[0] =
-             util::Json::parse("[1]");
-       }},
       {"phantom sealed_docs", "indices.ghost.sealed_docs",
        [](util::Json& m) {
          m["indices"]["ghost"] =
@@ -726,11 +699,11 @@ TEST(StoreVerify, OpenAndVerifyRefuseTheSameBadManifests) {
 }
 
 // Manifests written before segments stopped recording their time span
-// list has_time/min_ts/max_ts per segment. The decoder ignores keys it
-// does not read, so such stores still open and verify clean.
-TEST(StoreVerify, ManifestWithRetiredTimeKeysOpensAndVerifies) {
-  const std::string dir = fresh_dir("manifest_retired_keys");
-  build_manifest_test_store(dir);
+// list has_time/min_ts/max_ts per segment, and those written before the
+// store stopped folding seal-time rollups carry a `rollups` section (whose
+// rows the decoder once checked, refusing a short one). Rewrite the test
+// store's manifest in that old shape.
+void write_retired_keys_manifest(const std::string& dir) {
   util::Json manifest = util::Json::parse(read_file(dir + "/MANIFEST.json"));
   for (auto& [name, entry] : manifest["indices"].as_object()) {
     for (auto& seg : entry["segments"].as_array()) {
@@ -739,11 +712,44 @@ TEST(StoreVerify, ManifestWithRetiredTimeKeysOpensAndVerifies) {
       seg["max_ts"] = 550;
     }
   }
+  manifest["rollups"] = util::Json::parse(
+      R"({"idx": {"throughput_bps": [[0, 2, 0, 1, 1], [1]]}})");
   write_manifest_text(dir, manifest.dump(2));
+}
+
+// The decoder ignores keys it does not read, so such stores still open
+// and verify clean.
+TEST(StoreVerify, ManifestWithRetiredTimeKeysOpensAndVerifies) {
+  const std::string dir = fresh_dir("manifest_retired_keys");
+  build_manifest_test_store(dir);
+  write_retired_keys_manifest(dir);
   EXPECT_EQ(open_counts(dir), (std::map<std::string, std::uint64_t>{
                                   {"idx", 12}, {"other", 6}}));
   const auto result = Store::verify(dir);
   EXPECT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+}
+
+// A read-write open of such a store keeps its documents, and its next seal
+// writes a manifest without the retired section.
+TEST(StoreVerify, SealAfterRetiredRollupsWritesManifestWithoutThem) {
+  const std::string dir = fresh_dir("manifest_retired_rewrite");
+  build_manifest_test_store(dir);
+  write_retired_keys_manifest(dir);
+  {
+    Store store(dir);
+    EXPECT_EQ(store.snapshot().doc_count("idx"), 12u);
+    store.append("idx", doc_at(600, 12));
+    store.seal("idx");
+  }
+  const util::Json manifest =
+      util::Json::parse(read_file(dir + "/MANIFEST.json"));
+  EXPECT_FALSE(manifest.contains("rollups"));
+  const std::map<std::string, std::uint64_t> counts = {{"idx", 13},
+                                                       {"other", 6}};
+  EXPECT_EQ(open_counts(dir), counts);
+  const auto result = Store::verify(dir);
+  EXPECT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  EXPECT_EQ(result.index_docs, counts);
 }
 
 // Seeded bit flips, truncations and splices of a real manifest (run
@@ -835,10 +841,7 @@ TEST(StoreRecovery, ReopenAfterWalTailTruncationKeepsCommittedPrefix) {
 TEST(StoreCli, InfoVerifyCompactDump) {
   const std::string dir = fresh_dir("cli");
   {
-    StoreConfig config;
-    config.rollup_fields = {"throughput_bps"};
-    config.rollup_bucket_ns = 10;
-    Store store(dir, config);
+    Store store(dir);
     for (int seg = 0; seg < 2; ++seg) {
       for (int i = 0; i < 3; ++i) {
         store.append("p4sonar-throughput", doc_at(seg * 10 + i, i));
@@ -858,11 +861,6 @@ TEST(StoreCli, InfoVerifyCompactDump) {
   std::string text;
   EXPECT_EQ(run({"info", dir.c_str()}, &text), 0);
   EXPECT_NE(text.find("p4sonar-throughput: 6 docs"), std::string::npos);
-  // The CLI opens with the default config; the rollups come from the
-  // manifest (ts 0-2 and 10-12 in buckets of 10 ns).
-  EXPECT_NE(text.find("rollup throughput_bps: 2 bucket(s)"),
-            std::string::npos)
-      << text;
   EXPECT_EQ(run({"verify", dir.c_str()}, &text), 0);
   EXPECT_NE(text.find("result:       OK"), std::string::npos);
   EXPECT_EQ(run({"compact", dir.c_str()}, &text), 0);
